@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -44,7 +45,7 @@ from .pulse import (
     pulse_spectrum,
 )
 from .representations import GaugeRepresentation
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, coerce_value, load_scenario, typed
 from .spectra import (
     DEFAULT_CUTOFF,
     LineshapeParams,
@@ -221,9 +222,9 @@ def _parse_grid_flag(text: str) -> dict:
     if len(parts) not in (3, 4):
         raise ScenarioError(f"--grid expects min,max,points[,scale], got {text!r}")
     out = {
-        "grid_min": float(parts[0]),
-        "grid_max": float(parts[1]),
-        "grid_points": float(parts[2]),
+        "grid_min": coerce_value(parts[0]),
+        "grid_max": coerce_value(parts[1]),
+        "grid_points": coerce_value(parts[2]),
     }
     if len(parts) == 4:
         out["grid_scale"] = parts[3]
@@ -258,10 +259,8 @@ def _scenario_from_args(args) -> Scenario:
         params["cutoff"] = args.cutoff
         if args.suppress_lamb_shift:
             params["lamb_shift"] = 0.0
-        elif args.lamb_shift == "auto":
-            params["lamb_shift"] = "auto"
         else:
-            params["lamb_shift"] = float(args.lamb_shift)
+            params["lamb_shift"] = coerce_value(args.lamb_shift)
     elif args.command == "fluorescence":
         params["gamma"] = _require(args.gamma, "--gamma")
         params["omega_eg"] = args.omega_eg
@@ -304,23 +303,33 @@ def _scenario_from_args(args) -> Scenario:
 # -- mode runners ------------------------------------------------------------
 
 
+def _cutoff(value) -> float:
+    cutoff = typed("cutoff", value)
+    if not (math.isfinite(cutoff) and cutoff > 0.0):
+        raise DomainError("cutoff must be finite and positive")
+    return cutoff
+
+
 def _run_lineshape(scn: Scenario, cutoff: float) -> list:
     p = scn.params
     grid = scn.grid()
-    omega_eg = float(p.get("omega_eg", 1.0))
-    gamma = float(p["gamma"])
-    cutoff = float(p.get("cutoff", cutoff))
+    omega_eg = typed("omega_eg", p.get("omega_eg", 1.0))
+    gamma = typed("gamma", p["gamma"])
+    cutoff = _cutoff(p.get("cutoff", cutoff))
     shift = p.get("lamb_shift", 0.0)
+    if shift != "auto":
+        shift = typed("lamb_shift", shift)
+    variable_width = typed("variable_width", p.get("variable_width", False), "flag")
     spectra = []
     for rep in scn.representations:
         if shift == "auto":
             model = build_two_level(omega_eg, 1.0)
             value = lamb_shift(model, "e", cutoff)
         else:
-            value = float(shift)
+            value = shift
         params = LineshapeParams(
             rep=rep, omega_eg=omega_eg, gamma=gamma, lamb_shift=value,
-            variable_width=bool(p.get("variable_width", False)),
+            variable_width=variable_width,
         )
         spec = lineshape_S(params, grid)
         spec.metadata["cutoff"] = cutoff
@@ -334,11 +343,11 @@ def _run_fluorescence(scn: Scenario) -> list:
     spectra = []
     for rep in scn.representations:
         scenario = SharpLineScenario(
-            intensity=float(p.get("intensity", 1.0)),
+            intensity=typed("intensity", p.get("intensity", 1.0)),
             omega_0=float(grid[0]),
-            omega_eg=float(p.get("omega_eg", 1.0)),
-            gamma=float(p["gamma"]),
-            dipole_proj=float(p.get("dipole_proj", 1.0)),
+            omega_eg=typed("omega_eg", p.get("omega_eg", 1.0)),
+            gamma=typed("gamma", p["gamma"]),
+            dipole_proj=typed("dipole_proj", p.get("dipole_proj", 1.0)),
             rep=rep,
         )
         spectra.append(fluorescence_sweep(scenario, grid))
@@ -351,16 +360,17 @@ def _run_lamb_line(scn: Scenario) -> list:
     spectra = []
     for rep in scn.representations:
         if p.get("preset") == "lamb-hydrogen":
-            scenario = lamb_hydrogen_preset(rep, float(p.get("intensity", 1.0)))
+            scenario = lamb_hydrogen_preset(
+                rep, typed("intensity", p.get("intensity", 1.0)))
         elif "preset" in p:
             raise ScenarioError(f"unknown preset {p['preset']!r}")
         else:
             scenario = LambLineScenario(
-                intensity=float(p.get("intensity", 1.0)),
-                omega=float(p["omega"]),
-                omega_prime=float(p["omega_prime"]),
-                gamma=float(p["gamma"]),
-                dipole_proj=float(p.get("dipole_proj", 1.0)),
+                intensity=typed("intensity", p.get("intensity", 1.0)),
+                omega=typed("omega", p["omega"]),
+                omega_prime=typed("omega_prime", p["omega_prime"]),
+                gamma=typed("gamma", p["gamma"]),
+                dipole_proj=typed("dipole_proj", p.get("dipole_proj", 1.0)),
                 rep=rep,
             )
         spectra.append(lamb_rate_sweep(scenario, grid))
@@ -370,23 +380,26 @@ def _run_lamb_line(scn: Scenario) -> list:
 def _run_pulse(scn: Scenario, out_dir: str) -> list:
     p = scn.params
     grid = scn.grid()
-    omega_0 = float(p.get("omega_0", 1.0))
-    gamma = float(p["gamma"])
+    omega_0 = typed("omega_0", p.get("omega_0", 1.0))
+    gamma = typed("gamma", p["gamma"])
     if "omega_l" in p:
-        omega_l = float(p["omega_l"])
+        omega_l = typed("omega_l", p["omega_l"])
     else:
-        omega_l = omega_0 - float(p.get("delta_l", 0.0))
-    config = PulseConfig(rabi=float(p["rabi"]), omega_l=omega_l)
+        omega_l = omega_0 - typed("delta_l", p.get("delta_l", 0.0))
+    config = PulseConfig(rabi=typed("rabi", p["rabi"]), omega_l=omega_l)
+    include_reference = typed("include_reference",
+                              p.get("include_reference", False), "flag")
+    trajectory = typed("trajectory", p.get("trajectory", False), "flag")
+    rwa = typed("rwa", p.get("rwa", True), "flag")
     spectra = [
         pulse_spectrum(config, rep, omega_0, gamma, grid)
         for rep in scn.representations
     ]
-    if p.get("include_reference", False):
+    if include_reference:
         spectra.append(lorentzian_reference_spectrum(omega_0, gamma, grid))
-    if p.get("trajectory", False):
+    if trajectory:
         traj = integrate_dynamics(
-            config, scn.representations[0], omega_0, gamma,
-            rwa=bool(p.get("rwa", True)),
+            config, scn.representations[0], omega_0, gamma, rwa=rwa,
         )
         os.makedirs(out_dir, exist_ok=True)
         traj.to_csv(os.path.join(out_dir, f"{scn.prefix}_trajectory.csv"))
@@ -434,20 +447,20 @@ def main(argv=None) -> int:
             )
         if args.command == "plot":
             return _run_plot(args)
+        cutoff = _cutoff(args.cutoff)
         if args.command == "verify":
-            cutoff = args.cutoff
             if args.scenario:
                 scn = load_scenario(args.scenario)
                 if scn.mode != "verify":
                     raise ScenarioError(
                         f"scenario mode {scn.mode!r} does not match 'verify'"
                     )
-                cutoff = float(scn.params.get("cutoff", cutoff))
+                cutoff = _cutoff(scn.params.get("cutoff", cutoff))
             return _run_verify(args.out_dir, cutoff)
 
         scn = _scenario_from_args(args)
         if scn.mode == "lineshape":
-            spectra = _run_lineshape(scn, args.cutoff)
+            spectra = _run_lineshape(scn, cutoff)
         elif scn.mode == "fluorescence":
             spectra = _run_fluorescence(scn)
         elif scn.mode == "lamb-line":

@@ -18,6 +18,10 @@ The closed-form emission amplitude carries the matching phase on its
 pulse-window term, which keeps it consistent with the integrated dynamics
 and makes the pulse contribution add in quadrature with the Lorentzian
 tail at line center.
+
+scipy is needed only by ``integrate_dynamics`` (the adaptive ODE oracle
+behind ``lineshape verify`` and pulse ``trajectory: true``) and is imported
+on its first call, so importing the package loads numpy alone.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConfigurationError, DomainError
 from .representations import GaugeRepresentation, coupling_pair
@@ -408,6 +411,10 @@ def integrate_dynamics(
 
     Modes enter only through their detunings unless back-reaction is on.
     """
+    # Imported here, not at module level: this oracle is the only scipy
+    # user, and loading scipy.integrate costs most of a cold CLI start.
+    from scipy.integrate import solve_ivp
+
     if gamma <= 0.0 or omega_0 <= 0.0:
         raise DomainError("gamma and omega_0 must be positive")
     mode_grid = np.asarray(mode_grid, dtype=float)

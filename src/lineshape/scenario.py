@@ -22,6 +22,7 @@ Example::
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,8 @@ import numpy as np
 from .errors import DomainError, ScenarioError
 from .representations import GaugeRepresentation
 
-__all__ = ["Scenario", "parse_scenario", "load_scenario", "build_grid"]
+__all__ = ["Scenario", "parse_scenario", "load_scenario", "build_grid",
+           "coerce_value", "typed"]
 
 MODES = ("lineshape", "fluorescence", "lamb-line", "pulse", "verify")
 
@@ -120,11 +122,34 @@ class Scenario:
         )
 
 
+def typed(key: str, value, kind: str = "number"):
+    """Return the value of parameter ``key`` checked against its kind.
+
+    ``number`` accepts an int or float and returns a float; ``points``
+    accepts a whole number of at least 2 and returns an int; ``flag``
+    accepts only true/false.  Anything else (a word where a number
+    belongs, a fractional point count, ``no`` for a flag) raises
+    ScenarioError naming the key, so nothing is coerced or truncated.
+    """
+    if kind == "flag":
+        if isinstance(value, bool):
+            return bool(value)
+        raise ScenarioError(f"{key} must be true or false, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{key} must be a number, got {value!r}")
+    value = float(value)
+    if kind == "points":
+        if not (value.is_integer() and value >= 2):
+            raise ScenarioError(
+                f"{key} must be a whole number of at least 2, got {value:g}"
+            )
+        return int(value)
+    return value
+
+
 def build_grid(lo, hi, points, scale: str = "linear") -> np.ndarray:
-    points = int(points)
-    lo, hi = float(lo), float(hi)
-    if points < 2:
-        raise ScenarioError("grid needs at least 2 points")
+    lo, hi = typed("grid_min", lo), typed("grid_max", hi)
+    points = typed("grid_points", points, "points")
     if not lo < hi:
         raise ScenarioError("grid_min must be below grid_max")
     if scale == "linear":
@@ -136,7 +161,8 @@ def build_grid(lo, hi, points, scale: str = "linear") -> np.ndarray:
     raise ScenarioError(f"unknown grid_scale {scale!r}")
 
 
-def _coerce(value: str):
+def coerce_value(value: str):
+    """Read a scenario or flag string as a bool, a float, or else a string."""
     low = value.lower()
     if low == "true":
         return True
@@ -182,7 +208,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"missing value for {key!r}", lineno)
             if key in sections[current]:
                 raise ScenarioError(f"duplicate key {key!r}", lineno)
-            sections[current][key] = _coerce(value)
+            sections[current][key] = coerce_value(value)
 
     if "mode" not in top:
         raise ScenarioError("scenario is missing 'mode'")

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,98 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli_mod, "run_all_checks", broken)
         assert main(["verify", "--out-dir", str(tmp_path)]) == 4
+
+
+LINESHAPE_SCN = (
+    "mode: lineshape\nrepresentations: coulomb\n\nlineshape:\n"
+    "  gamma: 0.1\n  grid_min: 0.5\n  grid_max: 1.5\n  grid_points: 11\n"
+)
+PULSE_SCN = (
+    "mode: pulse\nrepresentations: symmetric\n\npulse:\n"
+    "  rabi: 1.0\n  gamma: 0.1\n"
+    "  grid_min: 0.5\n  grid_max: 1.5\n  grid_points: 11\n"
+)
+
+
+class TestWrongTypedValues:
+    """A value of the wrong type exits 2 naming its key; nothing is coerced."""
+
+    @pytest.mark.parametrize("mode, text, key", [
+        ("lineshape", LINESHAPE_SCN.replace("gamma: 0.1", "gamma: fast"),
+         "gamma"),
+        ("lineshape", LINESHAPE_SCN.replace("grid_points: 11",
+                                            "grid_points: 10.9"),
+         "grid_points"),
+        ("lineshape", LINESHAPE_SCN.replace("grid_min: 0.5", "grid_min: low"),
+         "grid_min"),
+        ("lineshape", LINESHAPE_SCN + "  variable_width: 1\n",
+         "variable_width"),
+        ("lineshape", LINESHAPE_SCN + "  lamb_shift: big\n", "lamb_shift"),
+        ("lineshape", LINESHAPE_SCN + "  cutoff: true\n", "cutoff"),
+        ("pulse", PULSE_SCN + "  rwa: no\n", "rwa"),
+        ("pulse", PULSE_SCN + "  include_reference: nope\n",
+         "include_reference"),
+        ("pulse", PULSE_SCN + "  trajectory: yes\n", "trajectory"),
+        ("pulse", PULSE_SCN.replace("rabi: 1.0", "rabi: strong"), "rabi"),
+    ], ids=lambda v: v if isinstance(v, str) and "\n" not in v else "")
+    def test_scenario_value_exits_2(self, mode, text, key, tmp_path, capsys):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(text)
+        assert main([mode, str(scn), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--grid", "0.1,3,2.7"], "grid_points"),
+        (["--grid", "0.1,three,20"], "grid_max"),
+        (["--lamb-shift", "abc"], "lamb_shift"),
+    ])
+    def test_inline_flag_exits_2(self, flags, key, tmp_path, capsys):
+        code = main(["lineshape", "--gamma", "0.1", *flags,
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+    def test_flags_accept_true_and_false(self, tmp_path):
+        scn = tmp_path / "ok.scn"
+        scn.write_text(PULSE_SCN + "  rwa: false\n  include_reference: true\n")
+        assert main(["pulse", str(scn), "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "pulse_lorentzian.csv").exists()
+
+
+class TestCutoffDomain:
+    """A non-positive or non-finite cutoff exits 3 with one error line."""
+
+    MESSAGE = "error: cutoff must be finite and positive\n"
+
+    def _assert_rejected(self, argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        assert capsys.readouterr().err == self.MESSAGE
+
+    @pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
+    def test_verify_flag(self, value, tmp_path, capsys):
+        self._assert_rejected(
+            ["verify", f"--cutoff={value}", "--out-dir", str(tmp_path)], capsys)
+        assert not (tmp_path / "verification_report.json").exists()
+
+    def test_lineshape_flag(self, tmp_path, capsys):
+        self._assert_rejected(
+            ["lineshape", "--gamma", "0.1", "--lamb-shift", "auto",
+             "--cutoff=-1", "--out-dir", str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("mode, text", [
+        ("verify", "mode: verify\n\nverify:\n  cutoff: -1\n"),
+        ("lineshape", LINESHAPE_SCN + "  cutoff: 0\n  lamb_shift: auto\n"),
+    ], ids=["verify", "lineshape"])
+    def test_scenario_key(self, mode, text, tmp_path, capsys):
+        scn = tmp_path / "c.scn"
+        scn.write_text(text)
+        self._assert_rejected([mode, str(scn), "--out-dir", str(tmp_path)],
+                              capsys)
 
 
 @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)
