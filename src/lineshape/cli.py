@@ -75,7 +75,9 @@ def _add_common(parser):
 
 
 def _add_grid(parser, default=(0.05, 3.0, 296)):
-    parser.add_argument("--grid", default=",".join(map(str, default)),
+    parser.add_argument("--grid",
+                        default=None if default is None
+                        else ",".join(map(str, default)),
                         help="min,max,points[,linear|log]")
 
 
@@ -110,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lamb-line", help="stimulated-decay rate sweep")
     _add_common(p)
-    _add_grid(p, (0.0, 0.0, 0))
+    _add_grid(p, None)  # the preset brings its own grid; inline needs --grid
     p.add_argument("--preset", choices=["lamb-hydrogen"], default=None)
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--omega-prime", type=float, default=None)
@@ -252,7 +254,7 @@ def _scenario_from_args(args) -> Scenario:
             scn.log_scale = True
         return scn
 
-    params = _parse_grid_flag(args.grid)
+    params = {} if args.grid is None else _parse_grid_flag(args.grid)
     if args.command == "lineshape":
         params["gamma"] = _require(args.gamma, "--gamma")
         params["omega_eg"] = args.omega_eg
@@ -269,12 +271,13 @@ def _scenario_from_args(args) -> Scenario:
     elif args.command == "lamb-line":
         if args.preset:
             params["preset"] = args.preset
-            if args.grid == "0.0,0.0,0":
+            if args.grid is None:
                 preset = lamb_hydrogen_preset(GaugeRepresentation.coulomb())
                 lo = max(0.05 * preset.omega, preset.omega - 5.0 * preset.gamma)
                 hi = preset.omega + 5.0 * preset.gamma
                 params.update(grid_min=lo, grid_max=hi, grid_points=201)
         else:
+            _require(args.grid, "--grid")
             params["omega"] = _require(args.omega, "--omega")
             params["omega_prime"] = _require(args.omega_prime, "--omega-prime")
             params["gamma"] = _require(args.gamma_2p1s, "--gamma-2p1s")

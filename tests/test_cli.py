@@ -125,6 +125,19 @@ class TestExitCodes:
     def test_missing_required_flag_is_2(self, tmp_path):
         assert main(["lineshape", "--out-dir", str(tmp_path)]) == 2
 
+    def test_inline_lamb_line_needs_grid(self, tmp_path, capsys):
+        # Only the preset brings its own grid.
+        argv = ["lamb-line", "--omega", "1", "--omega-prime", "2",
+                "--gamma-2p1s", "0.1", "--reps", "coulomb",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: missing required flag --grid (or use a scenario file)\n"
+        )
+        assert not list(tmp_path.glob("*.csv"))
+        assert main(argv + ["--grid", "0.5,1.5,11"]) == 0
+        assert (tmp_path / "lamb_line_coulomb.csv").exists()
+
     def test_domain_error_is_3(self, tmp_path):
         assert main(["lineshape", "--gamma", "-1",
                      "--out-dir", str(tmp_path)]) == 3

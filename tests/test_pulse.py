@@ -23,9 +23,9 @@ from lineshape import (
 )
 from lineshape.pulse import (
     DetuningSet,
+    _mode_weights,
     ground_amplitude_during_pulse,
     laser_coupling_pair,
-    rk4_fixed,
 )
 from lineshape.representations import coupling_pair
 from lineshape.spectra import numerator
@@ -34,6 +34,21 @@ OMEGA0 = 1.0
 GAMMA = 0.1
 RESONANT = PulseConfig(rabi=1.0, omega_l=OMEGA0)
 ALL_REPS = (COULOMB, POINCARE, SYMMETRIC, GaugeRepresentation.constant(0.3))
+
+
+def rk4_fixed(rhs, y0, t0: float, t1: float, steps: int) -> np.ndarray:
+    """Classical fixed-step RK4; regression cross-check for the adaptive path."""
+    y = np.array(y0, dtype=complex)
+    h = (t1 - t0) / steps
+    t = t0
+    for _ in range(steps):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return y
 
 
 class TestConfig:
@@ -264,6 +279,95 @@ class TestDynamics:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,re_bg0,im_bg0,re_be0,im_be0"
         assert len(lines) == len(traj.times) + 1
+
+
+# The benchmark's 81-mode case and the 240-mode case of
+# test_field_back_reaction_produces_decay.
+BACK_REACTION_CASES = {
+    "81_modes": (np.linspace(0.5, 1.5, 81), 0.1, {}),
+    "240_modes": (np.linspace(0.05, 3.0, 240), 0.2,
+                  dict(samples=201, rtol=1e-8, atol=1e-10, post_horizon=10.0)),
+}
+
+
+def _back_reaction(case, modes=None):
+    grid, gamma, options = BACK_REACTION_CASES[case]
+    grid = grid if modes is None else modes
+    traj = integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, gamma, grid,
+                              include_field_during_pulse=True, **options)
+    return traj, _mode_weights(grid, SYMMETRIC, OMEGA0, gamma)
+
+
+class TestExactDecay:
+    """The field-free t >= 0 phase with the modes retained is propagated
+    exactly; DOP853 at tight tolerance is the independent reference."""
+
+    @pytest.mark.parametrize("case", sorted(BACK_REACTION_CASES))
+    def test_post_phase_matches_tight_ode(self, case):
+        from scipy.integrate import solve_ivp
+
+        traj, weights = _back_reaction(case)
+        delta = OMEGA0 - traj.mode_grid
+
+        def rhs(t, y):
+            osc = np.exp(-1j * delta * t)
+            dy = np.empty_like(y)
+            dy[0] = -np.sum(weights * y[1:] / osc)
+            dy[1:] = osc * y[0]
+            return dy
+
+        y0 = np.concatenate(([traj.b_e[-1]], traj.beta_pulse_end))
+        ref = solve_ivp(rhs, (0.0, traj.post_times[-1]), y0, method="DOP853",
+                        t_eval=traj.post_times, rtol=1e-13, atol=1e-15)
+        assert ref.success
+        assert np.max(np.abs(traj.post_b_e - ref.y[0])) <= 1e-12
+        beta_ref = ref.y[1:, -1]
+        rel = np.abs(traj.beta_final - beta_ref) / np.abs(beta_ref)
+        assert rel.max() <= 1e-11
+
+    @pytest.mark.parametrize("case", sorted(BACK_REACTION_CASES))
+    def test_post_phase_conserves_probability(self, case):
+        # |b_e|^2 + sum_k w_k |y_k|^2 is invariant once the drive is off.
+        traj, weights = _back_reaction(case)
+        start = (abs(traj.b_e[-1]) ** 2
+                 + np.sum(weights * np.abs(traj.beta_pulse_end) ** 2))
+        end = (abs(traj.post_b_e[-1]) ** 2
+               + np.sum(weights * np.abs(traj.beta_final) ** 2))
+        assert abs(end - start) <= 1e-13
+        assert traj.post_b_e[0] == pytest.approx(traj.b_e[-1], abs=1e-15)
+
+    def test_decreasing_mode_grid_decays_like_increasing(self):
+        up, _ = _back_reaction("240_modes")
+        grid = BACK_REACTION_CASES["240_modes"][0]
+        down, weights = _back_reaction("240_modes", grid[::-1])
+        assert np.all(weights > 0.0)
+        assert np.max(np.abs(down.post_b_e - up.post_b_e)) <= 1e-12
+        rel = np.abs(down.beta_final[::-1] - up.beta_final) / np.abs(up.beta_final)
+        assert rel.max() <= 1e-11
+
+    @pytest.mark.parametrize("modes", [
+        [0.8, 1.2, 1.0],        # not monotonic
+        [0.8, 1.0, 1.0, 1.2],   # repeated frequency
+        [1.0],                  # a single mode has no spacing
+    ])
+    def test_rejects_unordered_or_repeated_modes(self, modes):
+        with pytest.raises(DomainError):
+            integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA, modes,
+                               include_field_during_pulse=True)
+
+    def test_rejects_envelope_not_ending_at_zero(self):
+        # The t >= 0 continuation starts where the envelope ends.
+        shift = 0.5
+        cfg = PulseConfig(
+            rabi=1.0, omega_l=OMEGA0,
+            envelope=Envelope(
+                start=-math.pi - shift, end=-shift,
+                amplitude=lambda t: 1.0 if -math.pi - shift <= t <= -shift
+                else 0.0,
+            ),
+        )
+        with pytest.raises(DomainError, match="end at t = 0"):
+            integrate_dynamics(cfg, SYMMETRIC, OMEGA0, GAMMA, [0.5])
 
 
 class TestPulseSpectrum:
