@@ -33,8 +33,6 @@ from .fluorescence import (  # noqa: F401
     n_factor,
 )
 from .pulse import (  # noqa: F401
-    AmplitudeState,
-    DetuningSet,
     Envelope,
     PulseConfig,
     PulseTrajectory,
@@ -45,7 +43,6 @@ from .pulse import (  # noqa: F401
     lorentzian_reference_spectrum,
     pulse_spectrum,
     rectangular_envelope,
-    resonant_amplitude,
 )
 from .representations import (  # noqa: F401
     COULOMB,
@@ -55,6 +52,7 @@ from .representations import (  # noqa: F401
     GaugeRepresentation,
     alpha_k,
     coupling_pair,
+    mixing,
 )
 from .spectra import (  # noqa: F401
     DEFAULT_CUTOFF,
@@ -66,7 +64,6 @@ from .spectra import (  # noqa: F401
     lamb_shift,
     lineshape_S,
     numerator,
-    numerator_from_first_principles,
     read_spectrum_csv,
     total_shift,
     total_shift_integrand,

@@ -63,7 +63,6 @@ def _add_common(parser):
     parser.add_argument("scenario", nargs="?", default=None,
                         help="scenario file (overrides inline flags)")
     parser.add_argument("--out-dir", default="out")
-    parser.add_argument("--format", choices=["csv"], default="csv")
     parser.add_argument("--plot", choices=["svg", "gnuplot"], default=None)
     parser.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
     parser.add_argument("--log-scale", action="store_true",

@@ -3,10 +3,12 @@
 The scattering rate for a sharp incident line carries a representation-
 dependent frequency factor n(omega_0, omega_eg), normalized to 1 on
 resonance; the stimulated microwave transition followed by a fast cascade
-carries the analogous factor n'(omega_0, omega, omega').  Closed forms are
-used for the named representations, and a first-principles route (off-shell
-width times squared absorption coupling over the incident frequency) is
-exposed for cross-checking and for arbitrary constant-alpha mixtures.
+carries the analogous factor n'(omega_0, omega, omega').  Both are built
+from the representation's mixing factor m = u_minus sqrt(x)
+(:func:`~lineshape.representations.mixing`): off-shell width times squared
+absorption coupling times the flux factor, which is m**4 / x for n.  The
+source paper's closed-form tables are special cases, kept in
+:mod:`lineshape.verify` as oracles.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import numpy as np
 
 from .atoms import AtomModel
 from .errors import ConfigurationError, DomainError
-from .representations import GaugeRepresentation, coupling_pair
+from .representations import GaugeRepresentation, _mixing
 from .spectra import (
     Spectrum,
     gamma_offshell,
     gamma_onshell,
-    numerator_from_first_principles,
+    numerator,
     DEFAULT_CUTOFF,
 )
 
@@ -30,12 +32,10 @@ __all__ = [
     "SharpLineScenario",
     "LambLineScenario",
     "n_factor",
-    "n_factor_from_rate_route",
     "fluorescence_rate",
     "fluorescence_sweep",
     "damped_rate_general",
     "lamb_n_factor",
-    "lamb_n_factor_from_rate_route",
     "lamb_rate",
     "lamb_rate_sweep",
     "lamb_hydrogen_preset",
@@ -60,34 +60,17 @@ def _non_negative(value, name):
 def n_factor(rep: GaugeRepresentation, omega_0, omega_eg: float):
     """Representation factor of the fluorescence rate, 1 on resonance.
 
-    Closed forms: omega_eg/omega_0 (Coulomb), (omega_0/omega_eg)**3
-    (Poincare), 16 omega_eg omega_0**3 / (omega_eg + omega_0)**4
-    (symmetric); constant-alpha mixtures use the first-principles route.
+    m**4 / x with x = omega_0/omega_eg and m the mixing factor: the
+    off-shell width x m**2 times the squared absorption coupling m**2 / x
+    times the flux factor 1/x.  That is 1/x (Coulomb), x**3 (Poincare) and
+    16 x**3 / (1 + x)**4 (symmetric).
     """
     omega_0 = np.asarray(omega_0, dtype=float)
     _positive(omega_0, "omega_0")
     _positive(omega_eg, "omega_eg")
-    if rep.kind == "coulomb":
-        out = omega_eg / omega_0
-    elif rep.kind == "poincare":
-        out = (omega_0 / omega_eg) ** 3
-    elif rep.kind == "symmetric":
-        out = 16.0 * omega_eg * omega_0**3 / (omega_eg + omega_0) ** 4
-    else:
-        out = n_factor_from_rate_route(rep, omega_0, omega_eg)
-    return out if np.ndim(out) else float(out)
-
-
-def n_factor_from_rate_route(rep, omega_0, omega_eg: float):
-    """n built from its constituents: off-shell width, squared absorption
-    coupling, and the 1/omega_0 flux factor, normalized on resonance."""
-    omega_0 = np.asarray(omega_0, dtype=float)
-    _positive(omega_0, "omega_0")
-    _positive(omega_eg, "omega_eg")
-    width_ratio = numerator_from_first_principles(rep, omega_0, omega_eg)
-    u = coupling_pair(rep, omega_0, omega_eg).u_minus
-    u_on = coupling_pair(rep, omega_eg, omega_eg).u_minus
-    out = width_ratio * (np.asarray(u) ** 2 / u_on**2) * (omega_eg / omega_0)
+    x = omega_0 / omega_eg
+    # Squared twice: numpy takes ** 4 through pow(), about three times slower.
+    out = (_mixing(rep, x) ** 2) ** 2 / x
     return out if np.ndim(out) else float(out)
 
 
@@ -215,7 +198,10 @@ def lamb_n_factor(rep: GaugeRepresentation, omega_0, omega: float, omega_prime: 
 
     ``omega`` is the small splitting being driven, ``omega_prime`` the fast
     cascade transition; the emitted frequency is omega + omega' - omega_0
-    and must be positive.
+    and must be positive.  n' is the cascade numerator at the emitted
+    frequency times (m_0 / x_0)**2, with x_0 = omega_0/omega and m_0 the
+    mixing factor of the driven transition: squared absorption coupling
+    m_0**2 / x_0 times the flux factor 1/x_0.
     """
     omega_0 = np.asarray(omega_0, dtype=float)
     _positive(omega_0, "omega_0")
@@ -224,31 +210,8 @@ def lamb_n_factor(rep: GaugeRepresentation, omega_0, omega: float, omega_prime: 
     emitted = omega + omega_prime - omega_0
     if np.any(emitted <= 0.0):
         raise DomainError("emitted frequency omega + omega' - omega_0 must be positive")
-    if rep.kind == "coulomb":
-        out = (emitted / omega_prime) * (omega**2 / omega_0**2)
-    elif rep.kind == "poincare":
-        out = (emitted / omega_prime) ** 3
-    elif rep.kind == "symmetric":
-        out = (
-            4.0 * emitted**3 / (omega_prime * (omega + 2.0 * omega_prime - omega_0) ** 2)
-        ) * (4.0 * omega**2 / (omega + omega_0) ** 2)
-    else:
-        out = lamb_n_factor_from_rate_route(rep, omega_0, omega, omega_prime)
-    return out if np.ndim(out) else float(out)
-
-
-def lamb_n_factor_from_rate_route(rep, omega_0, omega, omega_prime):
-    """n' from its constituents: off-shell cascade width at the emitted
-    frequency, squared absorption coupling on the driven transition, and
-    the flux factor omega/omega_0."""
-    omega_0 = np.asarray(omega_0, dtype=float)
-    emitted = omega + omega_prime - omega_0
-    if np.any(emitted <= 0.0):
-        raise DomainError("emitted frequency omega + omega' - omega_0 must be positive")
-    width_ratio = numerator_from_first_principles(rep, emitted, omega_prime)
-    u = coupling_pair(rep, omega_0, omega).u_minus
-    u_on = coupling_pair(rep, omega, omega).u_minus
-    out = width_ratio * (np.asarray(u) ** 2 / u_on**2) * (omega / omega_0)
+    x_0 = omega_0 / omega
+    out = numerator(rep, emitted, omega_prime) * (_mixing(rep, x_0) / x_0) ** 2
     return out if np.ndim(out) else float(out)
 
 

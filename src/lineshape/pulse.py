@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,14 +54,11 @@ __all__ = [
     "Envelope",
     "rectangular_envelope",
     "PulseConfig",
-    "DetuningSet",
-    "AmplitudeState",
     "PulseTrajectory",
     "laser_coupling_pair",
     "excited_amplitude_during_pulse",
     "ground_amplitude_during_pulse",
     "closed_form_amplitude",
-    "resonant_amplitude",
     "integrate_dynamics",
     "pulse_spectrum",
     "lorentzian_reference_spectrum",
@@ -130,33 +128,24 @@ def laser_coupling_pair(config: PulseConfig, rep: GaugeRepresentation,
     return (1.0 - a) * down - a * up, (1.0 - a) * down + a * up
 
 
-@dataclass(frozen=True)
-class DetuningSet:
-    """Laser/mode detunings.
-
-    ``delta_kl`` is *defined* as delta_l - delta_k, so the closure
-    delta_k + delta_kl = delta_l is an identity of the construction
-    (numerically exact in the form delta_kl == delta_l - delta_k; no
-    float expression of a three-term sum can be exact in every order).
-    """
-
-    delta_l: float
-    delta_k: float
-    delta_kl: float
-    mu: float
-
-    @classmethod
-    def build(cls, config: PulseConfig, rep: GaugeRepresentation,
-              omega_0: float, omega_k: float) -> "DetuningSet":
-        delta_l = omega_0 - config.omega_l
-        delta_k = omega_0 - omega_k
-        u_l = laser_coupling_pair(config, rep, omega_0)[1]
-        mu = math.hypot(config.rabi * u_l, delta_l)
-        return cls(delta_l=delta_l, delta_k=delta_k,
-                   delta_kl=delta_l - delta_k, mu=mu)
-
-
 # -- closed forms ------------------------------------------------------------
+
+
+def _drive(config: PulseConfig, rep: GaugeRepresentation, omega_0: float):
+    """Drive constants: coupling u_l, laser detuning delta_l and the
+    generalised Rabi frequency mu = hypot(Omega u_l, delta_l)."""
+    u_l = laser_coupling_pair(config, rep, omega_0)[1]
+    delta_l = omega_0 - config.omega_l
+    return u_l, delta_l, math.hypot(config.rabi * u_l, delta_l)
+
+
+def _window_times(t, config: PulseConfig):
+    """Times as an array, checked to lie in [-pi/Omega, 0], and pi/Omega."""
+    t_arr = np.asarray(t, dtype=float)
+    T = config.duration
+    if np.any(t_arr < -T - 1e-12) or np.any(t_arr > 1e-12):
+        raise DomainError("time outside the pulse window [-pi/Omega, 0]")
+    return t_arr, T
 
 
 def excited_amplitude_during_pulse(t, config: PulseConfig,
@@ -166,13 +155,8 @@ def excited_amplitude_during_pulse(t, config: PulseConfig,
     b_e(t) = -i (Omega u_l / mu) exp(i delta_l (t - pi/Omega)/2)
              sin((mu/2)(t + pi/Omega)),   -pi/Omega <= t <= 0.
     """
-    t_arr = np.asarray(t, dtype=float)
-    T = config.duration
-    if np.any(t_arr < -T - 1e-12) or np.any(t_arr > 1e-12):
-        raise DomainError("time outside the pulse window [-pi/Omega, 0]")
-    u_l = laser_coupling_pair(config, rep, omega_0)[1]
-    delta_l = omega_0 - config.omega_l
-    mu = math.hypot(config.rabi * u_l, delta_l)
+    t_arr, T = _window_times(t, config)
+    u_l, delta_l, mu = _drive(config, rep, omega_0)
     out = (
         -1j
         * (config.rabi * u_l / mu)
@@ -186,13 +170,8 @@ def ground_amplitude_during_pulse(t, config: PulseConfig,
                                   rep: GaugeRepresentation, omega_0: float):
     """Ground amplitude inside the pulse window (unitary partner of
     :func:`excited_amplitude_during_pulse`)."""
-    t_arr = np.asarray(t, dtype=float)
-    T = config.duration
-    if np.any(t_arr < -T - 1e-12) or np.any(t_arr > 1e-12):
-        raise DomainError("time outside the pulse window [-pi/Omega, 0]")
-    u_l = laser_coupling_pair(config, rep, omega_0)[1]
-    delta_l = omega_0 - config.omega_l
-    mu = math.hypot(config.rabi * u_l, delta_l)
+    t_arr, T = _window_times(t, config)
+    _, delta_l, mu = _drive(config, rep, omega_0)
     tau = 0.5 * mu * (t_arr + T)
     out = (np.cos(tau) + 1j * (delta_l / mu) * np.sin(tau)) * np.exp(
         -1j * delta_l * (t_arr + T) / 2.0
@@ -254,9 +233,7 @@ def closed_form_amplitude(omega_k, config: PulseConfig,
         raise DomainError("gamma must be positive")
     omega_k = np.asarray(omega_k, dtype=float)
     delta_k = omega_0 - omega_k
-    u_l = laser_coupling_pair(config, rep, omega_0)[1]
-    delta_l = omega_0 - config.omega_l
-    mu = math.hypot(config.rabi * u_l, delta_l)
+    u_l, delta_l, mu = _drive(config, rep, omega_0)
     T = config.duration
 
     tail = 1.0 / (1j * delta_k + 0.5 * gamma)
@@ -275,57 +252,7 @@ def closed_form_amplitude(omega_k, config: PulseConfig,
     return out if out.ndim else complex(out)
 
 
-def resonant_amplitude(omega_k, rabi: float, omega_0: float, gamma: float):
-    """Reduced emission amplitude for a resonant pi-pulse, evaluated from
-    its simplified form (an independent route to
-    :func:`closed_form_amplitude` at zero laser detuning).
-
-    Pulse term: 2 (Omega e^{i pi delta_k / Omega} - 2 i delta_k)
-    / (Omega^2 - 4 delta_k^2), with exact handling of delta_k = +/- Omega/2.
-    """
-    if gamma <= 0.0 or rabi <= 0.0:
-        raise DomainError("gamma and rabi must be positive")
-    omega_k = np.asarray(omega_k, dtype=float)
-    delta_k = omega_0 - omega_k
-
-    tail = 1.0 / (1j * delta_k + 0.5 * gamma)
-    term = np.empty(delta_k.shape, dtype=complex)
-    d_plus = delta_k - 0.5 * rabi
-    d_minus = delta_k + 0.5 * rabi
-    near_p = np.abs(d_plus) < 0.25 * rabi
-    near_m = np.logical_and(np.abs(d_minus) < 0.25 * rabi, ~near_p)
-    direct = ~(near_p | near_m)
-    if np.any(near_p):
-        d = d_plus[near_p]
-        term[near_p] = -(
-            1j * math.pi * _expm1_over(math.pi * d / rabi) - 2j
-        ) / (2.0 * (rabi + d))
-    if np.any(near_m):
-        d = d_minus[near_m]
-        term[near_m] = (
-            -1j * math.pi * _expm1_over(math.pi * d / rabi) - 2j
-        ) / (2.0 * (rabi - d))
-    if np.any(direct):
-        d = delta_k[direct]
-        term[direct] = (
-            2.0 * (rabi * np.exp(1j * math.pi * d / rabi) - 2j * d)
-            / (rabi**2 - 4.0 * d**2)
-        )
-    out = tail + (-1j) * term
-    return out if out.ndim else complex(out)
-
-
 # -- integrated dynamics -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AmplitudeState:
-    """Snapshot of the amplitudes; mode amplitudes are reduced (the per-mode
-    coupling prefactor is factored out)."""
-
-    b_g0: complex
-    b_e0: complex
-    b_gk: dict[float, complex] = field(default_factory=dict)
 
 
 @dataclass
@@ -342,14 +269,6 @@ class PulseTrajectory:
     include_field_during_pulse: bool
     post_times: np.ndarray | None = None
     post_b_e: np.ndarray | None = None
-
-    def final_state(self) -> AmplitudeState:
-        return AmplitudeState(
-            b_g0=complex(self.b_g[-1]),
-            b_e0=complex(self.b_e[-1]),
-            b_gk={float(w): complex(b)
-                  for w, b in zip(self.mode_grid, self.beta_final)},
-        )
 
     def to_csv(self, path) -> None:
         """Dump the atomic amplitudes: t,re_bg0,im_bg0,re_be0,im_be0."""
@@ -508,6 +427,8 @@ def integrate_dynamics(
     grid must then be strictly monotonic, in either direction.
 
     The envelope must end at t = 0, where the t >= 0 continuation starts.
+    ``samples`` must be a whole number of at least 2: the first sample is
+    the pulse start and the last the pulse end.
     ``rtol`` and ``atol`` set the adaptive DOP853 solver of the pulse
     window only; the post-pulse phase is exact to rounding.
 
@@ -519,6 +440,12 @@ def integrate_dynamics(
 
     if gamma <= 0.0 or omega_0 <= 0.0:
         raise DomainError("gamma and omega_0 must be positive")
+    if (isinstance(samples, bool) or not isinstance(samples, numbers.Real)
+            or not float(samples).is_integer() or samples < 2):
+        raise DomainError(
+            f"samples must be a whole number of at least 2, got {samples!r}"
+        )
+    samples = int(samples)
     env = config.envelope
     if env.end != 0.0:
         raise DomainError(
@@ -649,8 +576,7 @@ def _zero_locus_on_grid(config, rep, omega_0, grid) -> bool:
     """Whether (Omega u_l)^2 + 4 delta_k delta_kl changes sign on the grid
     (the removable-singularity locus crosses the requested frequencies)."""
     delta_k = omega_0 - np.asarray(grid, dtype=float)
-    u_l = laser_coupling_pair(config, rep, omega_0)[1]
-    delta_l = omega_0 - config.omega_l
+    u_l, delta_l, _ = _drive(config, rep, omega_0)
     D = (config.rabi * u_l) ** 2 + 4.0 * delta_k * (delta_l - delta_k)
     return bool(np.any(D <= 0.0))
 

@@ -11,7 +11,9 @@ dimensionless mixing function alpha:
 * alpha = const in [0, 1] -- any fixed mixture.
 
 Every other module consumes the resulting pair of coupling functions
-``u_plus`` / ``u_minus``.  All functions are pure and accept scalars or
+``u_plus`` / ``u_minus``, or the mixing factor ``u_minus sqrt(omega_k /
+omega_0)`` from which every representation factor of the lineshape and the
+rates is built.  All functions are pure and accept scalars or
 numpy arrays for the mode frequency.
 
 Units: hbar = c = epsilon_0 = 1 throughout; frequencies are expressed in
@@ -35,6 +37,7 @@ __all__ = [
     "SYMMETRIC",
     "alpha_k",
     "coupling_pair",
+    "mixing",
 ]
 
 
@@ -133,20 +136,23 @@ def _check_frequencies(omega_k, omega_0) -> np.ndarray:
     return omega_k
 
 
+def _constant_alpha(rep: GaugeRepresentation) -> float | None:
+    """The fixed mixing constant, or None for the symmetric kind."""
+    return {"coulomb": 0.0, "poincare": 1.0, "symmetric": None}.get(
+        rep.kind, rep.custom_alpha)
+
+
 def alpha_k(rep: GaugeRepresentation, omega_k, omega_0: float):
     """Mixing function alpha evaluated at mode frequency ``omega_k``.
 
     Scalar in, scalar out; array in, array out.
     """
     omega_k = _check_frequencies(omega_k, omega_0)
-    if rep.kind == "coulomb":
-        out = np.zeros_like(omega_k)
-    elif rep.kind == "poincare":
-        out = np.ones_like(omega_k)
-    elif rep.kind == "symmetric":
+    alpha = _constant_alpha(rep)
+    if alpha is None:
         out = omega_0 / (omega_k + omega_0)
     else:
-        out = np.full_like(omega_k, rep.custom_alpha)
+        out = np.full_like(omega_k, alpha)
     return out if out.ndim else float(out)
 
 
@@ -176,3 +182,26 @@ def coupling_pair(rep: GaugeRepresentation, omega_k, omega_0: float) -> Coupling
     if np.ndim(u_minus) == 0:
         return CouplingPair(float(u_plus), float(u_minus))
     return CouplingPair(u_plus, u_minus)
+
+
+def mixing(rep: GaugeRepresentation, omega_k, omega_0: float):
+    """Mixing factor m = u_minus sqrt(x) = (1 - alpha) + alpha x, x = omega_k/omega_0.
+
+    It equals 1 on shell in every representation and is the single source of
+    each representation factor: the lineshape numerator is x m**2, the
+    fluorescence factor m**4 / x.
+
+    Scalar in, scalar out; array in, array out.
+    """
+    out = _mixing(rep, _check_frequencies(omega_k, omega_0) / omega_0)
+    return out if out.ndim else float(out)
+
+
+def _mixing(rep: GaugeRepresentation, x):
+    """:func:`mixing` at a frequency ratio x = omega_k/omega_0 already
+    checked to be finite and positive."""
+    alpha = _constant_alpha(rep)
+    if alpha is None:
+        # The symmetric kind in exact form: 1 - alpha cancels for x << 1.
+        return 2.0 * x / (1.0 + x)
+    return (1.0 - alpha) + alpha * x

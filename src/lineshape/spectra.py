@@ -28,13 +28,12 @@ import numpy as np
 from .atoms import AtomModel
 from .errors import ConfigurationError, DomainError
 from .quadrature import pv_quad, smooth_quad
-from .representations import POINCARE, GaugeRepresentation, coupling_pair
+from .representations import POINCARE, GaugeRepresentation, _mixing, coupling_pair
 
 __all__ = [
     "LineshapeParams",
     "Spectrum",
     "numerator",
-    "numerator_from_first_principles",
     "gamma_onshell",
     "gamma_offshell",
     "delta_offshell",
@@ -66,37 +65,15 @@ def _check_positive(value, name: str):
 def numerator(rep: GaugeRepresentation, omega_k, omega_eg: float):
     """Frequency dependence of the lineshape numerator, normalized on shell.
 
-    Closed forms: omega_k/omega_eg (Coulomb), (omega_k/omega_eg)**3
-    (Poincare), 4 omega_k**3 / (omega_eg (omega_eg + omega_k)**2)
-    (symmetric).  A custom constant-alpha representation falls back to the
-    first-principles construction.
+    Mode density times squared rotating coupling over its on-shell value:
+    x m**2 with x = omega_k/omega_eg and m the representation's
+    :func:`~lineshape.representations.mixing` factor.  That is x (Coulomb),
+    x**3 (Poincare) and 4 x**3 / (1 + x)**2 (symmetric).
     """
     omega_k = _check_positive(omega_k, "omega_k")
     _check_positive(omega_eg, "omega_eg")
-    if rep.kind == "coulomb":
-        out = omega_k / omega_eg
-    elif rep.kind == "poincare":
-        out = (omega_k / omega_eg) ** 3
-    elif rep.kind == "symmetric":
-        out = 4.0 * omega_k**3 / (omega_eg * (omega_eg + omega_k) ** 2)
-    else:
-        out = numerator_from_first_principles(rep, omega_k, omega_eg)
-    return out if np.ndim(out) else float(out)
-
-
-def numerator_from_first_principles(rep, omega_k, omega_eg: float):
-    """Numerator built from mode density times squared coupling.
-
-    rho(omega_k) |u_minus(omega_k)|^2 divided by its on-shell value.  For
-    the named representations this reproduces the closed forms of
-    :func:`numerator` and serves as the cross-check route; for a custom
-    constant alpha it is the definition.
-    """
-    omega_k = _check_positive(omega_k, "omega_k")
-    _check_positive(omega_eg, "omega_eg")
-    u = coupling_pair(rep, omega_k, omega_eg).u_minus
-    u_on = coupling_pair(rep, omega_eg, omega_eg).u_minus
-    out = (omega_k**2 * np.asarray(u) ** 2) / (omega_eg**2 * u_on**2)
+    x = omega_k / omega_eg
+    out = x * _mixing(rep, x) ** 2
     return out if np.ndim(out) else float(out)
 
 

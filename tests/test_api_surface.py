@@ -1,0 +1,67 @@
+"""Public names resolve, and every name the benchmark uses still exists.
+
+The benchmark in ``perfbench/`` reaches the library through ``import
+lineshape as ls`` attributes, ``from lineshape.<module> import ...`` and the
+``verify.check_<group>`` functions.  Pruning the public API must not break
+it, so those names are read from its source and looked up here.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import lineshape
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+MODULES = sorted(
+    f"lineshape.{info.name}" for info in pkgutil.iter_modules(lineshape.__path__)
+)
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(module_name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{module_name}.__all__ names missing: {missing}"
+
+
+def _benchmark_references():
+    """(module, name) pairs the benchmark sources look up in the library."""
+    refs = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {}  # local name -> library module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases.update(
+                    (a.asname, a.name) if a.asname else ("lineshape", "lineshape")
+                    for a in node.names if a.name.split(".")[0] == "lineshape"
+                )
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.split(".")[0] == "lineshape"):
+                refs |= {(node.module, a.name) for a in node.names}
+            elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                  and getattr(node.targets[0], "id", None) == "CHECK_GROUPS"):
+                refs |= {("lineshape.verify", f"check_{group}")
+                         for group in ast.literal_eval(node.value)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                refs.add((aliases[node.value.id], node.attr))
+    return refs
+
+
+def test_benchmark_names_exist():
+    refs = _benchmark_references()
+    # The guard must see the benchmark's kernels and its verify groups.
+    assert ("lineshape", "lineshape_S") in refs
+    assert ("lineshape.verify", "check_table_consistency") in refs
+    missing = sorted(
+        f"{module}.{name}" for module, name in refs
+        if not hasattr(importlib.import_module(module), name)
+    )
+    assert not missing, f"names the benchmark uses are gone: {missing}"

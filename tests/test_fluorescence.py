@@ -20,9 +20,11 @@ from lineshape import (
     lamb_rate_sweep,
     n_factor,
 )
-from lineshape.fluorescence import (
-    lamb_n_factor_from_rate_route,
-    n_factor_from_rate_route,
+from lineshape.verify import (
+    _FLUORESCENCE_TABLE,
+    _STIMULATED_DECAY_TABLE,
+    _built_fluorescence_factor,
+    _built_stimulated_decay_factor,
 )
 
 ALPHA_03 = GaugeRepresentation.constant(0.3)
@@ -44,9 +46,13 @@ class TestNFactor:
                              ids=lambda r: r.name)
     def test_rate_route_agrees_with_closed_forms(self, rep):
         grid = np.linspace(0.2, 4.0, 500)
-        closed = np.asarray(n_factor(rep, grid, 1.0))
-        built = np.asarray(n_factor_from_rate_route(rep, grid, 1.0))
-        np.testing.assert_allclose(built, closed, rtol=1e-12)
+        route = np.asarray(n_factor(rep, grid, 1.0))
+        np.testing.assert_allclose(
+            route, _FLUORESCENCE_TABLE[rep.kind](grid, 1.0), rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            route, _built_fluorescence_factor(rep, grid, 1.0), rtol=1e-12
+        )
 
 
 class TestFluorescenceRate:
@@ -176,11 +182,15 @@ class TestLambLine:
                              ids=lambda r: r.name)
     def test_rate_route_agrees_with_closed_forms(self, rep):
         grid = np.linspace(0.3, 3.0, 400)
-        closed = np.asarray(lamb_n_factor(rep, grid, 1.0, 1000.0))
-        built = np.asarray(
-            lamb_n_factor_from_rate_route(rep, grid, 1.0, 1000.0)
+        route = np.asarray(lamb_n_factor(rep, grid, 1.0, 1000.0))
+        np.testing.assert_allclose(
+            route, _STIMULATED_DECAY_TABLE[rep.kind](grid, 1.0, 1000.0),
+            rtol=1e-12,
         )
-        np.testing.assert_allclose(built, closed, rtol=1e-12)
+        np.testing.assert_allclose(
+            route, _built_stimulated_decay_factor(rep, grid, 1.0, 1000.0),
+            rtol=1e-12,
+        )
 
     def test_sweep_peak_height(self):
         s = lamb_hydrogen_preset(POINCARE, intensity=2.0)

@@ -19,16 +19,15 @@ from lineshape import (
     lineshape_S,
     lorentzian_reference_spectrum,
     pulse_spectrum,
-    resonant_amplitude,
 )
 from lineshape.pulse import (
-    DetuningSet,
     _mode_weights,
     ground_amplitude_during_pulse,
     laser_coupling_pair,
 )
 from lineshape.representations import coupling_pair
 from lineshape.spectra import numerator
+from lineshape.verify import _resonant_amplitude
 
 OMEGA0 = 1.0
 GAMMA = 0.1
@@ -61,17 +60,6 @@ class TestConfig:
     def test_rejects_nonpositive_rabi(self):
         with pytest.raises(DomainError):
             PulseConfig(rabi=0.0, omega_l=1.0)
-
-    def test_detuning_closure_is_exact(self):
-        for wk in (0.3, 0.9999, 2.7):
-            cfg = PulseConfig(rabi=1.0, omega_l=0.9)
-            d = DetuningSet.build(cfg, SYMMETRIC, OMEGA0, wk)
-            # The closure is definitional, hence bitwise in this form.
-            assert d.delta_kl == d.delta_l - d.delta_k
-            assert d.mu == math.hypot(
-                cfg.rabi * laser_coupling_pair(cfg, SYMMETRIC, OMEGA0)[1],
-                d.delta_l,
-            )
 
     def test_resonant_coupling_is_representation_independent(self):
         for rep in ALL_REPS:
@@ -121,7 +109,7 @@ class TestClosedForm:
         delta = (np.arange(0, 1001) - 500) / 100.0  # hits +/- 0.5 exactly
         wk = OMEGA0 - delta
         general = closed_form_amplitude(wk, RESONANT, SYMMETRIC, OMEGA0, GAMMA)
-        reduced = resonant_amplitude(wk, 1.0, OMEGA0, GAMMA)
+        reduced = _resonant_amplitude(wk, 1.0, OMEGA0, GAMMA)
         np.testing.assert_allclose(general, reduced, rtol=1e-12)
 
     def test_singular_point_matches_derivative_oracle(self):
@@ -141,7 +129,7 @@ class TestClosedForm:
         dden = (den(d0 + h) - den(d0 - h)) / (2 * h)
         oracle = dnum / dden
         tail = 1.0 / (1j * d0 + GAMMA / 2.0)
-        got = resonant_amplitude(OMEGA0 - d0, rabi, OMEGA0, GAMMA)
+        got = _resonant_amplitude(OMEGA0 - d0, rabi, OMEGA0, GAMMA)
         assert got == pytest.approx(tail + (-1j) * oracle, rel=1e-9)
         # The analytic limit itself: (pi + 2i) / (2 rabi).
         assert oracle == pytest.approx((math.pi + 2j) / (2 * rabi), rel=1e-9)
@@ -262,16 +250,6 @@ class TestDynamics:
         expect = math.exp(-gamma * traj.post_times[mid] / 2.0)
         assert abs(traj.post_b_e[mid]) == pytest.approx(expect, rel=0.2)
 
-    def test_final_state_snapshot(self):
-        modes = np.array([0.8, 1.0, 1.2])
-        traj = integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA, modes)
-        state = traj.final_state()
-        assert state.b_e0 == traj.b_e[-1]
-        assert abs(state.b_g0) ** 2 + abs(state.b_e0) ** 2 == pytest.approx(
-            1.0, abs=1e-9
-        )
-        assert set(state.b_gk) == {0.8, 1.0, 1.2}
-
     def test_trajectory_csv_schema(self, tmp_path):
         traj = integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA)
         path = tmp_path / "traj.csv"
@@ -279,6 +257,13 @@ class TestDynamics:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,re_bg0,im_bg0,re_be0,im_be0"
         assert len(lines) == len(traj.times) + 1
+
+    @pytest.mark.parametrize("samples", [1, 0, 2.5])
+    def test_rejects_samples_not_a_whole_number_of_at_least_two(self, samples):
+        # A single sample is the pulse start, not the pulse end.
+        with pytest.raises(DomainError, match="samples"):
+            integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA,
+                               samples=samples)
 
 
 # The benchmark's 81-mode case and the 240-mode case of

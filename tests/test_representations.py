@@ -9,9 +9,11 @@ from lineshape import (
     GaugeRepresentation,
     alpha_k,
     coupling_pair,
+    mixing,
 )
 
 ALPHA_03 = GaugeRepresentation.constant(0.3)
+ALL_REPS = (COULOMB, POINCARE, SYMMETRIC, ALPHA_03)
 
 
 class TestAlpha:
@@ -97,6 +99,28 @@ class TestCouplingPair:
             singles = [coupling_pair(rep, float(w), 1.0) for w in wk]
             assert list(batch.u_plus) == [s.u_plus for s in singles]
             assert list(batch.u_minus) == [s.u_minus for s in singles]
+
+
+class TestMixing:
+    @pytest.mark.parametrize("rep", ALL_REPS, ids=lambda r: r.name)
+    @pytest.mark.parametrize("omega_0", [1.0, 2.5])
+    def test_is_u_minus_times_sqrt_x(self, rep, omega_0):
+        wk = np.geomspace(1e-6, 1e3, 2001)
+        want = coupling_pair(rep, wk, omega_0).u_minus * np.sqrt(wk / omega_0)
+        np.testing.assert_allclose(mixing(rep, wk, omega_0), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("rep", ALL_REPS, ids=lambda r: r.name)
+    def test_is_one_on_shell(self, rep):
+        for w in (1e-6, 0.7, 1.0, 3.2, 1e3):
+            assert mixing(rep, w, w) == pytest.approx(1.0, abs=1e-15)
+
+    def test_scalar_in_scalar_out(self):
+        assert isinstance(mixing(ALPHA_03, 2.0, 1.0), float)
+        assert mixing(ALPHA_03, 2.0, 1.0) == pytest.approx(1.3, rel=1e-15)
+
+    def test_rejects_nonpositive_frequency(self):
+        with pytest.raises(DomainError):
+            mixing(SYMMETRIC, np.array([1.0, 0.0]), 1.0)
 
 
 class TestParsing:

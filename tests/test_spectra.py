@@ -20,12 +20,12 @@ from lineshape import (
     lamb_shift,
     lineshape_S,
     numerator,
-    numerator_from_first_principles,
     read_spectrum_csv,
     total_shift,
     total_shift_integrand,
     write_spectrum_csv,
 )
+from lineshape.verify import _NUMERATOR_TABLE, _built_numerator
 
 ALPHA_03 = GaugeRepresentation.constant(0.3)
 ALL_REPS = (COULOMB, POINCARE, SYMMETRIC, ALPHA_03)
@@ -47,15 +47,28 @@ class TestNumerator:
                              ids=lambda r: r.name)
     def test_first_principles_route_agrees(self, rep):
         grid = np.linspace(0.05, 5.0, 1000)
-        closed = np.asarray(numerator(rep, grid, 1.0))
-        built = np.asarray(numerator_from_first_principles(rep, grid, 1.0))
-        np.testing.assert_allclose(built, closed, rtol=1e-12)
+        route = np.asarray(numerator(rep, grid, 1.0))
+        np.testing.assert_allclose(route, _NUMERATOR_TABLE[rep.kind](grid, 1.0),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(route, _built_numerator(rep, grid, 1.0),
+                                   rtol=1e-12)
 
     def test_custom_constant_uses_the_construction(self):
         grid = np.linspace(0.05, 5.0, 200)
-        np.testing.assert_array_equal(
+        np.testing.assert_allclose(
             np.asarray(numerator(ALPHA_03, grid, 1.0)),
-            np.asarray(numerator_from_first_principles(ALPHA_03, grid, 1.0)),
+            _built_numerator(ALPHA_03, grid, 1.0),
+            rtol=1e-14,
+        )
+
+    def test_symmetric_stays_exact_far_below_resonance(self):
+        # The generic (1 - alpha) + alpha x mixing form is off by ~1e-10
+        # here, because 1 - alpha cancels.
+        grid = np.geomspace(1e-6, 1.0, 500)
+        np.testing.assert_allclose(
+            np.asarray(numerator(SYMMETRIC, grid, 1.0)),
+            4.0 * grid**3 / (1.0 + grid) ** 2,
+            rtol=1e-14,
         )
 
     def test_symmetric_interpolates_strictly(self):
