@@ -19,6 +19,13 @@ pulse-window term, which keeps it consistent with the integrated dynamics
 and makes the pulse contribution add in quadrature with the Lorentzian
 tail at line center.
 
+The pulse-window kernel has removable zeros in its denominator.  They are
+factored out exactly (see ``closed_form_amplitude``), so one branch-free
+expression in real arithmetic, two trig calls per point, serves the whole
+line.  ``pulse_spectrum`` evaluates it over the grid in cache-sized
+blocks; every step is elementwise, so the blocks leave the result bit for
+bit the same.
+
 ``integrate_dynamics`` steps the pulse window with an adaptive ODE solver.
 With the field retained, the t >= 0 phase is a discrete level coupled to a
 discretised continuum with the drive off: a linear system with constant
@@ -46,6 +53,7 @@ from .representations import GaugeRepresentation, coupling_pair
 from .spectra import (
     DEFAULT_CUTOFF,
     Spectrum,
+    _check_positive,
     lorentzian_density,
     numerator,
 )
@@ -185,38 +193,41 @@ def _expm1_over(eps):
     return 1j * np.exp(0.5j * eps) * np.sinc(eps / (2.0 * math.pi))
 
 
-def _reduced_kernel(P, theta: float):
-    """[exp(iP) - cos(theta) - i (P/theta) sin(theta)] / (theta^2 - P^2).
+def _kernel_parts(P, theta: float):
+    """Real and imaginary parts of the pulse-window kernel K(P) of
+    :func:`closed_form_amplitude`, branch-free through P = +/- theta."""
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    q = np.abs(P)
+    h = 0.5 * (q - theta)
+    sin_h, cos_h = np.sin(h), np.cos(h)
+    s = np.divide(sin_h, h, out=np.ones_like(h), where=h != 0.0)
+    inv = 1.0 / (theta + q)
+    k_re = s * (sin_h * cos_t + cos_h * sin_t) * inv
+    k_im = (sin_t / theta - s * (cos_h * cos_t - sin_h * sin_t)) * inv
+    return k_re, k_im * np.sign(P)  # K(-P) = conj K(P); Im K(0) = 0
 
-    The zeros of the denominator at P = +/- theta are removable; near them
-    the expression is evaluated through an exact factorization (no series
-    truncation), so the result is smooth to machine precision across the
-    whole line.
+
+def _amplitude_parts(delta_k, config: PulseConfig, rep: GaugeRepresentation,
+                     omega_0: float, gamma: float):
+    """Real and imaginary parts of the reduced emission amplitude at the
+    mode detunings ``delta_k``, for a ``gamma`` already checked.
+
+    The tail 1/(i delta_k + Gamma/2), the kernel and its complex prefactor
+    are combined in real arithmetic.  Every step is elementwise, so any
+    slice of ``delta_k`` gives the same bits as the whole.
     """
-    P = np.asarray(P, dtype=float)
-    out = np.empty(P.shape, dtype=complex)
-    sin_term = 1j * math.sin(theta) / theta
-    d_plus = P - theta
-    d_minus = P + theta
-    near_p = np.abs(d_plus) < 0.5 * theta
-    near_m = np.logical_and(np.abs(d_minus) < 0.5 * theta, ~near_p)
-    direct = ~(near_p | near_m)
-    if np.any(near_p):
-        eps = d_plus[near_p]
-        out[near_p] = -(
-            np.exp(1j * theta) * _expm1_over(eps) - sin_term
-        ) / (2.0 * theta + eps)
-    if np.any(near_m):
-        eps = d_minus[near_m]
-        out[near_m] = (
-            np.exp(-1j * theta) * _expm1_over(eps) - sin_term
-        ) / (2.0 * theta - eps)
-    if np.any(direct):
-        p = P[direct]
-        out[direct] = (
-            np.exp(1j * p) - math.cos(theta) - sin_term * p
-        ) / ((theta - p) * (theta + p))
-    return out
+    u_l, delta_l, mu = _drive(config, rep, omega_0)
+    T = config.duration
+    # Prefactor -2i Omega u_l e^{-i delta_l T/2} T^2/4 = z_re + i z_im.
+    scale = -0.5 * config.rabi * u_l * T**2
+    z_re = scale * math.sin(0.5 * delta_l * T)
+    z_im = scale * math.cos(0.5 * delta_l * T)
+    k_re, k_im = _kernel_parts(T * delta_k - 0.5 * delta_l * T, 0.5 * mu * T)
+
+    d = delta_k * delta_k + 0.25 * gamma * gamma
+    re = 0.5 * gamma / d + z_re * k_re - z_im * k_im
+    im = z_re * k_im + z_im * k_re - delta_k / d
+    return re, im
 
 
 def closed_form_amplitude(omega_k, config: PulseConfig,
@@ -224,32 +235,32 @@ def closed_form_amplitude(omega_k, config: PulseConfig,
                           gamma: float):
     """Long-time reduced emission amplitude for general laser detuning.
 
-    Lorentzian tail 1/(i delta_k + Gamma/2) plus the pulse-window term,
-    whose removable singularity on (Omega u_l)^2 + 4 delta_k delta_kl = 0
-    is handled exactly.  Only the detuning of ``omega_k`` enters here;
-    frequency positivity is enforced where mode couplings are attached.
-    """
-    if gamma <= 0.0:
-        raise DomainError("gamma must be positive")
-    omega_k = np.asarray(omega_k, dtype=float)
-    delta_k = omega_0 - omega_k
-    u_l, delta_l, mu = _drive(config, rep, omega_0)
-    T = config.duration
+    beta = 1/(i delta_k + Gamma/2) - 2i Omega u_l e^{-i delta_l T/2}
+    (T^2/4) K(P), with T = pi/Omega, theta = mu T/2, P = (2 delta_k -
+    delta_l) T/2 and the pulse-window kernel
 
-    tail = 1.0 / (1j * delta_k + 0.5 * gamma)
-    theta = 0.5 * mu * T
-    P = 0.5 * (2.0 * delta_k - delta_l) * T
-    pulse = (
-        -1j
-        * 2.0
-        * config.rabi
-        * u_l
-        * np.exp(-0.5j * delta_l * T)
-        * (T**2 / 4.0)
-        * _reduced_kernel(P, theta)
-    )
-    out = tail + pulse
-    return out if out.ndim else complex(out)
+        K(P) = [e^{iP} - cos theta - i (P/theta) sin theta]
+               / (theta^2 - P^2).
+
+    K(-P) = conj K(P).  With q = |P|, h = (q - theta)/2, s = sin(h)/h
+    (1 at h = 0) and phi = h + theta, the zeros of theta^2 - P^2 cancel
+    exactly (cos q - cos theta = -2 sin(phi) sin(h), sin q - sin theta =
+    2 cos(phi) sin(h)):
+
+        K = [s sin(phi) + i (sin(theta)/theta - s cos(phi))] / (theta + q),
+
+    the imaginary part flipped where P < 0.  theta + q >= theta > 0, so
+    the removable singularity on (Omega u_l)^2 + 4 delta_k delta_kl = 0
+    needs no branch, and each point costs two real trig calls.  Only the
+    detuning of ``omega_k`` enters here; frequency positivity is enforced
+    where mode couplings are attached.  Scalar in, scalar out; arrays
+    keep their shape.
+    """
+    _check_positive(gamma, "gamma")
+    delta_k = omega_0 - np.asarray(omega_k, dtype=float)
+    re, im = _amplitude_parts(delta_k, config, rep, omega_0, gamma)
+    out = re + 1j * im
+    return out if np.ndim(out) else complex(out)
 
 
 # -- integrated dynamics -----------------------------------------------------
@@ -529,6 +540,12 @@ def integrate_dynamics(
 
 # -- spectra -----------------------------------------------------------------
 
+# Grid points per block of pulse_spectrum (256 KiB per float64 temporary).
+# Chosen by timing 1e6-point spectra on a 2-vCPU Xeon with 2 MiB of L2
+# per core: smaller blocks pay more per-block Python overhead (about
+# 0.1 ms), larger ones leave the cache; 8192 to 131072 were tried.
+_BLOCK = 32768
+
 
 def pulse_spectrum(
     config: PulseConfig,
@@ -542,19 +559,28 @@ def pulse_spectrum(
     """Emission spectrum after the pulse.
 
     S(w) = numerator(rep, w, omega_0) * (Gamma/2pi) * |beta(w)|^2 with beta
-    the reduced amplitude.  With ``include_laser=False`` the pulse-window
-    term is dropped and the spectrum reduces, bit for bit, to the plain
-    emission lineshape.
+    the reduced amplitude of :func:`closed_form_amplitude`, evaluated
+    ``_BLOCK`` points at a time so that its temporaries stay in cache; the
+    kernel is elementwise, so the blocking does not change a bit.  With
+    ``include_laser=False`` the pulse-window term is dropped and the
+    spectrum reduces, bit for bit, to the plain emission lineshape.
     """
+    _check_positive(gamma, "gamma")
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise DomainError("spectrum grid must be a 1-d array")
     if np.any(grid <= 0.0):
         raise DomainError("spectrum grid must be positive")
-    num = np.asarray(numerator(rep, grid, omega_0))
     delta_l = omega_0 - config.omega_l
     if include_laser:
-        beta = closed_form_amplitude(grid, config, rep, omega_0, gamma)
-        values = num * (gamma / (2.0 * math.pi)) * np.abs(beta) ** 2
+        values = np.empty_like(grid)
+        for i in range(0, grid.size, _BLOCK):
+            w = grid[i:i + _BLOCK]
+            re, im = _amplitude_parts(omega_0 - w, config, rep, omega_0, gamma)
+            values[i:i + _BLOCK] = numerator(rep, w, omega_0) * (
+                gamma / (2.0 * math.pi)) * (re * re + im * im)
     else:
+        num = np.asarray(numerator(rep, grid, omega_0))
         values = num * lorentzian_density(grid - omega_0, gamma)
     meta = {
         "representation": rep.name,
@@ -573,9 +599,14 @@ def pulse_spectrum(
 
 
 def _zero_locus_on_grid(config, rep, omega_0, grid) -> bool:
-    """Whether (Omega u_l)^2 + 4 delta_k delta_kl changes sign on the grid
-    (the removable-singularity locus crosses the requested frequencies)."""
-    delta_k = omega_0 - np.asarray(grid, dtype=float)
+    """Whether D = (Omega u_l)^2 + 4 delta_k delta_kl is <= 0 somewhere on
+    the grid (the removable-singularity locus crosses the requested
+    frequencies).  D = mu^2 - (2 delta_k - delta_l)^2 is concave in
+    omega_k, so its least value on the grid is at the lowest or the
+    highest grid frequency."""
+    if grid.size == 0:
+        return False
+    delta_k = omega_0 - np.array([grid.min(), grid.max()])
     u_l, delta_l, _ = _drive(config, rep, omega_0)
     D = (config.rabi * u_l) ** 2 + 4.0 * delta_k * (delta_l - delta_k)
     return bool(np.any(D <= 0.0))
@@ -583,6 +614,7 @@ def _zero_locus_on_grid(config, rep, omega_0, grid) -> bool:
 
 def lorentzian_reference_spectrum(omega_0: float, gamma: float, grid) -> Spectrum:
     """Bare Lorentzian (Gamma/2pi)/(delta_k^2 + Gamma^2/4) as a reference curve."""
+    _check_positive(gamma, "gamma")
     grid = np.asarray(grid, dtype=float)
     if np.any(grid <= 0.0):
         raise DomainError("spectrum grid must be positive")

@@ -174,7 +174,7 @@ def coupling_pair(rep: GaugeRepresentation, omega_k, omega_0: float) -> Coupling
         u_minus = 2.0 * np.sqrt(omega_0 * omega_k) / (omega_k + omega_0)
         u_plus = np.zeros_like(u_minus)
     else:
-        alpha = alpha_k(rep, omega_k, omega_0)
+        alpha = _constant_alpha(rep)
         down = np.sqrt(omega_0 / omega_k)
         up = np.sqrt(omega_k / omega_0)
         u_plus = (1.0 - alpha) * down - alpha * up

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,12 @@ from lineshape import (
     lorentzian_reference_spectrum,
     pulse_spectrum,
 )
+from lineshape.cli import main
 from lineshape.pulse import (
+    _BLOCK,
+    _kernel_parts,
     _mode_weights,
+    _zero_locus_on_grid,
     ground_amplitude_during_pulse,
     laser_coupling_pair,
 )
@@ -104,6 +109,23 @@ class TestDuringPulse:
                                    atol=1e-14)
 
 
+def _lhopital_pulse_term(d0: float, rabi: float) -> complex:
+    """Pulse term of the resonant form at a removable point delta_k = d0 =
+    +/- rabi/2, by l'Hopital on numerator/denominator written out
+    independently."""
+
+    def num(d):
+        return 2.0 * (rabi * np.exp(1j * math.pi * d / rabi) - 2j * d)
+
+    def den(d):
+        return rabi**2 - 4.0 * d**2
+
+    h = 1e-6
+    dnum = (num(d0 + h) - num(d0 - h)) / (2 * h)
+    dden = (den(d0 + h) - den(d0 - h)) / (2 * h)
+    return dnum / dden
+
+
 class TestClosedForm:
     def test_reduces_to_resonant_form_including_singular_points(self):
         delta = (np.arange(0, 1001) - 500) / 100.0  # hits +/- 0.5 exactly
@@ -113,21 +135,9 @@ class TestClosedForm:
         np.testing.assert_allclose(general, reduced, rtol=1e-12)
 
     def test_singular_point_matches_derivative_oracle(self):
-        # Pulse term of the resonant form at delta_k = rabi/2, by l'Hopital
-        # on numerator/denominator written out independently.
         rabi = 1.0
-
-        def num(d):
-            return 2.0 * (rabi * np.exp(1j * math.pi * d / rabi) - 2j * d)
-
-        def den(d):
-            return rabi**2 - 4.0 * d**2
-
-        h = 1e-6
         d0 = rabi / 2.0
-        dnum = (num(d0 + h) - num(d0 - h)) / (2 * h)
-        dden = (den(d0 + h) - den(d0 - h)) / (2 * h)
-        oracle = dnum / dden
+        oracle = _lhopital_pulse_term(d0, rabi)
         tail = 1.0 / (1j * d0 + GAMMA / 2.0)
         got = _resonant_amplitude(OMEGA0 - d0, rabi, OMEGA0, GAMMA)
         assert got == pytest.approx(tail + (-1j) * oracle, rel=1e-9)
@@ -163,6 +173,114 @@ class TestClosedForm:
         away = np.abs(wk - OMEGA0)[:-1] > 0.25
         jumps = np.abs(np.diff(beta))[away]
         assert jumps.max() < 5e-3
+
+
+class TestBranchFreeKernel:
+    DETUNED = PulseConfig(rabi=1.0, omega_l=0.9)
+
+    def test_blocking_leaves_the_spectrum_bitwise_unchanged(self):
+        grid = np.linspace(0.02, 3.0, 2 * _BLOCK + 3)
+        rep = GaugeRepresentation.constant(0.3)
+        whole = pulse_spectrum(self.DETUNED, rep, OMEGA0, GAMMA, grid).values
+        cuts = (0, 1, _BLOCK + 5, grid.size)
+        pieces = [
+            pulse_spectrum(self.DETUNED, rep, OMEGA0, GAMMA, grid[a:b]).values
+            for a, b in zip(cuts[:-1], cuts[1:])
+        ]
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
+
+    def test_amplitude_keeps_scalar_and_2d_shapes(self):
+        wk = np.linspace(0.2, 1.9, 12).reshape(3, 4)
+        beta = closed_form_amplitude(wk, self.DETUNED, COULOMB, OMEGA0, GAMMA)
+        assert beta.shape == (3, 4) and beta.dtype == complex
+        flat = closed_form_amplitude(wk.ravel(), self.DETUNED, COULOMB,
+                                     OMEGA0, GAMMA)
+        np.testing.assert_array_equal(beta.ravel(), flat)
+        one = closed_form_amplitude(float(wk[1, 2]), self.DETUNED, COULOMB,
+                                    OMEGA0, GAMMA)
+        assert type(one) is complex
+        assert one == pytest.approx(flat[6], rel=1e-15)
+
+    @pytest.mark.parametrize("theta", [0.3, math.pi / 2, 5.0])
+    def test_kernel_is_conjugate_symmetric(self, theta):
+        P = np.concatenate((np.linspace(0.0, 20.0, 4001), [theta]))
+        re_p, im_p = _kernel_parts(P, theta)
+        re_m, im_m = _kernel_parts(-P, theta)
+        np.testing.assert_allclose(re_m, re_p, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(im_m, -im_p, rtol=1e-15, atol=0.0)
+
+    def test_removable_points_are_exact(self):
+        # Resonant pi-pulse: theta = pi/2 and P = pi delta_k, so omega_k =
+        # omega_0 -/+ rabi/2 gives P = +/- theta exactly (h == 0).
+        theta = math.pi / 2
+        re, im = _kernel_parts(np.array([theta, -theta]), theta)
+        assert np.all(np.isfinite(re)) and np.all(np.isfinite(im))
+        for d0 in (0.5, -0.5):
+            tail = 1.0 / (1j * d0 + GAMMA / 2.0)
+            want = tail + (-1j) * _lhopital_pulse_term(d0, 1.0)
+            got = closed_form_amplitude(OMEGA0 - d0, RESONANT, SYMMETRIC,
+                                        OMEGA0, GAMMA)
+            assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("config", [
+        RESONANT,
+        PulseConfig(rabi=1.0, omega_l=0.8),
+        PulseConfig(rabi=0.3, omega_l=1.2, alpha_laser=0.4),
+    ], ids=["resonant", "detuned", "weak"])
+    @pytest.mark.parametrize("lo, hi", [
+        (0.5, 1.2), (0.8, 1.5),       # one end on the resonant locus
+        (0.9, 1.1), (1.6, 2.0),       # inside the locus, beyond it
+        (0.02, 3.0), (1.0, 1.0),      # across it, one frequency
+    ])
+    def test_zero_locus_agrees_with_the_full_grid_test(self, config, lo, hi):
+        grid = np.linspace(lo, hi, 501)
+        u_l = laser_coupling_pair(config, SYMMETRIC, OMEGA0)[1]
+        delta_l = OMEGA0 - config.omega_l
+        delta_k = OMEGA0 - grid
+        D = (config.rabi * u_l) ** 2 + 4.0 * delta_k * (delta_l - delta_k)
+        want = bool(np.any(D <= 0.0))
+        assert _zero_locus_on_grid(config, SYMMETRIC, OMEGA0, grid) is want
+        if config is RESONANT:
+            assert want is (lo <= 0.5 or hi >= 1.5)
+
+
+class TestGammaDomain:
+    """gamma that is not finite and positive is rejected up front, with
+    lineshape_S's message and no numpy warning."""
+
+    MESSAGE = "gamma must be finite and positive"
+    GRID = np.linspace(0.5, 1.5, 11)
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("extra", [[], ["--include-reference"]],
+                             ids=["spectra", "with-reference"])
+    def test_cli_exits_3_with_one_line(self, gamma, extra, tmp_path, capsys):
+        argv = ["pulse", "--rabi", "1", f"--gamma={gamma}", "--omega-0", "1",
+                "--grid", "0.5,1.5,11", "--reps", "coulomb",
+                "--out-dir", str(tmp_path), *extra]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -0.1])
+    def test_library_rejects_before_computing(self, gamma):
+        calls = [
+            lambda: closed_form_amplitude(0.7, RESONANT, COULOMB, OMEGA0,
+                                          gamma),
+            lambda: pulse_spectrum(RESONANT, COULOMB, OMEGA0, gamma,
+                                   self.GRID),
+            lambda: pulse_spectrum(RESONANT, COULOMB, OMEGA0, gamma,
+                                   self.GRID, include_laser=False),
+            lambda: lorentzian_reference_spectrum(OMEGA0, gamma, self.GRID),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match=self.MESSAGE):
+                    call()
 
 
 class TestDynamics:
