@@ -11,7 +11,6 @@ from .atoms import (  # noqa: F401
     Level,
     build_oscillator,
     build_two_level,
-    load_atom_model,
     trk_sum,
 )
 from .errors import (  # noqa: F401
@@ -23,32 +22,25 @@ from .errors import (  # noqa: F401
 from .fluorescence import (  # noqa: F401
     LambLineScenario,
     SharpLineScenario,
-    damped_rate_general,
-    fluorescence_rate,
     fluorescence_sweep,
     lamb_hydrogen_preset,
     lamb_n_factor,
-    lamb_rate,
     lamb_rate_sweep,
     n_factor,
 )
 from .pulse import (  # noqa: F401
-    Envelope,
     PulseConfig,
     PulseTrajectory,
     closed_form_amplitude,
-    detuning_sensitivity_scan,
     excited_amplitude_during_pulse,
     integrate_dynamics,
     lorentzian_reference_spectrum,
     pulse_spectrum,
-    rectangular_envelope,
 )
 from .representations import (  # noqa: F401
     COULOMB,
     POINCARE,
     SYMMETRIC,
-    CouplingPair,
     GaugeRepresentation,
     alpha_k,
     coupling_pair,

@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ScenarioError
+from .errors import ConfigurationError, DomainError
 
 __all__ = [
     "Level",
@@ -30,7 +30,6 @@ __all__ = [
     "build_two_level",
     "build_oscillator",
     "trk_sum",
-    "load_atom_model",
 ]
 
 Vec3 = np.ndarray
@@ -102,9 +101,6 @@ class AtomModel:
         object.__setattr__(self, "_index", {lb: i for i, lb in enumerate(labels)})
 
     # -- lookups ---------------------------------------------------------
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lv.label for lv in self.levels)
 
     def _require(self, label: str) -> int:
         try:
@@ -216,66 +212,3 @@ def trk_sum(model: AtomModel, state: str, axis=(0.0, 0.0, 1.0)) -> float:
         total += tr.omega * float(np.abs(np.dot(r, axis)) ** 2)
     return total
 
-
-# -- file loading --------------------------------------------------------
-#
-# Plain text, one statement per line:
-#
-#   mass: 1.0
-#   charge: 1.0
-#   level: g 0.0
-#   level: e 1.0
-#   dipole: e g 0 0 1            # real 3-vector
-#   dipole: e g 0 0 1  0 0 0.5   # re / im 3-vectors
-#
-# '#' starts a comment; unknown keys are rejected.
-
-
-def load_atom_model(path) -> AtomModel:
-    """Read an :class:`AtomModel` from the structured text format above."""
-    levels: list[Level] = []
-    dipoles: dict[tuple[str, str], Vec3] = {}
-    mass = 1.0
-    charge = 1.0
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise ScenarioError("expected 'key: value'", lineno)
-            key, value = (part.strip() for part in line.split(":", 1))
-            if key == "mass":
-                mass = _parse_float(value, lineno)
-            elif key == "charge":
-                charge = _parse_float(value, lineno)
-            elif key == "level":
-                parts = value.split()
-                if len(parts) != 2:
-                    raise ScenarioError("level takes 'label energy'", lineno)
-                levels.append(Level(parts[0], _parse_float(parts[1], lineno)))
-            elif key == "dipole":
-                parts = value.split()
-                if len(parts) not in (5, 8):
-                    raise ScenarioError(
-                        "dipole takes 'n m re re re [im im im]'", lineno
-                    )
-                n, m = parts[0], parts[1]
-                comps = [_parse_float(p, lineno) for p in parts[2:]]
-                re = np.array(comps[:3])
-                im = np.array(comps[3:6]) if len(comps) == 6 else np.zeros(3)
-                dipoles[(n, m)] = re + 1j * im
-            else:
-                raise ScenarioError(f"unknown key {key!r}", lineno)
-    levels.sort(key=lambda lv: lv.energy)
-    try:
-        return AtomModel(tuple(levels), dipoles, mass=mass, charge=charge)
-    except DomainError as exc:
-        raise ScenarioError(str(exc)) from exc
-
-
-def _parse_float(text: str, lineno: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ScenarioError(f"bad number {text!r}", lineno) from None

@@ -67,10 +67,6 @@ def _add_common(parser):
     parser.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
     parser.add_argument("--log-scale", action="store_true",
                         help="plot ln(S) instead of S")
-    parser.add_argument(
-        "--seedless", action="store_true",
-        help="reserved; rejected if set (there is no randomness to seed)",
-    )
 
 
 def _add_grid(parser, default=(0.05, 3.0, 296)):
@@ -145,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", choices=["svg", "gnuplot"], default="svg")
     p.add_argument("--log-scale", action="store_true")
     p.add_argument("--title", default="")
-    p.add_argument("--seedless", action="store_true")
 
     return parser
 
@@ -319,18 +314,15 @@ def _run_lineshape(scn: Scenario, cutoff: float) -> list:
     gamma = typed("gamma", p["gamma"])
     cutoff = _cutoff(p.get("cutoff", cutoff))
     shift = p.get("lamb_shift", 0.0)
-    if shift != "auto":
+    if shift == "auto":
+        shift = lamb_shift(build_two_level(omega_eg, 1.0), "e", cutoff)
+    else:
         shift = typed("lamb_shift", shift)
     variable_width = typed("variable_width", p.get("variable_width", False), "flag")
     spectra = []
     for rep in scn.representations:
-        if shift == "auto":
-            model = build_two_level(omega_eg, 1.0)
-            value = lamb_shift(model, "e", cutoff)
-        else:
-            value = shift
         params = LineshapeParams(
-            rep=rep, omega_eg=omega_eg, gamma=gamma, lamb_shift=value,
+            rep=rep, omega_eg=omega_eg, gamma=gamma, lamb_shift=shift,
             variable_width=variable_width,
         )
         spec = lineshape_S(params, grid)
@@ -442,11 +434,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if getattr(args, "seedless", False):
-            raise ScenarioError(
-                "--seedless is reserved: this tool has no randomness anywhere, "
-                "so determinism is structural and the flag is rejected"
-            )
         if args.command == "plot":
             return _run_plot(args)
         cutoff = _cutoff(args.cutoff)

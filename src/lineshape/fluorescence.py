@@ -17,26 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import AtomModel
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .representations import GaugeRepresentation, _mixing
-from .spectra import (
-    Spectrum,
-    gamma_offshell,
-    gamma_onshell,
-    numerator,
-    DEFAULT_CUTOFF,
-)
+from .spectra import Spectrum, numerator, DEFAULT_CUTOFF
 
 __all__ = [
     "SharpLineScenario",
     "LambLineScenario",
     "n_factor",
-    "fluorescence_rate",
     "fluorescence_sweep",
-    "damped_rate_general",
     "lamb_n_factor",
-    "lamb_rate",
     "lamb_rate_sweep",
     "lamb_hydrogen_preset",
 ]
@@ -93,26 +83,9 @@ class SharpLineScenario:
         _non_negative(self.dipole_proj, "dipole_proj")
 
 
-def _rate_kernel(intensity, gamma_emit, gamma_damp, d2, n, detuning):
-    """Shared arithmetic of every damped scattering rate."""
-    return (
-        intensity * gamma_emit * d2 / 2.0 * n / (detuning**2 + gamma_damp**2 / 4.0)
-    )
-
-
-def fluorescence_rate(scenario: SharpLineScenario) -> float:
-    """Total scattering rate out of the initial state for a sharp line."""
-    n = n_factor(scenario.rep, scenario.omega_0, scenario.omega_eg)
-    return float(
-        _rate_kernel(
-            scenario.intensity,
-            scenario.gamma,
-            scenario.gamma,
-            scenario.dipole_proj**2,
-            n,
-            scenario.omega_0 - scenario.omega_eg,
-        )
-    )
+def _rate_kernel(intensity, gamma, d2, n, detuning):
+    """Shared arithmetic of the damped scattering rates."""
+    return intensity * gamma * d2 / 2.0 * n / (detuning**2 + gamma**2 / 4.0)
 
 
 def fluorescence_sweep(scenario: SharpLineScenario, omega_0_grid) -> Spectrum:
@@ -122,7 +95,6 @@ def fluorescence_sweep(scenario: SharpLineScenario, omega_0_grid) -> Spectrum:
     n = np.asarray(n_factor(scenario.rep, grid, scenario.omega_eg))
     values = _rate_kernel(
         scenario.intensity,
-        scenario.gamma,
         scenario.gamma,
         scenario.dipole_proj**2,
         n,
@@ -139,55 +111,6 @@ def fluorescence_sweep(scenario: SharpLineScenario, omega_0_grid) -> Spectrum:
         "kind": "fluorescence",
     }
     return Spectrum(grid=grid, values=values, metadata=meta, n_factor=n)
-
-
-def damped_rate_general(
-    model: AtomModel,
-    rep: GaugeRepresentation,
-    omega: float,
-    incident_spectrum,
-) -> float:
-    """Multi-channel damped scattering rate for a sampled incident spectrum.
-
-    ``omega`` is the energy of the initial atomic level (resolved against
-    the model); ``incident_spectrum`` is a sequence of (frequency,
-    intensity) lines.  Each line drives every dipole-connected level above
-    the initial one; the damping width of an intermediate level is its
-    off-shell continuum width evaluated at the level energy, and the
-    emission factor is the partial width back to the initial state.  For a
-    single sharp line on a two-level atom this reduces to
-    :func:`fluorescence_rate`.
-    """
-    lines = list(incident_spectrum)
-    if not lines:
-        raise ConfigurationError("incident spectrum must contain at least one line")
-    initial = None
-    for lv in model.levels:
-        if lv.energy == omega:
-            initial = lv.label
-            break
-    if initial is None:
-        raise DomainError(f"no atomic level has energy {omega!r}")
-
-    total = 0.0
-    for omega_0, intensity in lines:
-        _positive(omega_0, "incident line frequency")
-        _non_negative(intensity, "incident line intensity")
-        for tr in model.transitions_from(initial):
-            if tr.omega <= 0.0:
-                continue  # only levels above the initial state absorb
-            d2 = float(np.sum(np.abs(tr.dipole) ** 2))
-            if d2 == 0.0:
-                continue
-            gamma_damp = gamma_offshell(
-                model.energy(tr.label), model, rep, state=tr.label
-            )
-            gamma_emit = gamma_onshell(model, tr.label, initial, rep=rep)
-            n = n_factor(rep, omega_0, tr.omega)
-            total += _rate_kernel(
-                intensity, gamma_emit, gamma_damp, d2, n, omega_0 - tr.omega
-            )
-    return float(total)
 
 
 # -- stimulated decay of a metastable state ----------------------------------
@@ -221,8 +144,7 @@ class LambLineScenario:
 
     ``omega`` is the driven splitting, ``omega_prime`` the cascade
     transition frequency (normally much larger), ``gamma`` the cascade
-    width.  ``omega_0`` is the nominal drive frequency and defaults to
-    resonance.
+    width.  The drive frequency is the sweep grid.
     """
 
     intensity: float
@@ -231,7 +153,6 @@ class LambLineScenario:
     gamma: float
     dipole_proj: float
     rep: GaugeRepresentation
-    omega_0: float | None = None
 
     def __post_init__(self):
         _non_negative(self.intensity, "intensity")
@@ -239,24 +160,6 @@ class LambLineScenario:
         _positive(self.omega_prime, "omega_prime")
         _positive(self.gamma, "gamma")
         _non_negative(self.dipole_proj, "dipole_proj")
-        if self.omega_0 is not None:
-            _positive(self.omega_0, "omega_0")
-
-
-def lamb_rate(scenario: LambLineScenario) -> float:
-    """Stimulated-decay rate at the scenario's drive frequency."""
-    omega_0 = scenario.omega if scenario.omega_0 is None else scenario.omega_0
-    n = lamb_n_factor(scenario.rep, omega_0, scenario.omega, scenario.omega_prime)
-    return float(
-        _rate_kernel(
-            scenario.intensity,
-            scenario.gamma,
-            scenario.gamma,
-            scenario.dipole_proj**2,
-            n,
-            omega_0 - scenario.omega,
-        )
-    )
 
 
 def lamb_rate_sweep(scenario: LambLineScenario, omega_0_grid) -> Spectrum:
@@ -268,7 +171,6 @@ def lamb_rate_sweep(scenario: LambLineScenario, omega_0_grid) -> Spectrum:
     )
     values = _rate_kernel(
         scenario.intensity,
-        scenario.gamma,
         scenario.gamma,
         scenario.dipole_proj**2,
         n,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .spectra import Spectrum
 
-__all__ = ["PlotStyle", "emit_svg", "emit_gnuplot", "curve_order"]
+__all__ = ["PlotStyle", "emit_svg", "emit_gnuplot"]
 
 _CANVAS_W, _CANVAS_H = 880.0, 560.0
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 80.0, 30.0, 58.0, 64.0
@@ -36,7 +36,7 @@ class PlotStyle:
     log_scale: bool = False  # plot ln(S) instead of S
 
 
-def curve_order(spectra: list[Spectrum]) -> list[Spectrum]:
+def _curve_order(spectra: list[Spectrum]) -> list[Spectrum]:
     """Fixed legend/draw order: named representations first, then by name."""
     def key(spec: Spectrum):
         name = str(spec.metadata.get("representation", ""))
@@ -81,7 +81,7 @@ def emit_svg(spectra: list[Spectrum], style: PlotStyle) -> str:
     """Render spectra to a self-contained SVG string."""
     if not spectra:
         raise ConfigurationError("nothing to plot")
-    spectra = curve_order(spectra)
+    spectra = _curve_order(spectra)
     grid, curves = _resampled(spectra)
     if style.log_scale:
         transformed = []
@@ -203,7 +203,7 @@ def emit_gnuplot(spectra: list[Spectrum], style: PlotStyle,
     """Return (data file text, gnuplot script text)."""
     if not spectra:
         raise ConfigurationError("nothing to plot")
-    spectra = curve_order(spectra)
+    spectra = _curve_order(spectra)
     grid, curves = _resampled(spectra)
     header = "# omega " + " ".join(name for name, _ in curves)
     rows = [header]

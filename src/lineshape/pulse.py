@@ -3,6 +3,8 @@
 A rectangular drive of amplitude Omega and duration pi/Omega (a pi-pulse)
 excites the atom; afterwards the excited amplitude decays exponentially at
 rate Gamma/2 and the photon-mode amplitudes accumulate a Lorentzian tail.
+The rectangular shape is the only one: the closed forms are derived for
+it, and ``integrate_dynamics`` integrates the same drive.
 Mode amplitudes are tracked in reduced form: the per-mode coupling
 prefactor (-i g* u_minus) is factored out and reattached by the spectrum
 assembler through the identity
@@ -44,7 +46,6 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -59,52 +60,31 @@ from .spectra import (
 )
 
 __all__ = [
-    "Envelope",
-    "rectangular_envelope",
     "PulseConfig",
     "PulseTrajectory",
     "laser_coupling_pair",
     "excited_amplitude_during_pulse",
-    "ground_amplitude_during_pulse",
     "closed_form_amplitude",
     "integrate_dynamics",
     "pulse_spectrum",
     "lorentzian_reference_spectrum",
-    "detuning_sensitivity_scan",
 ]
 
 
 @dataclass(frozen=True)
-class Envelope:
-    """Drive envelope: amplitude(t) between start and end, zero outside."""
-
-    start: float
-    end: float
-    amplitude: Callable[[float], float]
-
-
-def rectangular_envelope(rabi: float) -> Envelope:
-    """Constant amplitude ``rabi`` on [-pi/rabi, 0]: a resonant pi-pulse."""
-    start = -math.pi / rabi
-    return Envelope(start=start, end=0.0,
-                    amplitude=lambda t: rabi if start <= t <= 0.0 else 0.0)
-
-
-@dataclass(frozen=True)
 class PulseConfig:
-    """Laser drive parameters.
+    """Laser drive parameters of the rectangular pi-pulse.
 
-    ``alpha_laser`` overrides the representation's mixing constant for the
-    drive coupling only (None: derive it from the representation at the
-    carrier frequency).  ``envelope`` defaults to the rectangular pi-pulse;
-    alternative envelopes plug in through :class:`Envelope` but only affect
-    the integrated dynamics, not the rectangular closed forms.
+    The drive has constant amplitude ``rabi`` on the window [-pi/rabi, 0]
+    and is off outside it; the closed forms and the integrated dynamics
+    both assume this shape.  ``alpha_laser`` overrides the
+    representation's mixing constant for the drive coupling only (None:
+    derive it from the representation at the carrier frequency).
     """
 
     rabi: float
     omega_l: float
     alpha_laser: float | None = None
-    envelope: Envelope | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.rabi) or self.rabi <= 0.0:
@@ -113,8 +93,6 @@ class PulseConfig:
             raise DomainError("laser carrier frequency must be finite and positive")
         if self.alpha_laser is not None and not np.isfinite(self.alpha_laser):
             raise DomainError("alpha_laser must be finite")
-        if self.envelope is None:
-            object.__setattr__(self, "envelope", rectangular_envelope(self.rabi))
 
     @property
     def duration(self) -> float:
@@ -147,15 +125,6 @@ def _drive(config: PulseConfig, rep: GaugeRepresentation, omega_0: float):
     return u_l, delta_l, math.hypot(config.rabi * u_l, delta_l)
 
 
-def _window_times(t, config: PulseConfig):
-    """Times as an array, checked to lie in [-pi/Omega, 0], and pi/Omega."""
-    t_arr = np.asarray(t, dtype=float)
-    T = config.duration
-    if np.any(t_arr < -T - 1e-12) or np.any(t_arr > 1e-12):
-        raise DomainError("time outside the pulse window [-pi/Omega, 0]")
-    return t_arr, T
-
-
 def excited_amplitude_during_pulse(t, config: PulseConfig,
                                    rep: GaugeRepresentation, omega_0: float):
     """Excited amplitude inside the rectangular pulse window.
@@ -163,26 +132,16 @@ def excited_amplitude_during_pulse(t, config: PulseConfig,
     b_e(t) = -i (Omega u_l / mu) exp(i delta_l (t - pi/Omega)/2)
              sin((mu/2)(t + pi/Omega)),   -pi/Omega <= t <= 0.
     """
-    t_arr, T = _window_times(t, config)
+    t_arr = np.asarray(t, dtype=float)
+    T = config.duration
+    if np.any(t_arr < -T - 1e-12) or np.any(t_arr > 1e-12):
+        raise DomainError("time outside the pulse window [-pi/Omega, 0]")
     u_l, delta_l, mu = _drive(config, rep, omega_0)
     out = (
         -1j
         * (config.rabi * u_l / mu)
         * np.exp(1j * delta_l * (t_arr - T) / 2.0)
         * np.sin(0.5 * mu * (t_arr + T))
-    )
-    return out if out.ndim else complex(out)
-
-
-def ground_amplitude_during_pulse(t, config: PulseConfig,
-                                  rep: GaugeRepresentation, omega_0: float):
-    """Ground amplitude inside the pulse window (unitary partner of
-    :func:`excited_amplitude_during_pulse`)."""
-    t_arr, T = _window_times(t, config)
-    _, delta_l, mu = _drive(config, rep, omega_0)
-    tau = 0.5 * mu * (t_arr + T)
-    out = (np.cos(tau) + 1j * (delta_l / mu) * np.sin(tau)) * np.exp(
-        -1j * delta_l * (t_arr + T) / 2.0
     )
     return out if out.ndim else complex(out)
 
@@ -437,32 +396,28 @@ def integrate_dynamics(
     of the atom-plus-modes system, a beyond-closed-form check.  The mode
     grid must then be strictly monotonic, in either direction.
 
-    The envelope must end at t = 0, where the t >= 0 continuation starts.
-    ``samples`` must be a whole number of at least 2: the first sample is
-    the pulse start and the last the pulse end.
+    The drive is the rectangular pi-pulse of ``config`` on [-pi/Omega, 0],
+    so the t >= 0 continuation starts where it ends.  ``gamma`` and
+    ``omega_0`` must be finite and positive.  ``samples`` must be a whole
+    number of at least 2: the first sample is the pulse start and the last
+    the pulse end.
     ``rtol`` and ``atol`` set the adaptive DOP853 solver of the pulse
     window only; the post-pulse phase is exact to rounding.
 
     Modes enter only through their detunings unless back-reaction is on.
     """
-    # Imported here, not at module level: this oracle is the only scipy
-    # user, and loading scipy.integrate costs most of a cold CLI start.
-    from scipy.integrate import solve_ivp
-
-    if gamma <= 0.0 or omega_0 <= 0.0:
-        raise DomainError("gamma and omega_0 must be positive")
+    _check_positive(gamma, "gamma")
+    _check_positive(omega_0, "omega_0")
     if (isinstance(samples, bool) or not isinstance(samples, numbers.Real)
             or not float(samples).is_integer() or samples < 2):
         raise DomainError(
             f"samples must be a whole number of at least 2, got {samples!r}"
         )
     samples = int(samples)
-    env = config.envelope
-    if env.end != 0.0:
-        raise DomainError(
-            f"the drive envelope must end at t = 0, where the decay "
-            f"continuation starts; it ends at {env.end!r}"
-        )
+    # Imported here, not at module level: this oracle is the only scipy
+    # user, and loading scipy.integrate costs most of a cold CLI start.
+    from scipy.integrate import solve_ivp
+
     mode_grid = np.asarray(mode_grid, dtype=float)
     delta_modes = omega_0 - mode_grid
     u_plus, u_minus = laser_coupling_pair(config, rep, omega_0)
@@ -473,7 +428,8 @@ def integrate_dynamics(
 
     # Constants of the right-hand side, hoisted out of its per-call path.
     size = 2 + nmodes
-    half_u_minus = 0.5 * u_minus
+    rwa_drive = 0.5 * u_minus * config.rabi
+    half_rabi = 0.5 * config.rabi
     i_delta_l = 1j * (omega_0 - config.omega_l)
     i_omega_l = 1j * config.omega_l
     i_omega_0 = 1j * omega_0
@@ -481,17 +437,14 @@ def integrate_dynamics(
 
     def rhs(t, y):
         b_g, b_e = y[0], y[1]
-        amp = env.amplitude(t)
         dy = np.empty(size, dtype=complex)
-        if amp == 0.0:
-            dy[0] = dy[1] = 0.0
-        elif rwa:
-            drive = half_u_minus * amp * cmath.exp(i_delta_l * t)
+        if rwa:
+            drive = rwa_drive * cmath.exp(i_delta_l * t)
             dy[0] = -1j * drive.conjugate() * b_e
             dy[1] = -1j * drive * b_g
         else:
             phase_l = cmath.exp(i_omega_l * t)
-            up = (0.5 * amp * (u_plus * phase_l + u_minus / phase_l)
+            up = (half_rabi * (u_plus * phase_l + u_minus / phase_l)
                   * cmath.exp(i_omega_0 * t))
             dy[0] = -1j * up.conjugate() * b_e
             dy[1] = -1j * up * b_g
@@ -504,9 +457,10 @@ def integrate_dynamics(
 
     y0 = np.zeros(size, dtype=complex)
     y0[0] = 1.0
-    t_eval = np.linspace(env.start, env.end, samples)
+    start = -config.duration
+    t_eval = np.linspace(start, 0.0, samples)
     sol = solve_ivp(
-        rhs, (env.start, env.end), y0, method="DOP853",
+        rhs, (start, 0.0), y0, method="DOP853",
         t_eval=t_eval, rtol=rtol, atol=atol,
     )
     if not sol.success:
@@ -629,36 +583,3 @@ def lorentzian_reference_spectrum(omega_0: float, gamma: float, grid) -> Spectru
     }
     return Spectrum(grid=grid, values=values, metadata=meta)
 
-
-def detuning_sensitivity_scan(
-    config_base: PulseConfig,
-    rep_list,
-    delta_l_list,
-    grid,
-    omega_0: float = 1.0,
-    gamma: float = 0.1,
-) -> list[dict]:
-    """Quantify how weakly the spectrum depends on the laser detuning.
-
-    For each representation and each detuning, reports the maximum
-    pointwise relative deviation from that representation's zero-detuning
-    spectrum.  Characterization output: no thresholds are enforced here.
-    """
-    rows = []
-    for rep in rep_list:
-        base_cfg = PulseConfig(rabi=config_base.rabi, omega_l=omega_0,
-                               alpha_laser=config_base.alpha_laser)
-        base = pulse_spectrum(base_cfg, rep, omega_0, gamma, grid)
-        for delta_l in delta_l_list:
-            cfg = PulseConfig(rabi=config_base.rabi, omega_l=omega_0 - delta_l,
-                              alpha_laser=config_base.alpha_laser)
-            spec = pulse_spectrum(cfg, rep, omega_0, gamma, grid)
-            dev = np.max(np.abs(spec.values - base.values) / base.values)
-            rows.append(
-                {
-                    "representation": rep.name,
-                    "delta_l": float(delta_l),
-                    "max_rel_deviation": float(dev),
-                }
-            )
-    return rows

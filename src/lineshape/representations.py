@@ -31,7 +31,6 @@ from .errors import DomainError
 
 __all__ = [
     "GaugeRepresentation",
-    "CouplingPair",
     "COULOMB",
     "POINCARE",
     "SYMMETRIC",

@@ -1,4 +1,5 @@
-"""Public names resolve, and every name the benchmark uses still exists.
+"""Public names resolve, are the reviewed set, and every name the
+benchmark uses still exists.
 
 The benchmark in ``perfbench/`` reaches the library through ``import
 lineshape as ls`` attributes, ``from lineshape.<module> import ...`` and the
@@ -9,6 +10,7 @@ it, so those names are read from its source and looked up here.
 import ast
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,36 @@ def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{module_name}.__all__ names missing: {missing}"
+
+
+# The package's public names.  A name added or removed here is an API
+# change: it needs a user in the CLI, ``verify``, the benchmark or the
+# README-documented library use, not only in tests.
+PUBLIC_NAMES = [
+    "AtomModel", "COULOMB", "CheckResult", "ConfigurationError",
+    "DEFAULT_CUTOFF", "DomainError", "GaugeRepresentation",
+    "LambLineScenario", "Level", "LineshapeParams", "POINCARE",
+    "PulseConfig", "PulseTrajectory", "REQUIRED_CHECKS", "SYMMETRIC",
+    "ScenarioError", "SharpLineScenario", "Spectrum", "VerificationFailure",
+    "VerificationReport", "alpha_k", "build_oscillator", "build_two_level",
+    "closed_form_amplitude", "coupling_pair", "delta_offshell",
+    "excited_amplitude_during_pulse", "fluorescence_sweep", "gamma_offshell",
+    "gamma_onshell", "integrate_dynamics", "lamb_hydrogen_preset",
+    "lamb_n_factor", "lamb_rate_sweep", "lamb_shift", "lineshape_S",
+    "lorentzian_reference_spectrum", "missing_checks", "mixing", "n_factor",
+    "numerator", "pulse_spectrum", "read_spectrum_csv", "run_all_checks",
+    "total_shift", "total_shift_integrand", "trk_sum", "write_spectrum_csv",
+]
+
+
+def test_public_names_are_the_reviewed_set():
+    # Submodules become package attributes once imported; they are not
+    # exports.
+    names = sorted(
+        name for name, value in vars(lineshape).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES
 
 
 def _benchmark_references():

@@ -10,10 +10,8 @@ from lineshape import (
     Level,
     build_oscillator,
     build_two_level,
-    load_atom_model,
     trk_sum,
 )
-from lineshape.errors import ScenarioError
 
 
 class TestTwoLevel:
@@ -119,31 +117,11 @@ class TestModelValidation:
         m = build_oscillator(1.0, 1.0, 4)
         assert m.omega("2", "1") == -m.omega("1", "2")
 
-
-class TestFileFormat:
-    def test_example_files_load(self, tmp_path):
-        import lineshape
-
-        root = lineshape.__path__[0]
-        two = load_atom_model(f"{root}/presets/atoms/two_level.atom")
-        assert two.labels() == ("g", "e")
-        osc = load_atom_model(f"{root}/presets/atoms/oscillator.atom")
-        ref = build_oscillator(1.0, 1.0, 5)
-        for key, vec in osc.dipoles.items():
-            np.testing.assert_allclose(vec, ref.dipoles[key], atol=1e-15)
-
-    def test_unknown_key_rejected(self, tmp_path):
-        bad = tmp_path / "bad.atom"
-        bad.write_text("spin: 0.5\n")
-        with pytest.raises(ScenarioError, match="unknown key"):
-            load_atom_model(bad)
-
-    def test_complex_dipole_round_trip(self, tmp_path):
-        path = tmp_path / "cx.atom"
-        path.write_text(
-            "level: g 0.0\nlevel: e 1.0\ndipole: e g 0 0 1  0 0.25 0\n"
+    def test_complex_dipole_partner_is_conjugate(self):
+        m = AtomModel(
+            levels=(Level("g", 0.0), Level("e", 1.0)),
+            dipoles={("e", "g"): np.array([0, 0.25j, 1.0])},
         )
-        m = load_atom_model(path)
         np.testing.assert_allclose(m.dipole("e", "g"),
                                    [0, 0.25j, 1.0], atol=1e-15)
         np.testing.assert_allclose(m.dipole("g", "e"),

@@ -5,16 +5,11 @@ from lineshape import (
     COULOMB,
     POINCARE,
     SYMMETRIC,
-    ConfigurationError,
     DomainError,
     GaugeRepresentation,
     LambLineScenario,
     SharpLineScenario,
-    build_two_level,
-    damped_rate_general,
-    fluorescence_rate,
     fluorescence_sweep,
-    gamma_onshell,
     lamb_hydrogen_preset,
     lamb_n_factor,
     lamb_rate_sweep,
@@ -56,105 +51,51 @@ class TestNFactor:
 
 
 class TestFluorescenceRate:
-    def scenario(self, rep, omega_0, gamma=0.1, intensity=2.0, d=0.8):
-        return SharpLineScenario(intensity=intensity, omega_0=omega_0,
+    def scenario(self, rep, gamma=0.1, intensity=2.0, d=0.8):
+        return SharpLineScenario(intensity=intensity, omega_0=1.0,
                                  omega_eg=1.0, gamma=gamma, dipole_proj=d,
                                  rep=rep)
 
+    def rate(self, rep, omega_0, **kwargs):
+        """The sweep's rate at one incident frequency."""
+        spec = fluorescence_sweep(self.scenario(rep, **kwargs), [omega_0])
+        return float(spec.values[0])
+
     def test_on_resonance_value(self):
-        s = self.scenario(COULOMB, 1.0)
+        s = self.scenario(COULOMB)
         want = s.intensity * s.dipole_proj**2 * 2.0 / s.gamma
-        assert fluorescence_rate(s) == pytest.approx(want, rel=1e-12)
+        assert self.rate(COULOMB, 1.0) == pytest.approx(want, rel=1e-12)
 
     def test_zero_intensity(self):
-        s = self.scenario(SYMMETRIC, 1.3, intensity=0.0)
-        assert fluorescence_rate(s) == 0.0
+        assert self.rate(SYMMETRIC, 1.3, intensity=0.0) == 0.0
 
     def test_representation_ratio_at_double_frequency(self):
-        p = fluorescence_rate(self.scenario(POINCARE, 2.0))
-        c = fluorescence_rate(self.scenario(COULOMB, 2.0))
+        p = self.rate(POINCARE, 2.0)
+        c = self.rate(COULOMB, 2.0)
         assert p / c == pytest.approx(16.0, rel=1e-12)
 
     def test_red_blue_asymmetry_signs(self):
         # Coulomb scatters more on the red side, Poincare on the blue side.
-        for delta in np.linspace(0.05, 0.4, 8):
-            red_c = fluorescence_rate(self.scenario(COULOMB, 1.0 - delta))
-            blue_c = fluorescence_rate(self.scenario(COULOMB, 1.0 + delta))
-            assert red_c > blue_c
-            red_p = fluorescence_rate(self.scenario(POINCARE, 1.0 - delta))
-            blue_p = fluorescence_rate(self.scenario(POINCARE, 1.0 + delta))
-            assert blue_p > red_p
+        delta = np.linspace(0.05, 0.4, 8)
+
+        def red_blue(rep):
+            red = fluorescence_sweep(self.scenario(rep), 1.0 - delta[::-1])
+            blue = fluorescence_sweep(self.scenario(rep), 1.0 + delta)
+            return red.values[::-1], blue.values
+
+        red_c, blue_c = red_blue(COULOMB)
+        assert np.all(red_c > blue_c)
+        red_p, blue_p = red_blue(POINCARE)
+        assert np.all(blue_p > red_p)
 
     def test_sweep_carries_n_column(self):
         grid = np.linspace(0.5, 2.0, 21)
-        spec = fluorescence_sweep(self.scenario(SYMMETRIC, 1.0), grid)
+        spec = fluorescence_sweep(self.scenario(SYMMETRIC), grid)
         assert spec.n_factor is not None
         np.testing.assert_allclose(
             spec.n_factor, np.asarray(n_factor(SYMMETRIC, grid, 1.0)),
             rtol=0, atol=0,
         )
-
-
-class TestDampedRateGeneral:
-    def test_sharp_line_reduces_to_fluorescence_rate(self):
-        model = build_two_level(1.0, 0.8)
-        gamma = gamma_onshell(model, "e", "g")
-        for rep in ALL_REPS:
-            for w0 in (0.8, 1.0, 1.4):
-                general = damped_rate_general(model, rep, 0.0, [(w0, 2.0)])
-                scenario = SharpLineScenario(
-                    intensity=2.0, omega_0=w0, omega_eg=1.0, gamma=gamma,
-                    dipole_proj=0.8, rep=rep,
-                )
-                assert general == pytest.approx(fluorescence_rate(scenario),
-                                                rel=1e-12)
-
-    def test_two_lines_add(self):
-        model = build_two_level(1.0, 0.8)
-        one = damped_rate_general(model, COULOMB, 0.0, [(0.9, 1.0)])
-        other = damped_rate_general(model, COULOMB, 0.0, [(1.1, 3.0)])
-        both = damped_rate_general(model, COULOMB, 0.0,
-                                   [(0.9, 1.0), (1.1, 3.0)])
-        assert both == pytest.approx(one + other, rel=1e-12)
-
-    def test_zero_interaction(self):
-        model = build_two_level(1.0, 0.0)
-        assert damped_rate_general(model, COULOMB, 0.0, [(1.0, 1.0)]) == 0.0
-
-    def test_empty_spectrum_rejected(self):
-        model = build_two_level(1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            damped_rate_general(model, COULOMB, 0.0, [])
-
-    def test_unknown_initial_energy_rejected(self):
-        model = build_two_level(1.0, 1.0)
-        with pytest.raises(DomainError):
-            damped_rate_general(model, COULOMB, 0.123, [(1.0, 1.0)])
-
-    def test_multi_level_ladder_single_open_channel(self):
-        from lineshape import build_oscillator, gamma_offshell
-
-        ladder = build_oscillator(1.0, 1.0, 4)
-        # From the ground state only level 1 is dipole-connected upward,
-        # and level 1 decays back through the single 1->0 channel, so the
-        # damping width equals the full on-shell width of that transition.
-        gamma_1 = gamma_onshell(ladder, "1", "0")
-        assert gamma_offshell(1.0, ladder, COULOMB, state="1") == (
-            pytest.approx(gamma_1, rel=1e-12)
-        )
-        d2 = float(abs(ladder.dipole("1", "0")[2]) ** 2)
-        got = damped_rate_general(ladder, COULOMB, 0.0, [(0.9, 1.5)])
-        n = n_factor(COULOMB, 0.9, 1.0)
-        want = 1.5 * gamma_1 * d2 / 2.0 * n / ((0.9 - 1.0) ** 2 + gamma_1**2 / 4)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_initial_state_can_be_excited(self):
-        from lineshape import build_oscillator
-
-        ladder = build_oscillator(1.0, 1.0, 4)
-        # Driving from level 1 addresses the 1->2 transition.
-        rate = damped_rate_general(ladder, COULOMB, 1.0, [(1.05, 1.0)])
-        assert rate > 0.0
 
 
 class TestLambLine:

@@ -9,12 +9,10 @@ from lineshape import (
     POINCARE,
     SYMMETRIC,
     DomainError,
-    Envelope,
     GaugeRepresentation,
     LineshapeParams,
     PulseConfig,
     closed_form_amplitude,
-    detuning_sensitivity_scan,
     excited_amplitude_during_pulse,
     integrate_dynamics,
     lineshape_S,
@@ -27,7 +25,6 @@ from lineshape.pulse import (
     _kernel_parts,
     _mode_weights,
     _zero_locus_on_grid,
-    ground_amplitude_during_pulse,
     laser_coupling_pair,
 )
 from lineshape.representations import coupling_pair
@@ -55,12 +52,29 @@ def rk4_fixed(rhs, y0, t0: float, t1: float, steps: int) -> np.ndarray:
     return y
 
 
+def ground_amplitude_during_pulse(t, config: PulseConfig,
+                                  rep: GaugeRepresentation, omega_0: float):
+    """Ground amplitude inside the pulse window, the unitary partner of
+    ``excited_amplitude_during_pulse``:
+
+    b_g(t) = (cos tau + i (delta_l/mu) sin tau) exp(-i delta_l (t + T)/2),
+    tau = (mu/2)(t + T), T = pi/Omega.
+    """
+    t = np.asarray(t, dtype=float)
+    T = config.duration
+    u_l = laser_coupling_pair(config, rep, omega_0)[1]
+    delta_l = omega_0 - config.omega_l
+    mu = math.hypot(config.rabi * u_l, delta_l)
+    tau = 0.5 * mu * (t + T)
+    return (np.cos(tau) + 1j * (delta_l / mu) * np.sin(tau)) * np.exp(
+        -1j * delta_l * (t + T) / 2.0
+    )
+
+
 class TestConfig:
     def test_rectangular_duration(self):
         cfg = PulseConfig(rabi=2.0, omega_l=1.0)
         assert cfg.duration == math.pi / 2.0
-        assert cfg.envelope.start == -math.pi / 2.0
-        assert cfg.envelope.end == 0.0
 
     def test_rejects_nonpositive_rabi(self):
         with pytest.raises(DomainError):
@@ -275,6 +289,8 @@ class TestGammaDomain:
             lambda: pulse_spectrum(RESONANT, COULOMB, OMEGA0, gamma,
                                    self.GRID, include_laser=False),
             lambda: lorentzian_reference_spectrum(OMEGA0, gamma, self.GRID),
+            lambda: integrate_dynamics(RESONANT, COULOMB, OMEGA0, gamma,
+                                       self.GRID),
         ]
         for call in calls:
             with warnings.catch_warnings():
@@ -316,15 +332,6 @@ class TestDynamics:
         traj = integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA)
         norm = np.abs(traj.b_g) ** 2 + np.abs(traj.b_e) ** 2
         assert np.max(np.abs(norm - 1.0)) < 1e-9
-
-    def test_zero_drive_envelope_keeps_ground_state(self):
-        cfg = PulseConfig(
-            rabi=1.0, omega_l=OMEGA0,
-            envelope=Envelope(start=-1.0, end=0.0, amplitude=lambda t: 0.0),
-        )
-        traj = integrate_dynamics(cfg, SYMMETRIC, OMEGA0, GAMMA)
-        assert np.all(traj.b_e == 0.0)
-        assert np.all(traj.b_g == 1.0)
 
     def test_fixed_step_cross_check(self):
         # Classical RK4 at fixed step vs the adaptive integrator.
@@ -382,6 +389,14 @@ class TestDynamics:
         with pytest.raises(DomainError, match="samples"):
             integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA,
                                samples=samples)
+
+    def test_rejects_non_finite_omega_0(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match="omega_0 must be finite and positive"):
+                integrate_dynamics(RESONANT, SYMMETRIC, math.inf, GAMMA,
+                                   [0.5, 1.0])
 
 
 # The benchmark's 81-mode case and the 240-mode case of
@@ -458,20 +473,6 @@ class TestExactDecay:
             integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA, modes,
                                include_field_during_pulse=True)
 
-    def test_rejects_envelope_not_ending_at_zero(self):
-        # The t >= 0 continuation starts where the envelope ends.
-        shift = 0.5
-        cfg = PulseConfig(
-            rabi=1.0, omega_l=OMEGA0,
-            envelope=Envelope(
-                start=-math.pi - shift, end=-shift,
-                amplitude=lambda t: 1.0 if -math.pi - shift <= t <= -shift
-                else 0.0,
-            ),
-        )
-        with pytest.raises(DomainError, match="end at t = 0"):
-            integrate_dynamics(cfg, SYMMETRIC, OMEGA0, GAMMA, [0.5])
-
 
 class TestPulseSpectrum:
     def test_laser_free_is_bitwise_the_lineshape(self):
@@ -521,16 +522,11 @@ class TestPulseSpectrum:
 
 
 class TestDetuningScan:
-    def test_baseline_row_is_exactly_zero(self):
-        grid = np.linspace(0.3, 1.8, 60)
-        rows = detuning_sensitivity_scan(RESONANT, [SYMMETRIC, COULOMB],
-                                         [0.0, 0.01, 0.05], grid)
-        base = [r for r in rows if r["delta_l"] == 0.0]
-        assert all(r["max_rel_deviation"] == 0.0 for r in base)
-
     def test_dependence_is_weak(self):
+        # A 1% laser detuning moves no representation's spectrum by 10%.
         grid = np.linspace(0.3, 1.8, 60)
-        rows = detuning_sensitivity_scan(RESONANT, list(ALL_REPS),
-                                         [0.01], grid)
-        for row in rows:
-            assert row["max_rel_deviation"] < 0.1
+        detuned = PulseConfig(rabi=RESONANT.rabi, omega_l=OMEGA0 - 0.01)
+        for rep in ALL_REPS:
+            base = pulse_spectrum(RESONANT, rep, OMEGA0, GAMMA, grid).values
+            spec = pulse_spectrum(detuned, rep, OMEGA0, GAMMA, grid).values
+            assert np.max(np.abs(spec - base) / base) < 0.1, rep.name

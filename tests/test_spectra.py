@@ -151,6 +151,14 @@ class TestGammaOffshell:
         assert low == pytest.approx(g10 * 1.5, rel=1e-12)
         assert high > g10 * 2.5  # upward channel contributes too
 
+    def test_ladder_single_open_channel_is_onshell_width(self):
+        ladder = build_oscillator(1.0, 1.0, 4)
+        # Level 1 decays only through the single 1->0 channel, so its
+        # off-shell width at its own energy is the full on-shell width.
+        assert gamma_offshell(1.0, ladder, COULOMB, state="1") == (
+            pytest.approx(gamma_onshell(ladder, "1", "0"), rel=1e-12)
+        )
+
 
 class TestShifts:
     def test_delta_offshell_matches_antiderivative(self):
