@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: lineshape, fluorescence, lamb-line, pulse, verify, plot.
-Each computation subcommand accepts either a scenario file or inline
-flags, writes one CSV per representation plus a run-metadata JSON file,
-and can emit a static SVG or gnuplot plot.  Outputs are written atomically
-and are byte-identical across runs; timestamps appear only in the metadata
-file.
+Each computation subcommand takes a scenario file, inline flags or both,
+writes one CSV per representation plus a run-metadata JSON file, and can
+emit a static SVG or gnuplot plot.  The parameter flags are generated from
+``scenario.PARAMS``.  A run's parameters are the table's defaults, then the
+scenario file's keys, then the flags actually given: a given flag wins.
+Outputs are written atomically and are byte-identical across runs;
+timestamps appear only in the metadata file.
 
 Exit codes: 0 success, 2 parse error, 3 domain/configuration error,
 4 verification failure.
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -34,7 +35,6 @@ from .fluorescence import (
     LambLineScenario,
     SharpLineScenario,
     fluorescence_sweep,
-    lamb_hydrogen_preset,
     lamb_rate_sweep,
 )
 from .plotting import PlotStyle, emit_gnuplot, emit_svg
@@ -45,10 +45,17 @@ from .pulse import (
     pulse_spectrum,
 )
 from .representations import GaugeRepresentation
-from .scenario import Scenario, coerce_value, load_scenario, typed
+from .scenario import (
+    PARAMS,
+    MissingKeyError,
+    Scenario,
+    coerce_value,
+    load_scenario,
+    parse_scenario,
+)
 from .spectra import (
-    DEFAULT_CUTOFF,
     LineshapeParams,
+    _check_positive,
     lamb_shift,
     lineshape_S,
     read_spectrum_csv,
@@ -59,21 +66,32 @@ from .verify import run_all_checks
 PARSE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 2, 3, 4
 
 
-def _add_common(parser):
-    parser.add_argument("scenario", nargs="?", default=None,
-                        help="scenario file (overrides inline flags)")
-    parser.add_argument("--out-dir", default="out")
-    parser.add_argument("--plot", choices=["svg", "gnuplot"], default=None)
-    parser.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
-    parser.add_argument("--log-scale", action="store_true",
-                        help="plot ln(S) instead of S")
+_MODE_HELP = {
+    "lineshape": "emission lineshape S(omega_k)",
+    "fluorescence": "scattering rate vs drive frequency",
+    "lamb-line": "stimulated-decay rate sweep",
+    "pulse": "emission spectrum after a pi-pulse",
+    "verify": "run the invariance suite",
+}
+
+_FLAG_HELP = {
+    "--lamb-shift": "line displacement, or 'auto' to compute it from a "
+                    "two-level model at the given cutoff",
+    "--variable-width": "use the frequency-dependent width "
+                        "Gamma * numerator(omega_k) (experimental)",
+    "--include-reference": "add the bare Lorentzian as a reference curve",
+    "--trajectory": "also dump the pulse-window amplitude trajectory",
+    "--no-rwa": "retain counter-rotating drive terms in the trajectory",
+}
+
+_FLAG_TYPE = {"number": float, "shift": coerce_value}
 
 
-def _add_grid(parser, default=(0.05, 3.0, 296)):
-    parser.add_argument("--grid",
-                        default=None if default is None
-                        else ",".join(map(str, default)),
-                        help="min,max,points[,linear|log]")
+def _flag(key: str, param) -> str:
+    """The CLI spelling of a parameter-table key."""
+    if param.flag:
+        return param.flag
+    return ("--no-" if param.default is True else "--") + key.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,55 +103,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lineshape", help="emission lineshape S(omega_k)")
-    _add_common(p)
-    _add_grid(p)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--omega-eg", type=float, default=1.0)
-    p.add_argument("--reps", default="coulomb,poincare,symmetric")
-    p.add_argument("--lamb-shift", default="0.0",
-                   help="line displacement, or 'auto' to compute it from a "
-                        "two-level model at the given cutoff")
-    p.add_argument("--suppress-lamb-shift", action="store_true")
-
-    p = sub.add_parser("fluorescence", help="scattering rate vs drive frequency")
-    _add_common(p)
-    _add_grid(p, (0.5, 2.0, 301))
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--omega-eg", type=float, default=1.0)
-    p.add_argument("--intensity", type=float, default=1.0)
-    p.add_argument("--dipole", type=float, default=1.0)
-    p.add_argument("--reps", default="coulomb,poincare,symmetric")
-
-    p = sub.add_parser("lamb-line", help="stimulated-decay rate sweep")
-    _add_common(p)
-    _add_grid(p, None)  # the preset brings its own grid; inline needs --grid
-    p.add_argument("--preset", choices=["lamb-hydrogen"], default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--omega-prime", type=float, default=None)
-    p.add_argument("--gamma-2p1s", type=float, default=None)
-    p.add_argument("--intensity", type=float, default=1.0)
-    p.add_argument("--dipole", type=float, default=1.0)
-    p.add_argument("--reps", default="coulomb,poincare,symmetric")
-
-    p = sub.add_parser("pulse", help="emission spectrum after a pi-pulse")
-    _add_common(p)
-    _add_grid(p, (0.02, 3.0, 150))
-    p.add_argument("--rabi", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--omega-0", type=float, default=1.0)
-    p.add_argument("--delta-l", type=float, default=None)
-    p.add_argument("--omega-l", type=float, default=None)
-    p.add_argument("--reps", default="coulomb,poincare,symmetric")
-    p.add_argument("--include-reference", action="store_true",
-                   help="add the bare Lorentzian as a reference curve")
-    p.add_argument("--trajectory", action="store_true",
-                   help="also dump the pulse-window amplitude trajectory")
-    p.add_argument("--no-rwa", action="store_true",
-                   help="retain counter-rotating drive terms in the trajectory")
-
-    p = sub.add_parser("verify", help="run the invariance suite")
-    _add_common(p)
+    for mode, table in PARAMS.items():
+        # SUPPRESS as the default: only the flags actually given are seen.
+        p = sub.add_parser(mode, help=_MODE_HELP[mode],
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("scenario", nargs="?", default=None,
+                       help="scenario file (the flags given override its keys)")
+        p.add_argument("--out-dir", default="out")
+        if mode != "verify":
+            p.add_argument("--plot", choices=["svg", "gnuplot"])
+            p.add_argument("--log-scale", action="store_true",
+                           help="plot ln(S) instead of S")
+            p.add_argument("--reps")
+        for key, param in table.items():
+            flag = _flag(key, param)
+            if flag == "--grid":  # the grid keys share one composite flag
+                continue
+            if param.kind == "flag":
+                action = "store_false" if param.default else "store_true"
+                p.add_argument(flag, dest=key, action=action,
+                               help=_FLAG_HELP.get(flag))
+            else:
+                choices = param.kind if isinstance(param.kind, tuple) else None
+                p.add_argument(flag, dest=key, type=_FLAG_TYPE.get(param.kind),
+                               choices=choices, help=_FLAG_HELP.get(flag))
+        if "grid_min" in table:
+            p.add_argument("--grid", help="min,max,points[,linear|log]")
+        if mode == "lineshape":
+            p.add_argument("--suppress-lamb-shift", action="store_true")
 
     p = sub.add_parser("plot", help="re-plot previously written CSV spectra")
     p.add_argument("csv", nargs="+")
@@ -217,183 +214,90 @@ def _parse_grid_flag(text: str) -> dict:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) not in (3, 4):
         raise ScenarioError(f"--grid expects min,max,points[,scale], got {text!r}")
-    out = {
-        "grid_min": coerce_value(parts[0]),
-        "grid_max": coerce_value(parts[1]),
-        "grid_points": coerce_value(parts[2]),
-    }
-    if len(parts) == 4:
-        out["grid_scale"] = parts[3]
-    return out
+    keys = ("grid_min", "grid_max", "grid_points", "grid_scale")
+    return dict(zip(keys, map(coerce_value, parts)))
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise ScenarioError(f"missing required flag {flag} (or use a scenario file)")
-    return value
+# Without a scenario file, a run starts from this one.
+_NO_FILE = "mode: {}\nrepresentations: coulomb, poincare, symmetric\n"
 
 
 def _scenario_from_args(args) -> Scenario:
-    """Build the scenario either from a file or from inline flags."""
+    """The scenario file (if any) with the given flags laid over it."""
+    given = {key: value for key, value in vars(args).items()
+             if key not in ("command", "scenario", "out_dir")}
+    if "grid" in given:
+        given.update(_parse_grid_flag(given.pop("grid")))
+    if given.pop("suppress_lamb_shift", False):
+        given["lamb_shift"] = 0.0
+    if "reps" in given:
+        given["representations"] = _parse_reps(given.pop("reps"))
+    given["mode"] = args.command
     if args.scenario:
-        scn = load_scenario(args.scenario)
-        if scn.mode != args.command:
-            raise ScenarioError(
-                f"scenario mode {scn.mode!r} does not match subcommand "
-                f"{args.command!r}"
-            )
-        if args.plot and not scn.plot:
-            scn.plot = args.plot
-        if args.log_scale:
-            scn.log_scale = True
-        return scn
-
-    params = {} if args.grid is None else _parse_grid_flag(args.grid)
-    if args.command == "lineshape":
-        params["gamma"] = _require(args.gamma, "--gamma")
-        params["omega_eg"] = args.omega_eg
-        params["cutoff"] = args.cutoff
-        if args.suppress_lamb_shift:
-            params["lamb_shift"] = 0.0
-        else:
-            params["lamb_shift"] = coerce_value(args.lamb_shift)
-    elif args.command == "fluorescence":
-        params["gamma"] = _require(args.gamma, "--gamma")
-        params["omega_eg"] = args.omega_eg
-        params["intensity"] = args.intensity
-        params["dipole_proj"] = args.dipole
-    elif args.command == "lamb-line":
-        if args.preset:
-            params["preset"] = args.preset
-            if args.grid is None:
-                preset = lamb_hydrogen_preset(GaugeRepresentation.coulomb())
-                lo = max(0.05 * preset.omega, preset.omega - 5.0 * preset.gamma)
-                hi = preset.omega + 5.0 * preset.gamma
-                params.update(grid_min=lo, grid_max=hi, grid_points=201)
-        else:
-            _require(args.grid, "--grid")
-            params["omega"] = _require(args.omega, "--omega")
-            params["omega_prime"] = _require(args.omega_prime, "--omega-prime")
-            params["gamma"] = _require(args.gamma_2p1s, "--gamma-2p1s")
-            params["intensity"] = args.intensity
-            params["dipole_proj"] = args.dipole
-    elif args.command == "pulse":
-        params["rabi"] = _require(args.rabi, "--rabi")
-        params["gamma"] = _require(args.gamma, "--gamma")
-        params["omega_0"] = args.omega_0
-        if args.omega_l is not None:
-            params["omega_l"] = args.omega_l
-        else:
-            params["delta_l"] = args.delta_l if args.delta_l is not None else 0.0
-        params["rwa"] = not args.no_rwa
-        params["include_reference"] = args.include_reference
-        params["trajectory"] = args.trajectory
-    return Scenario(
-        mode=args.command,
-        representations=_parse_reps(args.reps),
-        params=params,
-        plot=args.plot,
-        log_scale=args.log_scale,
-    )
+        return load_scenario(args.scenario, given)
+    try:
+        return parse_scenario(_NO_FILE.format(args.command), given)
+    except MissingKeyError as exc:
+        flag = _flag(exc.key, PARAMS[args.command][exc.key])
+        raise ScenarioError(
+            f"missing required flag {flag} (or use a scenario file)") from None
 
 
 # -- mode runners ------------------------------------------------------------
 
 
-def _cutoff(value) -> float:
-    cutoff = typed("cutoff", value)
-    if not (math.isfinite(cutoff) and cutoff > 0.0):
-        raise DomainError("cutoff must be finite and positive")
-    return cutoff
-
-
-def _run_lineshape(scn: Scenario, cutoff: float) -> list:
+def _run_lineshape(scn: Scenario) -> list:
     p = scn.params
     grid = scn.grid()
-    omega_eg = typed("omega_eg", p.get("omega_eg", 1.0))
-    gamma = typed("gamma", p["gamma"])
-    cutoff = _cutoff(p.get("cutoff", cutoff))
-    shift = p.get("lamb_shift", 0.0)
+    _check_positive(p["cutoff"], "cutoff")
+    shift = p["lamb_shift"]
     if shift == "auto":
-        shift = lamb_shift(build_two_level(omega_eg, 1.0), "e", cutoff)
-    else:
-        shift = typed("lamb_shift", shift)
-    variable_width = typed("variable_width", p.get("variable_width", False), "flag")
+        shift = lamb_shift(build_two_level(p["omega_eg"], 1.0), "e", p["cutoff"])
     spectra = []
     for rep in scn.representations:
         params = LineshapeParams(
-            rep=rep, omega_eg=omega_eg, gamma=gamma, lamb_shift=shift,
-            variable_width=variable_width,
+            rep=rep, omega_eg=p["omega_eg"], gamma=p["gamma"], lamb_shift=shift,
+            variable_width=p["variable_width"],
         )
         spec = lineshape_S(params, grid)
-        spec.metadata["cutoff"] = cutoff
+        spec.metadata["cutoff"] = p["cutoff"]
         spectra.append(spec)
     return spectra
 
 
 def _run_fluorescence(scn: Scenario) -> list:
-    p = scn.params
-    grid = scn.grid()
-    spectra = []
-    for rep in scn.representations:
-        scenario = SharpLineScenario(
-            intensity=typed("intensity", p.get("intensity", 1.0)),
-            omega_0=float(grid[0]),
-            omega_eg=typed("omega_eg", p.get("omega_eg", 1.0)),
-            gamma=typed("gamma", p["gamma"]),
-            dipole_proj=typed("dipole_proj", p.get("dipole_proj", 1.0)),
-            rep=rep,
-        )
-        spectra.append(fluorescence_sweep(scenario, grid))
-    return spectra
+    p, grid = scn.params, scn.grid()
+    fields = {k: p[k] for k in ("intensity", "omega_eg", "gamma", "dipole_proj")}
+    scenarios = [SharpLineScenario(omega_0=float(grid[0]), rep=rep, **fields)
+                 for rep in scn.representations]
+    return [fluorescence_sweep(scenario, grid) for scenario in scenarios]
 
 
 def _run_lamb_line(scn: Scenario) -> list:
-    p = scn.params
-    grid = scn.grid()
-    spectra = []
-    for rep in scn.representations:
-        if p.get("preset") == "lamb-hydrogen":
-            scenario = lamb_hydrogen_preset(
-                rep, typed("intensity", p.get("intensity", 1.0)))
-        elif "preset" in p:
-            raise ScenarioError(f"unknown preset {p['preset']!r}")
-        else:
-            scenario = LambLineScenario(
-                intensity=typed("intensity", p.get("intensity", 1.0)),
-                omega=typed("omega", p["omega"]),
-                omega_prime=typed("omega_prime", p["omega_prime"]),
-                gamma=typed("gamma", p["gamma"]),
-                dipole_proj=typed("dipole_proj", p.get("dipole_proj", 1.0)),
-                rep=rep,
-            )
-        spectra.append(lamb_rate_sweep(scenario, grid))
-    return spectra
+    p, grid = scn.params, scn.grid()
+    keys = ("intensity", "omega", "omega_prime", "gamma", "dipole_proj")
+    scenarios = [LambLineScenario(rep=rep, **{k: p[k] for k in keys})
+                 for rep in scn.representations]
+    return [lamb_rate_sweep(scenario, grid) for scenario in scenarios]
 
 
 def _run_pulse(scn: Scenario, out_dir: str) -> list:
     p = scn.params
     grid = scn.grid()
-    omega_0 = typed("omega_0", p.get("omega_0", 1.0))
-    gamma = typed("gamma", p["gamma"])
-    if "omega_l" in p:
-        omega_l = typed("omega_l", p["omega_l"])
-    else:
-        omega_l = omega_0 - typed("delta_l", p.get("delta_l", 0.0))
-    config = PulseConfig(rabi=typed("rabi", p["rabi"]), omega_l=omega_l)
-    include_reference = typed("include_reference",
-                              p.get("include_reference", False), "flag")
-    trajectory = typed("trajectory", p.get("trajectory", False), "flag")
-    rwa = typed("rwa", p.get("rwa", True), "flag")
+    omega_0, gamma = p["omega_0"], p["gamma"]
+    omega_l = p["omega_l"]
+    if omega_l is None:
+        omega_l = omega_0 - (p["delta_l"] or 0.0)
+    config = PulseConfig(rabi=p["rabi"], omega_l=omega_l)
     spectra = [
         pulse_spectrum(config, rep, omega_0, gamma, grid)
         for rep in scn.representations
     ]
-    if include_reference:
+    if p["include_reference"]:
         spectra.append(lorentzian_reference_spectrum(omega_0, gamma, grid))
-    if trajectory:
+    if p["trajectory"]:
         traj = integrate_dynamics(
-            config, scn.representations[0], omega_0, gamma, rwa=rwa,
+            config, scn.representations[0], omega_0, gamma, rwa=p["rwa"],
         )
         os.makedirs(out_dir, exist_ok=True)
         traj.to_csv(os.path.join(out_dir, f"{scn.prefix}_trajectory.csv"))
@@ -401,6 +305,7 @@ def _run_pulse(scn: Scenario, out_dir: str) -> list:
 
 
 def _run_verify(out_dir: str, cutoff: float) -> int:
+    _check_positive(cutoff, "cutoff")
     report = run_all_checks(cutoff=cutoff)
     print(report.table())
     os.makedirs(out_dir, exist_ok=True)
@@ -436,28 +341,17 @@ def main(argv=None) -> int:
     try:
         if args.command == "plot":
             return _run_plot(args)
-        cutoff = _cutoff(args.cutoff)
-        if args.command == "verify":
-            if args.scenario:
-                scn = load_scenario(args.scenario)
-                if scn.mode != "verify":
-                    raise ScenarioError(
-                        f"scenario mode {scn.mode!r} does not match 'verify'"
-                    )
-                cutoff = _cutoff(scn.params.get("cutoff", cutoff))
-            return _run_verify(args.out_dir, cutoff)
-
         scn = _scenario_from_args(args)
+        if scn.mode == "verify":
+            return _run_verify(args.out_dir, scn.params["cutoff"])
         if scn.mode == "lineshape":
-            spectra = _run_lineshape(scn, cutoff)
+            spectra = _run_lineshape(scn)
         elif scn.mode == "fluorescence":
             spectra = _run_fluorescence(scn)
         elif scn.mode == "lamb-line":
             spectra = _run_lamb_line(scn)
-        elif scn.mode == "pulse":
+        else:
             spectra = _run_pulse(scn, args.out_dir)
-        else:  # pragma: no cover - Scenario already validates the mode
-            raise ScenarioError(f"unhandled mode {scn.mode!r}")
         _write_outputs(spectra, args.out_dir, scn.prefix, scn.plot,
                        scn.log_scale, dict(scn.params, mode=scn.mode))
         return 0

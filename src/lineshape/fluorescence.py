@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .representations import GaugeRepresentation, _mixing
-from .spectra import Spectrum, numerator, DEFAULT_CUTOFF
+from .spectra import DEFAULT_CUTOFF, Spectrum, _check_positive, numerator
 
 __all__ = [
     "SharpLineScenario",
@@ -30,13 +30,6 @@ __all__ = [
     "lamb_rate_sweep",
     "lamb_hydrogen_preset",
 ]
-
-
-def _positive(value, name):
-    if not np.all(np.isfinite(np.asarray(value, dtype=float))) or np.any(
-        np.asarray(value) <= 0.0
-    ):
-        raise DomainError(f"{name} must be finite and positive")
 
 
 def _non_negative(value, name):
@@ -56,8 +49,8 @@ def n_factor(rep: GaugeRepresentation, omega_0, omega_eg: float):
     16 x**3 / (1 + x)**4 (symmetric).
     """
     omega_0 = np.asarray(omega_0, dtype=float)
-    _positive(omega_0, "omega_0")
-    _positive(omega_eg, "omega_eg")
+    _check_positive(omega_0, "omega_0")
+    _check_positive(omega_eg, "omega_eg")
     x = omega_0 / omega_eg
     # Squared twice: numpy takes ** 4 through pow(), about three times slower.
     out = (_mixing(rep, x) ** 2) ** 2 / x
@@ -77,9 +70,9 @@ class SharpLineScenario:
 
     def __post_init__(self):
         _non_negative(self.intensity, "intensity")
-        _positive(self.omega_0, "omega_0")
-        _positive(self.omega_eg, "omega_eg")
-        _positive(self.gamma, "gamma")
+        _check_positive(self.omega_0, "omega_0")
+        _check_positive(self.omega_eg, "omega_eg")
+        _check_positive(self.gamma, "gamma")
         _non_negative(self.dipole_proj, "dipole_proj")
 
 
@@ -91,7 +84,7 @@ def _rate_kernel(intensity, gamma, d2, n, detuning):
 def fluorescence_sweep(scenario: SharpLineScenario, omega_0_grid) -> Spectrum:
     """Rate as a function of incident frequency, with the n column attached."""
     grid = np.asarray(omega_0_grid, dtype=float)
-    _positive(grid, "omega_0 grid")
+    _check_positive(grid, "omega_0 grid")
     n = np.asarray(n_factor(scenario.rep, grid, scenario.omega_eg))
     values = _rate_kernel(
         scenario.intensity,
@@ -127,9 +120,9 @@ def lamb_n_factor(rep: GaugeRepresentation, omega_0, omega: float, omega_prime: 
     m_0**2 / x_0 times the flux factor 1/x_0.
     """
     omega_0 = np.asarray(omega_0, dtype=float)
-    _positive(omega_0, "omega_0")
-    _positive(omega, "omega")
-    _positive(omega_prime, "omega_prime")
+    _check_positive(omega_0, "omega_0")
+    _check_positive(omega, "omega")
+    _check_positive(omega_prime, "omega_prime")
     emitted = omega + omega_prime - omega_0
     if np.any(emitted <= 0.0):
         raise DomainError("emitted frequency omega + omega' - omega_0 must be positive")
@@ -156,16 +149,16 @@ class LambLineScenario:
 
     def __post_init__(self):
         _non_negative(self.intensity, "intensity")
-        _positive(self.omega, "omega")
-        _positive(self.omega_prime, "omega_prime")
-        _positive(self.gamma, "gamma")
+        _check_positive(self.omega, "omega")
+        _check_positive(self.omega_prime, "omega_prime")
+        _check_positive(self.gamma, "gamma")
         _non_negative(self.dipole_proj, "dipole_proj")
 
 
 def lamb_rate_sweep(scenario: LambLineScenario, omega_0_grid) -> Spectrum:
     """Rate as a function of drive frequency, with the n' column attached."""
     grid = np.asarray(omega_0_grid, dtype=float)
-    _positive(grid, "omega_0 grid")
+    _check_positive(grid, "omega_0 grid")
     n = np.asarray(
         lamb_n_factor(scenario.rep, grid, scenario.omega, scenario.omega_prime)
     )

@@ -89,6 +89,9 @@ class PulseConfig:
     def __post_init__(self):
         if not np.isfinite(self.rabi) or self.rabi <= 0.0:
             raise DomainError("rabi amplitude must be finite and positive")
+        duration = math.pi / float(self.rabi)  # the closed forms square it
+        if not math.isfinite(duration * duration):
+            raise DomainError("rabi amplitude is too small: (pi/rabi)**2 overflows")
         if not np.isfinite(self.omega_l) or self.omega_l <= 0.0:
             raise DomainError("laser carrier frequency must be finite and positive")
         if self.alpha_laser is not None and not np.isfinite(self.alpha_laser):

@@ -5,6 +5,12 @@ style; one indented section (named after the mode) holds the physical
 parameters.  Unknown keys and sections are rejected with the offending
 line number, so a typo cannot silently fall back to a default.
 
+``PARAMS`` declares each mode's section keys once: kind, default and CLI
+flag.  The CLI generates its flags from it, and building a Scenario checks,
+types and default-fills the parameters against it, so a file and the flags
+get the same defaults.  A named ``preset`` lays its own defaults over the
+table's; keys that are given override both.
+
 Example::
 
     mode: lineshape
@@ -22,59 +28,135 @@ Example::
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ScenarioError
-from .representations import GaugeRepresentation
+from .fluorescence import lamb_hydrogen_preset
+from .representations import COULOMB, GaugeRepresentation
+from .spectra import DEFAULT_CUTOFF
 
-__all__ = ["Scenario", "parse_scenario", "load_scenario", "build_grid",
-           "coerce_value", "typed"]
-
-MODES = ("lineshape", "fluorescence", "lamb-line", "pulse", "verify")
+__all__ = ["Scenario", "Param", "PARAMS", "REQUIRED", "MissingKeyError",
+           "parse_scenario", "load_scenario", "build_grid", "coerce_value",
+           "typed"]
 
 _TOP_KEYS = ("mode", "representations", "plot", "log_scale", "out_prefix")
 
-_GRID_KEYS = ("grid_min", "grid_max", "grid_points", "grid_scale")
+REQUIRED = object()  # the default of a key that must be given
 
-# Allowed (and required) section keys per mode.
-_SECTION_KEYS = {
+
+class Param(NamedTuple):
+    """One section key: its kind (see :func:`typed`), its default
+    (REQUIRED, or None for a key that may stay unset) and its CLI flag when
+    that is not --key-with-dashes (--no-key-with-dashes for a true
+    default)."""
+
+    kind: str | tuple
+    default: object = REQUIRED
+    flag: str | None = None
+
+
+def _grid(lo=REQUIRED, hi=REQUIRED, points=REQUIRED) -> dict:
+    return {
+        "grid_min": Param("number", lo, "--grid"),
+        "grid_max": Param("number", hi, "--grid"),
+        "grid_points": Param("points", points, "--grid"),
+        "grid_scale": Param(("linear", "log"), "linear", "--grid"),
+    }
+
+
+_DIPOLE = Param("number", 1.0, "--dipole")
+
+# Each mode's section keys, in the order a missing one is reported.  Files
+# and flags share these defaults.
+PARAMS = {
     "lineshape": {
-        "allowed": ("gamma", "omega_eg", "lamb_shift", "cutoff",
-                    "variable_width") + _GRID_KEYS,
-        "required": ("gamma", "grid_min", "grid_max", "grid_points"),
+        "gamma": Param("number"),
+        "omega_eg": Param("number", 1.0),
+        "lamb_shift": Param("shift", 0.0),
+        "cutoff": Param("number", DEFAULT_CUTOFF),
+        "variable_width": Param("flag", False),
+        **_grid(0.05, 3.0, 296),
     },
     "fluorescence": {
-        "allowed": ("intensity", "gamma", "omega_eg", "dipole_proj")
-        + _GRID_KEYS,
-        "required": ("gamma", "grid_min", "grid_max", "grid_points"),
+        "intensity": Param("number", 1.0),
+        "gamma": Param("number"),
+        "omega_eg": Param("number", 1.0),
+        "dipole_proj": _DIPOLE,
+        **_grid(0.5, 2.0, 301),
     },
     "lamb-line": {
-        "allowed": ("preset", "intensity", "omega", "omega_prime", "gamma",
-                    "dipole_proj") + _GRID_KEYS,
-        "required": ("grid_min", "grid_max", "grid_points"),
+        **_grid(),
+        "preset": Param(("lamb-hydrogen",), None),
+        "intensity": Param("number", 1.0),
+        "omega": Param("number"),
+        "omega_prime": Param("number"),
+        "gamma": Param("number", REQUIRED, "--gamma-2p1s"),
+        "dipole_proj": _DIPOLE,
     },
     "pulse": {
-        "allowed": ("rabi", "omega_l", "delta_l", "omega_0", "gamma", "rwa",
-                    "include_reference", "trajectory") + _GRID_KEYS,
-        "required": ("rabi", "gamma", "grid_min", "grid_max", "grid_points"),
+        "rabi": Param("number"),
+        "gamma": Param("number"),
+        "omega_0": Param("number", 1.0),
+        # The carrier: omega_l, or omega_0 - delta_l; resonant without either.
+        "delta_l": Param("number", None),
+        "omega_l": Param("number", None),
+        "rwa": Param("flag", True),
+        "include_reference": Param("flag", False),
+        "trajectory": Param("flag", False),
+        **_grid(0.02, 3.0, 150),
     },
-    "verify": {"allowed": ("cutoff",), "required": ()},
+    "verify": {"cutoff": Param("number", DEFAULT_CUTOFF)},
 }
 
-_SECTION_NAME = {
-    "lineshape": "lineshape",
-    "fluorescence": "fluorescence",
-    "lamb-line": "lamb_line",
-    "pulse": "pulse",
-    "verify": "verify",
-}
+
+def _lamb_hydrogen() -> dict:
+    """The defaults the lamb-hydrogen preset lays over the table's."""
+    values = dict(vars(lamb_hydrogen_preset(COULOMB)))
+    del values["rep"]
+    return dict(values, grid_min=0.05, grid_max=4.0, grid_points=201)
+
+
+class MissingKeyError(ScenarioError):
+    """A required key has no value; ``key`` names it for the front end."""
+
+    def __init__(self, mode: str, key: str):
+        super().__init__(f"{mode} scenario is missing {key!r}")
+        self.key = key
+
+
+def _resolve(mode: str, given: dict) -> dict:
+    """Every key of the mode's table, typed: the given values over a named
+    preset's over the table's defaults."""
+    table = PARAMS[mode]
+    for key in given:
+        if key not in table:
+            raise ScenarioError(f"key {key!r} is not allowed in a {mode} scenario")
+    if "omega_l" in given and "delta_l" in given:
+        raise ScenarioError("give omega_l or delta_l, not both")
+    values = {key: param.default for key, param in table.items()}
+    if "preset" in given:  # lamb-hydrogen, the only one; checked below
+        values.update(_lamb_hydrogen())
+    values.update(given)
+    for key, value in values.items():
+        if value is REQUIRED:
+            raise MissingKeyError(mode, key)
+    return {key: None if value is None else typed(key, value, table[key].kind)
+            for key, value in values.items()}
 
 
 @dataclass
 class Scenario:
+    """One run: mode, representations, output style and parameters.
+
+    ``params`` may hold any of the mode's keys; building the Scenario
+    checks and types them and fills in the rest from ``PARAMS``.
+    """
+
     mode: str
     representations: list[GaugeRepresentation] = field(default_factory=list)
     params: dict = field(default_factory=dict)
@@ -83,58 +165,46 @@ class Scenario:
     out_prefix: str | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in PARAMS:
             raise ScenarioError(
-                f"unknown mode {self.mode!r}; expected one of {', '.join(MODES)}"
+                f"unknown mode {self.mode!r}; expected one of {', '.join(PARAMS)}"
             )
         if self.plot not in (None, "svg", "gnuplot"):
             raise ScenarioError(f"unknown plot format {self.plot!r}")
-        rules = _SECTION_KEYS[self.mode]
-        for key in self.params:
-            if key not in rules["allowed"]:
-                raise ScenarioError(
-                    f"key {key!r} is not allowed in a {self.mode} scenario"
-                )
-        for key in rules["required"]:
-            if key not in self.params:
-                raise ScenarioError(f"{self.mode} scenario is missing {key!r}")
+        self.params = _resolve(self.mode, self.params)
         if self.mode != "verify" and not self.representations:
             raise ScenarioError("at least one representation is required")
-        if "grid_points" in self.params:
-            # Validate eagerly so a broken grid fails at parse time.
-            build_grid(
-                self.params["grid_min"],
-                self.params["grid_max"],
-                self.params["grid_points"],
-                self.params.get("grid_scale", "linear"),
-            )
 
     @property
     def prefix(self) -> str:
-        return self.out_prefix or _SECTION_NAME[self.mode]
+        return self.out_prefix or self.mode.replace("-", "_")
 
     def grid(self) -> np.ndarray:
-        return build_grid(
-            self.params["grid_min"],
-            self.params["grid_max"],
-            self.params["grid_points"],
-            self.params.get("grid_scale", "linear"),
-        )
+        p = self.params
+        return build_grid(p["grid_min"], p["grid_max"], p["grid_points"],
+                          p["grid_scale"])
 
 
-def typed(key: str, value, kind: str = "number"):
+def typed(key: str, value, kind="number"):
     """Return the value of parameter ``key`` checked against its kind.
 
     ``number`` accepts an int or float and returns a float; ``points``
     accepts a whole number of at least 2 and returns an int; ``flag``
-    accepts only true/false.  Anything else (a word where a number
-    belongs, a fractional point count, ``no`` for a flag) raises
+    accepts only true/false; ``shift`` accepts a number or ``auto``; a
+    tuple of words accepts one of them.  Anything else (a word where a
+    number belongs, a fractional point count, ``no`` for a flag) raises
     ScenarioError naming the key, so nothing is coerced or truncated.
     """
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise ScenarioError(f"unknown {key} {value!r}")
     if kind == "flag":
         if isinstance(value, bool):
             return bool(value)
         raise ScenarioError(f"{key} must be true or false, got {value!r}")
+    if kind == "shift" and value == "auto":
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ScenarioError(f"{key} must be a number, got {value!r}")
     value = float(value)
@@ -152,13 +222,12 @@ def build_grid(lo, hi, points, scale: str = "linear") -> np.ndarray:
     points = typed("grid_points", points, "points")
     if not lo < hi:
         raise ScenarioError("grid_min must be below grid_max")
-    if scale == "linear":
-        return np.linspace(lo, hi, points)
-    if scale == "log":
-        if lo <= 0.0:
-            raise ScenarioError("log grids need a positive grid_min")
-        return np.geomspace(lo, hi, points)
-    raise ScenarioError(f"unknown grid_scale {scale!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("grid_min and grid_max must be finite")
+    scale = typed("grid_scale", scale, ("linear", "log"))
+    if scale == "log" and lo <= 0.0:
+        raise ScenarioError("log grids need a positive grid_min")
+    return (np.geomspace if scale == "log" else np.linspace)(lo, hi, points)
 
 
 def coerce_value(value: str):
@@ -174,7 +243,13 @@ def coerce_value(value: str):
         return value
 
 
-def parse_scenario(text: str) -> Scenario:
+def parse_scenario(text: str, given: dict | None = None) -> Scenario:
+    """Parse scenario text into a Scenario.
+
+    ``given`` holds values that override the text's (the CLI's flags):
+    section keys, ``representations`` (a list), ``plot``, ``log_scale``,
+    and ``mode``, which must match the text's.
+    """
     top: dict = {}
     sections: dict[str, dict] = {}
     current: str | None = None
@@ -213,39 +288,37 @@ def parse_scenario(text: str) -> Scenario:
     if "mode" not in top:
         raise ScenarioError("scenario is missing 'mode'")
     mode = top["mode"]
-    if mode not in MODES:
+    if mode not in PARAMS:
         raise ScenarioError(f"unknown mode {mode!r}")
+    given = dict(given or {})
+    asked = given.pop("mode", mode)
+    if asked != mode:
+        raise ScenarioError(
+            f"scenario mode {mode!r} does not match subcommand {asked!r}")
 
-    expected_section = _SECTION_NAME[mode]
+    expected_section = mode.replace("-", "_")
     for name in sections:
         if name != expected_section:
             raise ScenarioError(f"unexpected section {name!r} for mode {mode!r}")
-    params = sections.get(expected_section, {})
 
     reps = []
-    if "representations" in top:
-        for token in top["representations"].split(","):
-            token = token.strip()
-            if token:
-                try:
-                    reps.append(GaugeRepresentation.parse(token))
-                except DomainError as exc:
-                    raise ScenarioError(str(exc)) from exc
+    for token in top.get("representations", "").split(","):
+        if token.strip():
+            try:
+                reps.append(GaugeRepresentation.parse(token.strip()))
+            except DomainError as exc:
+                raise ScenarioError(str(exc)) from exc
+    log_scale = typed("log_scale", coerce_value(top.get("log_scale", "false")),
+                      "flag")
 
-    log_scale = top.get("log_scale", "false").lower()
-    if log_scale not in ("true", "false"):
-        raise ScenarioError(f"log_scale must be true or false, got {log_scale!r}")
-
-    return Scenario(
-        mode=mode,
-        representations=reps,
-        params=params,
-        plot=top.get("plot"),
-        log_scale=log_scale == "true",
-        out_prefix=top.get("out_prefix"),
-    )
+    fields = {"representations": reps, "plot": top.get("plot"),
+              "log_scale": log_scale,
+              "out_prefix": top.get("out_prefix")}
+    fields.update({key: given.pop(key) for key in fields.keys() & given.keys()})
+    params = {**sections.get(expected_section, {}), **given}
+    return Scenario(mode=mode, params=params, **fields)
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, given: dict | None = None) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+        return parse_scenario(handle.read(), given)

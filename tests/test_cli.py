@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import lineshape
-from lineshape.cli import main
+from lineshape.cli import _flag, build_parser, main
 from lineshape.plotting import PlotStyle, emit_gnuplot, emit_svg
 from lineshape.spectra import read_spectrum_csv
 from lineshape.errors import ConfigurationError
+from lineshape.scenario import PARAMS
 
 PRESET_DIR = Path(lineshape.__path__[0]) / "presets"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -271,6 +272,154 @@ class TestCutoffDomain:
         scn.write_text(text)
         self._assert_rejected([mode, str(scn), "--out-dir", str(tmp_path)],
                               capsys)
+
+
+LAMB_SCN = (
+    "mode: lamb-line\nrepresentations: coulomb\n\nlamb_line:\n"
+    "  omega_prime: 50\n  gamma: 0.2\n"
+    "  grid_min: 0.5\n  grid_max: 1.5\n  grid_points: 11\n"
+)
+
+
+def _metadata(out_dir, prefix):
+    path = Path(out_dir) / f"{prefix}_metadata.json"
+    return json.loads(path.read_text())["parameters"]
+
+
+class TestParameterTable:
+    """One table per mode gives the flags, the file keys and their defaults;
+    the flags given override the file's keys."""
+
+    # Flags that are not section keys: output options, the top-level
+    # representations/plot/log_scale keys, and lamb_shift's 0 shorthand.
+    FRONT_END = {"-h", "--help", "--out-dir", "--plot", "--log-scale", "--reps",
+                 "--suppress-lamb-shift"}
+
+    def test_every_key_has_one_flag_and_every_flag_a_key(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        assert set(subparsers) == set(PARAMS) | {"plot"}
+        for mode, table in PARAMS.items():
+            actions = {opt: action for action in subparsers[mode]._actions
+                       for opt in action.option_strings
+                       if opt not in self.FRONT_END}
+            flags = {_flag(key, param) for key, param in table.items()}
+            assert set(actions) == flags, mode
+            for key, param in table.items():
+                flag = _flag(key, param)
+                want = "grid" if flag == "--grid" else key
+                assert actions[flag].dest == want, (mode, key)
+
+    def test_lamb_line_file_without_omega_exits_2(self, tmp_path, capsys):
+        scn = tmp_path / "l.scn"
+        scn.write_text(LAMB_SCN)
+        assert main(["lamb-line", str(scn), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: lamb-line scenario is missing 'omega'\n")
+        # The missing key may come from a flag.
+        assert main(["lamb-line", str(scn), "--omega", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+
+    def test_preset_overridden_by_flag(self, tmp_path):
+        base, more = tmp_path / "base", tmp_path / "more"
+        argv = ["lamb-line", "--preset", "lamb-hydrogen", "--reps", "coulomb"]
+        assert main(argv + ["--out-dir", str(base)]) == 0
+        assert main(argv + ["--intensity", "3", "--omega-prime", "500",
+                            "--out-dir", str(more)]) == 0
+        params = _metadata(more, "lamb_line")
+        assert params["intensity"] == 3.0 and params["omega_prime"] == 500.0
+        assert params["omega"] == 1.0 and params["gamma"] == 0.6
+        a = read_spectrum_csv(base / "lamb_line_coulomb.csv")
+        b = read_spectrum_csv(more / "lamb_line_coulomb.csv")
+        np.testing.assert_array_equal(a.grid, b.grid)
+        assert not np.allclose(a.values, b.values)
+
+    def test_preset_overridden_by_file_key(self, tmp_path):
+        scn = tmp_path / "l.scn"
+        scn.write_text((PRESET_DIR / "lamb_line_hydrogen.scn").read_text()
+                       + "  omega_prime: 500\n  dipole_proj: 2\n")
+        assert main(["lamb-line", str(scn), "--reps", "coulomb",
+                     "--out-dir", str(tmp_path / "file")]) == 0
+        # The same run spelled out without the preset.
+        assert main(["lamb-line", "--omega", "1", "--omega-prime", "500",
+                     "--gamma-2p1s", "0.6", "--dipole", "2", "--reps",
+                     "coulomb", "--grid", "0.05,4.0,201",
+                     "--out-dir", str(tmp_path / "flags")]) == 0
+        file = tmp_path / "file" / "lamb_line_hydrogen_coulomb.csv"
+        flags = tmp_path / "flags" / "lamb_line_coulomb.csv"
+        assert file.read_bytes() == flags.read_bytes()
+
+    def test_preset_flag_matches_the_shipped_file(self, tmp_path):
+        assert main(["lamb-line", "--preset", "lamb-hydrogen",
+                     "--out-dir", str(tmp_path / "flag")]) == 0
+        assert main(["lamb-line", str(PRESET_DIR / "lamb_line_hydrogen.scn"),
+                     "--out-dir", str(tmp_path / "file")]) == 0
+        for rep in ("coulomb", "poincare", "symmetric"):
+            flag = tmp_path / "flag" / f"lamb_line_{rep}.csv"
+            file = tmp_path / "file" / f"lamb_line_hydrogen_{rep}.csv"
+            assert flag.read_bytes() == file.read_bytes()
+
+    @pytest.mark.parametrize("where", ["flags", "file"])
+    def test_omega_l_with_delta_l_exits_2(self, where, tmp_path, capsys):
+        both = ["--omega-l", "0.9", "--delta-l", "0.1"]
+        if where == "file":
+            scn = tmp_path / "p.scn"
+            scn.write_text(PULSE_SCN + "  omega_l: 0.9\n  delta_l: 0.1\n")
+            both = [str(scn)]
+        argv = ["pulse", "--rabi", "1", "--gamma", "0.1", *both,
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "omega_l" in err and "delta_l" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["pulse", "--rabi", "1", "--gamma", "0.1", "--cutoff", "5"],
+        ["fluorescence", "--gamma", "0.1", "--cutoff", "5"],
+        ["lamb-line", "--preset", "lamb-hydrogen", "--cutoff", "5"],
+        ["verify", "--plot", "svg"],
+        ["verify", "--log-scale"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2] if argv[-1][0] != '-' else argv[-1]}")
+    def test_flag_without_effect_is_rejected(self, argv, tmp_path):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_given_flags_override_file_keys(self, tmp_path):
+        scn = tmp_path / "l.scn"
+        scn.write_text(LINESHAPE_SCN)
+        assert main(["lineshape", str(scn), "--gamma", "0.2", "--reps",
+                     "poincare", "--plot", "gnuplot", "--grid", "0.6,1.4,5",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+            "lineshape_poincare.csv"]
+        spec = read_spectrum_csv(tmp_path / "lineshape_poincare.csv")
+        assert spec.metadata["gamma"] == 0.2
+        np.testing.assert_array_equal(spec.grid, np.linspace(0.6, 1.4, 5))
+        assert (tmp_path / "lineshape.gp").exists()
+
+    def test_file_gets_the_flag_defaults(self, tmp_path):
+        scn = tmp_path / "l.scn"
+        scn.write_text("mode: lineshape\nrepresentations: coulomb\n\n"
+                       "lineshape:\n  gamma: 0.1\n")
+        assert main(["lineshape", str(scn), "--out-dir", str(tmp_path / "f")]) == 0
+        assert main(["lineshape", "--gamma", "0.1", "--reps", "coulomb",
+                     "--out-dir", str(tmp_path / "i")]) == 0
+        name = "lineshape_coulomb.csv"
+        assert ((tmp_path / "f" / name).read_bytes()
+                == (tmp_path / "i" / name).read_bytes())
+        params = _metadata(tmp_path / "f", "lineshape")
+        assert params["grid_points"] == 296 and params["cutoff"] == 1000.0
+
+    def test_variable_width_flag_matches_file_key(self, tmp_path):
+        scn = tmp_path / "vw.scn"
+        scn.write_text(LINESHAPE_SCN.replace("coulomb", "poincare")
+                       + "  variable_width: true\n")
+        assert main(["lineshape", str(scn), "--out-dir", str(tmp_path / "f")]) == 0
+        assert main(["lineshape", "--gamma", "0.1", "--reps", "poincare",
+                     "--grid", "0.5,1.5,11", "--variable-width",
+                     "--out-dir", str(tmp_path / "i")]) == 0
+        name = "lineshape_poincare.csv"
+        assert ((tmp_path / "f" / name).read_bytes()
+                == (tmp_path / "i" / name).read_bytes())
 
 
 @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)

@@ -299,6 +299,42 @@ class TestGammaDomain:
                     call()
 
 
+class TestRabiDomain:
+    """A Rabi frequency so small that the squared pulse duration pi/rabi
+    overflows is rejected with DomainError, not an OverflowError."""
+
+    MESSAGE = r"rabi amplitude is too small: \(pi/rabi\)\*\*2 overflows"
+
+    def test_cli_exits_3_with_one_line(self, tmp_path, capsys):
+        argv = ["pulse", "--rabi", "1e-200", "--gamma", "0.1",
+                "--out-dir", str(tmp_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: rabi amplitude is too small")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rabi", [1e-200, 5e-324, np.float64(2e-154)])
+    def test_library_rejects(self, rabi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=self.MESSAGE):
+                pulse_spectrum(PulseConfig(rabi=rabi, omega_l=OMEGA0), COULOMB,
+                               OMEGA0, GAMMA, np.linspace(0.5, 1.5, 11))
+
+    def test_smallest_accepted_rabi_stays_finite(self):
+        # Just above the bound the closed forms still run warning-free.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = pulse_spectrum(PulseConfig(rabi=2.4e-154, omega_l=OMEGA0),
+                                  COULOMB, OMEGA0, GAMMA,
+                                  np.array([0.5, 1.0, 1.5]))
+        assert np.all(np.isfinite(spec.values))
+
+
 class TestDynamics:
     def test_trajectory_matches_closed_form_pointwise(self):
         for cfg, rep in ((RESONANT, SYMMETRIC),
