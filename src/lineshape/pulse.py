@@ -28,15 +28,14 @@ line.  ``pulse_spectrum`` evaluates it over the grid in cache-sized
 blocks; every step is elementwise, so the blocks leave the result bit for
 bit the same.
 
-``integrate_dynamics`` steps the pulse window with an adaptive ODE solver.
-With the field retained, the t >= 0 phase is a discrete level coupled to a
-discretised continuum with the drive off: a linear system with constant
-coefficients, propagated exactly from its eigenvalues (the roots of a
-secular equation) and closed-form eigenvectors, in elementwise numpy.
-scipy is needed only for the pulse window (the adaptive ODE oracle behind
-``lineshape verify`` and pulse ``trajectory: true``) and is imported on the
-first call of ``integrate_dynamics``, so importing the package loads numpy
-alone.
+``integrate_dynamics`` steps the pulse window with the package's own
+adaptive DOP853 pair (``_ode``; Hairer, Norsett & Wanner, *Solving ODEs I*,
+Sec. II.4-II.6), the ODE oracle behind ``lineshape verify`` and pulse
+``trajectory: true``.  With the field retained, the t >= 0 phase is a
+discrete level coupled to a discretised continuum with the drive off: a
+linear system with constant coefficients, propagated exactly from its
+eigenvalues (the roots of a secular equation) and closed-form
+eigenvectors, in elementwise numpy.  The package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -266,9 +265,8 @@ def _mode_weights(mode_grid: np.ndarray, rep, omega_0: float,
     post-pulse propagation brackets one eigenvalue between each pair of
     neighbouring mode frequencies, so they must be distinct.
     """
-    if not np.all(np.isfinite(mode_grid) & (mode_grid > 0.0)):
-        raise DomainError("field back-reaction needs a finite, positive "
-                          "mode grid")
+    if not np.all(mode_grid > 0.0):
+        raise DomainError("field back-reaction needs a positive mode grid")
     steps = np.diff(mode_grid)
     if mode_grid.size < 2 or not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise DomainError(
@@ -403,9 +401,14 @@ def integrate_dynamics(
     so the t >= 0 continuation starts where it ends.  ``gamma`` and
     ``omega_0`` must be finite and positive.  ``samples`` must be a whole
     number of at least 2: the first sample is the pulse start and the last
-    the pulse end.
-    ``rtol`` and ``atol`` set the adaptive DOP853 solver of the pulse
-    window only; the post-pulse phase is exact to rounding.
+    the pulse end.  The mode grid must be a finite 1-d array and a given
+    ``post_horizon`` finite and positive.
+    The in-package DOP853 pair (Hairer, Norsett & Wanner, Sec. II.4-II.6)
+    steps the pulse window.  ``rtol`` and ``atol``, finite and positive,
+    mean what they mean in scipy's ``solve_ivp``: each step's error
+    estimate over ``atol + rtol * |y|`` has an RMS over components below
+    1; tolerances that cannot be met raise ``ConfigurationError``.  They
+    govern the pulse window only; the post-pulse phase is exact to rounding.
 
     Modes enter only through their detunings unless back-reaction is on.
     """
@@ -417,11 +420,14 @@ def integrate_dynamics(
             f"samples must be a whole number of at least 2, got {samples!r}"
         )
     samples = int(samples)
-    # Imported here, not at module level: this oracle is the only scipy
-    # user, and loading scipy.integrate costs most of a cold CLI start.
-    from scipy.integrate import solve_ivp
-
+    from ._ode import _dop853  # here: other runs skip compiling the tableau
+    _check_positive(rtol, "rtol")
+    _check_positive(atol, "atol")
+    if post_horizon is not None:
+        _check_positive(post_horizon, "post_horizon")
     mode_grid = np.asarray(mode_grid, dtype=float)
+    if mode_grid.ndim != 1 or not np.all(np.isfinite(mode_grid)):
+        raise DomainError("mode grid must be a finite 1-d array")
     delta_modes = omega_0 - mode_grid
     u_plus, u_minus = laser_coupling_pair(config, rep, omega_0)
     nmodes = len(mode_grid)
@@ -462,29 +468,24 @@ def integrate_dynamics(
     y0[0] = 1.0
     start = -config.duration
     t_eval = np.linspace(start, 0.0, samples)
-    sol = solve_ivp(
-        rhs, (start, 0.0), y0, method="DOP853",
-        t_eval=t_eval, rtol=rtol, atol=atol,
-    )
-    if not sol.success:
-        raise ConfigurationError(f"integrator failed: {sol.message}")
+    y, _ = _dop853(rhs, start, 0.0, y0, t_eval, rtol, atol)
 
-    beta_end = sol.y[2:, -1] if nmodes else np.zeros(0, dtype=complex)
+    beta_end = y[2:, -1] if nmodes else np.zeros(0, dtype=complex)
     post_times = post_b_e = None
     if back_reaction:
         horizon = post_horizon if post_horizon is not None else 8.0 / gamma
         post_times = np.linspace(0.0, horizon, samples)
         post_b_e, beta_final = _field_free_decay(
-            sol.y[1, -1], beta_end, delta_modes, weights, post_times
+            y[1, -1], beta_end, delta_modes, weights, post_times
         )
     else:
         # Exponential-decay continuation for t >= 0, integrated analytically.
         beta_final = beta_end + 1.0 / (1j * delta_modes + 0.5 * gamma)
 
     return PulseTrajectory(
-        times=sol.t,
-        b_g=sol.y[0],
-        b_e=sol.y[1],
+        times=t_eval,
+        b_g=y[0],
+        b_e=y[1],
         mode_grid=mode_grid,
         beta_pulse_end=beta_end,
         beta_final=beta_final,

@@ -1,9 +1,10 @@
-"""scipy is loaded only where the ODE oracle runs.
+"""No run of the package loads scipy.
 
-Importing scipy.integrate costs most of a cold CLI start, and only
-``integrate_dynamics`` needs it.  Each case runs in a fresh interpreter
-and reports whether ``scipy`` reached ``sys.modules``, so a module-level
-import added anywhere in the package fails here.  No timing is asserted.
+The package needs numpy alone: the ODE oracle behind ``lineshape verify``
+and pulse trajectories is an in-package DOP853.  Each case runs in a fresh
+interpreter and reports whether ``scipy`` reached ``sys.modules``, so a
+scipy import added anywhere in the package fails here.  No timing is
+asserted.
 """
 
 import json
@@ -21,23 +22,32 @@ SRC_DIR = str(Path(lineshape.__path__[0]).parent)
 
 CHILD = """
 import json, sys
+if sys.argv[2] == "block":
+    sys.modules["scipy"] = None
 from lineshape.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+loaded = sys.modules.get("scipy") is not None
+print(json.dumps({"codes": codes, "scipy": loaded}))
 """
 
 
-def run_child(argvs) -> dict:
+def run_python(code: str, *args: str) -> str:
+    """Last line a fresh interpreter prints running ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC_DIR, *filter(None, [env.get("PYTHONPATH")])]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(argvs)],
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()[-1]
+
+
+def run_child(argvs, block_scipy=False) -> dict:
+    return json.loads(run_python(CHILD, json.dumps(argvs),
+                                 "block" if block_scipy else "load"))
 
 
 def presets_of(mode: str) -> list[Path]:
@@ -59,18 +69,45 @@ def test_shipped_presets_run_without_scipy(mode, tmp_path):
     assert result == {"codes": [0] * len(presets), "scipy": False}
 
 
-def test_verify_loads_scipy_and_passes(tmp_path):
+def test_verify_passes_without_scipy(tmp_path):
     result = run_child([["verify", "--out-dir", str(tmp_path)]])
-    assert result == {"codes": [0], "scipy": True}
+    assert result == {"codes": [0], "scipy": False}
 
 
-def test_pulse_trajectory_loads_scipy_and_writes_it(tmp_path):
+def write_trajectory_scenario(tmp_path) -> Path:
     scn = tmp_path / "traj.scn"
     scn.write_text(
         "mode: pulse\nrepresentations: symmetric\n\npulse:\n"
         "  rabi: 1.0\n  gamma: 0.1\n  trajectory: true\n"
         "  grid_min: 0.5\n  grid_max: 1.5\n  grid_points: 21\n"
     )
+    return scn
+
+
+def test_pulse_trajectory_writes_it_without_scipy(tmp_path):
+    scn = write_trajectory_scenario(tmp_path)
     result = run_child([["pulse", str(scn), "--out-dir", str(tmp_path)]])
-    assert result == {"codes": [0], "scipy": True}
+    assert result == {"codes": [0], "scipy": False}
     assert (tmp_path / "pulse_trajectory.csv").exists()
+
+
+def test_verify_and_trajectory_run_with_scipy_blocked(tmp_path):
+    # sys.modules["scipy"] = None makes every scipy import raise, lazy
+    # ones inside a call included.
+    scn = write_trajectory_scenario(tmp_path)
+    result = run_child([["verify", "--out-dir", str(tmp_path / "verify")],
+                        ["pulse", str(scn), "--out-dir", str(tmp_path)]],
+                       block_scipy=True)
+    assert result == {"codes": [0, 0], "scipy": False}
+    assert (tmp_path / "pulse_trajectory.csv").exists()
+
+
+def test_spectra_runs_leave_the_ode_module_unloaded(tmp_path):
+    # Without a bytecode cache every cold run compiles what it imports, and
+    # the DOP853 tableau takes about 2 ms to compile (2-vCPU Xeon); only the
+    # ODE oracle needs it.
+    code = ("import sys; from lineshape.cli import main; "
+            f"main(['lineshape', {str(presets_of('lineshape')[0])!r}, "
+            f"'--out-dir', {str(tmp_path)!r}]); "
+            "print('lineshape._ode' in sys.modules)")
+    assert run_python(code) == "False"

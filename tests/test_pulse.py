@@ -8,6 +8,7 @@ from lineshape import (
     COULOMB,
     POINCARE,
     SYMMETRIC,
+    ConfigurationError,
     DomainError,
     GaugeRepresentation,
     LineshapeParams,
@@ -19,6 +20,7 @@ from lineshape import (
     lorentzian_reference_spectrum,
     pulse_spectrum,
 )
+from lineshape import _ode
 from lineshape.cli import main
 from lineshape.pulse import (
     _BLOCK,
@@ -29,7 +31,7 @@ from lineshape.pulse import (
 )
 from lineshape.representations import coupling_pair
 from lineshape.spectra import numerator
-from lineshape.verify import _resonant_amplitude
+from lineshape.verify import _resonant_amplitude, check_ode_oracle
 
 OMEGA0 = 1.0
 GAMMA = 0.1
@@ -299,6 +301,57 @@ class TestGammaDomain:
                     call()
 
 
+class TestDynamicsDomain:
+    """integrate_dynamics rejects bad tolerances, horizons and mode grids
+    with DomainError before any stepping and without a numpy warning."""
+
+    GRID = np.linspace(0.5, 1.5, 11)
+
+    def _rejects(self, monkeypatch, match, modes=(), **options):
+        def no_stepping(*args):
+            raise AssertionError("the integrator ran")
+
+        monkeypatch.setattr(_ode, "_dop853", no_stepping)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=match):
+                integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA, modes,
+                                   **options)
+
+    @pytest.mark.parametrize("rtol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_rtol(self, rtol, monkeypatch):
+        self._rejects(monkeypatch, "rtol must be finite and positive",
+                      rtol=rtol)
+
+    @pytest.mark.parametrize("atol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_atol(self, atol, monkeypatch):
+        self._rejects(monkeypatch, "atol must be finite and positive",
+                      atol=atol)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_post_horizon(self, horizon, monkeypatch):
+        self._rejects(monkeypatch, "post_horizon must be finite and positive",
+                      self.GRID, include_field_during_pulse=True,
+                      post_horizon=horizon)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("back_reaction", [False, True])
+    def test_rejects_non_finite_mode(self, bad, back_reaction, monkeypatch):
+        self._rejects(monkeypatch, "mode grid must be a finite 1-d array",
+                      [0.5, bad, 1.5],
+                      include_field_during_pulse=back_reaction)
+
+    def test_rejects_2d_mode_grid(self, monkeypatch):
+        self._rejects(monkeypatch, "mode grid must be a finite 1-d array",
+                      self.GRID.reshape(1, -1))
+
+    def test_non_positive_modes_allowed_without_back_reaction(self):
+        modes = np.array([-1.0, 0.0, 0.5])
+        traj = integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA, modes)
+        beta = closed_form_amplitude(modes, RESONANT, SYMMETRIC, OMEGA0, GAMMA)
+        assert np.max(np.abs(traj.beta_final - beta) / np.abs(beta)) < 1e-6
+
+
 class TestRabiDomain:
     """A Rabi frequency so small that the squared pulse duration pi/rabi
     overflows is rejected with DomainError, not an OverflowError."""
@@ -508,6 +561,133 @@ class TestExactDecay:
         with pytest.raises(DomainError):
             integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA, modes,
                                include_field_during_pulse=True)
+
+
+class CountedRhs:
+    """y' = f(t, y) that counts its calls and stops a runaway stepper."""
+
+    LIMIT = 100_000
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, t, y):
+        self.calls += 1
+        if self.calls > self.LIMIT:
+            raise AssertionError("the stepper did not stop")
+        return self.f(t, y)
+
+
+class TestStepperStops:
+    """The in-package DOP853 raises ConfigurationError, within a bounded
+    number of right-hand-side calls, instead of looping."""
+
+    Y0 = np.array([1.0 + 0.0j, 0.5j])
+    SAMPLES = np.linspace(0.0, 1.0, 11)
+
+    def _fails(self, f, match, t1=1.0, rtol=1e-10, atol=1e-12):
+        rhs = CountedRhs(f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=match):
+                _ode._dop853(rhs, 0.0, t1, self.Y0, self.SAMPLES * t1, rtol,
+                             atol)
+        return rhs.calls
+
+    def test_rhs_turning_nan_partway(self):
+        def f(t, y):
+            return 1j * y * (math.nan if t > 0.5 else 1.0)
+
+        assert self._fails(f, "not finite") < 1000
+
+    def test_tolerance_below_rounding(self):
+        calls = self._fails(lambda t, y: 1j * y,
+                            "not finite|less than rounding", rtol=1e-300,
+                            atol=1e-300)
+        assert calls < 1000
+
+    @pytest.mark.parametrize("tol", [1e-23, 1e-30])
+    def test_tolerance_below_rounding_does_not_crawl(self, tol):
+        # Below rounding the error estimate is noise: without the check the
+        # stepper crawls on with tiny steps that noise happens to accept.
+        calls = self._fails(lambda t, y: 1j * y, "less than rounding",
+                            rtol=tol, atol=tol)
+        assert calls < 1000
+
+    def test_step_size_underflow(self):
+        # y' = y^2, y(0) = 1 blows up at t = 1.
+        calls = self._fails(lambda t, y: y * y, "step size fell below",
+                            t1=2.0)
+        assert calls < 20_000
+
+    def test_step_count_is_capped(self, monkeypatch):
+        monkeypatch.setattr(_ode, "_MAX_STEPS", 20)
+        calls = self._fails(lambda t, y: 1j * y, "after 20 steps", t1=100.0)
+        assert calls < 20 * 15 + 2
+
+    def test_integrate_dynamics_raises_on_unmet_tolerance(self):
+        with pytest.raises(ConfigurationError):
+            integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA,
+                               rtol=1e-300, atol=1e-300)
+
+
+class TestScipyCrossCheck:
+    """The in-package DOP853 is scipy's: same tableau doubles, and on the
+    same right-hand side the same samples (to 1e-10) and the same nfev."""
+
+    def test_tableau_is_scipy_bit_for_bit(self):
+        coefficients = pytest.importorskip(
+            "scipy.integrate._ivp.dop853_coefficients")
+        for name in ("A", "B", "C", "D", "E3", "E5"):
+            ours, theirs = getattr(_ode, name), getattr(coefficients, name)
+            assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes(), name
+
+    def test_step_control_matches_solve_ivp_through_rejections(self):
+        # A burst in the frequency forces rejected steps, so the growth
+        # limit after a rejection is exercised too.
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+        def rhs(t, y):
+            w = 1.0 + 40.0 * math.exp(-((t - 0.5) / 0.03) ** 2)
+            return np.array([1j * w * y[0] - 0.1 * y[1], 0.5 * y[0]])
+
+        y0, t_eval = np.array([1.0 + 0.0j, 0.0j]), np.linspace(0.0, 1.0, 41)
+        samples, nfev = _ode._dop853(rhs, 0.0, 1.0, y0, t_eval, 1e-9, 1e-12)
+        ref = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", t_eval=t_eval,
+                        rtol=1e-9, atol=1e-12)
+        assert nfev == ref.nfev
+        assert np.max(np.abs(samples - ref.y)) <= 1e-10
+
+    @pytest.mark.parametrize("case", [
+        "check_ode_oracle", "solvers_plain_81", "no_rwa",
+        *sorted(BACK_REACTION_CASES),
+    ])
+    def test_matches_solve_ivp(self, case, monkeypatch):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        calls, dop853 = [], _ode._dop853
+
+        def recorded(*args):
+            calls.append((args, dop853(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(_ode, "_dop853", recorded)
+        if case == "check_ode_oracle":
+            check_ode_oracle()
+        elif case == "solvers_plain_81":
+            integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA,
+                               np.linspace(0.5, 1.5, 81))
+        elif case == "no_rwa":
+            integrate_dynamics(RESONANT, COULOMB, OMEGA0, GAMMA, rwa=False)
+        else:
+            _back_reaction(case)
+        [((rhs, t0, t1, y0, t_eval, rtol, atol), (samples, nfev))] = calls
+        ref = solve_ivp(rhs, (t0, t1), y0, method="DOP853", t_eval=t_eval,
+                        rtol=rtol, atol=atol)
+        assert ref.success
+        assert nfev == ref.nfev
+        assert np.array_equal(ref.t, t_eval)
+        assert np.max(np.abs(samples - ref.y)) <= 1e-10
 
 
 class TestPulseSpectrum:
