@@ -42,7 +42,6 @@ from .representations import (  # noqa: F401
     POINCARE,
     SYMMETRIC,
     GaugeRepresentation,
-    alpha_k,
     coupling_pair,
     mixing,
 )
@@ -65,6 +64,5 @@ from .verify import (  # noqa: F401
     REQUIRED_CHECKS,
     CheckResult,
     VerificationReport,
-    missing_checks,
     run_all_checks,
 )

@@ -55,7 +55,7 @@ from .scenario import (
 )
 from .spectra import (
     LineshapeParams,
-    _check_positive,
+    _check_scalar,
     lamb_shift,
     lineshape_S,
     read_spectrum_csv,
@@ -249,7 +249,7 @@ def _scenario_from_args(args) -> Scenario:
 def _run_lineshape(scn: Scenario) -> list:
     p = scn.params
     grid = scn.grid()
-    _check_positive(p["cutoff"], "cutoff")
+    _check_scalar(p["cutoff"], "cutoff")
     shift = p["lamb_shift"]
     if shift == "auto":
         shift = lamb_shift(build_two_level(p["omega_eg"], 1.0), "e", p["cutoff"])
@@ -305,7 +305,7 @@ def _run_pulse(scn: Scenario, out_dir: str) -> list:
 
 
 def _run_verify(out_dir: str, cutoff: float) -> int:
-    _check_positive(cutoff, "cutoff")
+    _check_scalar(cutoff, "cutoff")
     report = run_all_checks(cutoff=cutoff)
     print(report.table())
     os.makedirs(out_dir, exist_ok=True)

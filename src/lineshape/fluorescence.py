@@ -19,7 +19,14 @@ import numpy as np
 
 from .errors import DomainError
 from .representations import GaugeRepresentation, _mixing
-from .spectra import DEFAULT_CUTOFF, Spectrum, _check_positive, numerator
+from .spectra import (
+    DEFAULT_CUTOFF,
+    Spectrum,
+    _check_positive,
+    _check_scalar,
+    _numerator,
+    _sweep,
+)
 
 __all__ = [
     "SharpLineScenario",
@@ -50,11 +57,15 @@ def n_factor(rep: GaugeRepresentation, omega_0, omega_eg: float):
     """
     omega_0 = np.asarray(omega_0, dtype=float)
     _check_positive(omega_0, "omega_0")
-    _check_positive(omega_eg, "omega_eg")
-    x = omega_0 / omega_eg
-    # Squared twice: numpy takes ** 4 through pow(), about three times slower.
-    out = (_mixing(rep, x) ** 2) ** 2 / x
+    _check_scalar(omega_eg, "omega_eg")
+    out = _n_factor(rep, omega_0 / omega_eg)
     return out if np.ndim(out) else float(out)
+
+
+def _n_factor(rep: GaugeRepresentation, x):
+    """:func:`n_factor` at a frequency ratio x already checked."""
+    # Squared twice: numpy takes ** 4 through pow(), about three times slower.
+    return (_mixing(rep, x) ** 2) ** 2 / x
 
 
 @dataclass(frozen=True)
@@ -70,9 +81,9 @@ class SharpLineScenario:
 
     def __post_init__(self):
         _non_negative(self.intensity, "intensity")
-        _check_positive(self.omega_0, "omega_0")
-        _check_positive(self.omega_eg, "omega_eg")
-        _check_positive(self.gamma, "gamma")
+        _check_scalar(self.omega_0, "omega_0")
+        _check_scalar(self.omega_eg, "omega_eg")
+        _check_scalar(self.gamma, "gamma")
         _non_negative(self.dipole_proj, "dipole_proj")
 
 
@@ -83,16 +94,11 @@ def _rate_kernel(intensity, gamma, d2, n, detuning):
 
 def fluorescence_sweep(scenario: SharpLineScenario, omega_0_grid) -> Spectrum:
     """Rate as a function of incident frequency, with the n column attached."""
-    grid = np.asarray(omega_0_grid, dtype=float)
-    _check_positive(grid, "omega_0 grid")
-    n = np.asarray(n_factor(scenario.rep, grid, scenario.omega_eg))
-    values = _rate_kernel(
-        scenario.intensity,
-        scenario.gamma,
-        scenario.dipole_proj**2,
-        n,
-        grid - scenario.omega_eg,
-    )
+    def kernel(w):
+        n = _n_factor(scenario.rep, w / scenario.omega_eg)
+        return _rate_kernel(scenario.intensity, scenario.gamma,
+                            scenario.dipole_proj**2, n, w - scenario.omega_eg), n
+
     meta = {
         "representation": scenario.rep.name,
         "gamma": scenario.gamma,
@@ -103,7 +109,7 @@ def fluorescence_sweep(scenario: SharpLineScenario, omega_0_grid) -> Spectrum:
         "dipole_proj": scenario.dipole_proj,
         "kind": "fluorescence",
     }
-    return Spectrum(grid=grid, values=values, metadata=meta, n_factor=n)
+    return _sweep(omega_0_grid, "omega_0 grid", kernel, meta, with_n_factor=True)
 
 
 # -- stimulated decay of a metastable state ----------------------------------
@@ -121,14 +127,19 @@ def lamb_n_factor(rep: GaugeRepresentation, omega_0, omega: float, omega_prime: 
     """
     omega_0 = np.asarray(omega_0, dtype=float)
     _check_positive(omega_0, "omega_0")
-    _check_positive(omega, "omega")
-    _check_positive(omega_prime, "omega_prime")
+    _check_scalar(omega, "omega")
+    _check_scalar(omega_prime, "omega_prime")
+    out = _lamb_n_factor(rep, omega_0, omega, omega_prime)
+    return out if np.ndim(out) else float(out)
+
+
+def _lamb_n_factor(rep: GaugeRepresentation, omega_0, omega, omega_prime):
+    """:func:`lamb_n_factor` at drive frequencies already checked."""
     emitted = omega + omega_prime - omega_0
     if np.any(emitted <= 0.0):
         raise DomainError("emitted frequency omega + omega' - omega_0 must be positive")
     x_0 = omega_0 / omega
-    out = numerator(rep, emitted, omega_prime) * (_mixing(rep, x_0) / x_0) ** 2
-    return out if np.ndim(out) else float(out)
+    return _numerator(rep, emitted / omega_prime) * (_mixing(rep, x_0) / x_0) ** 2
 
 
 @dataclass(frozen=True)
@@ -149,26 +160,19 @@ class LambLineScenario:
 
     def __post_init__(self):
         _non_negative(self.intensity, "intensity")
-        _check_positive(self.omega, "omega")
-        _check_positive(self.omega_prime, "omega_prime")
-        _check_positive(self.gamma, "gamma")
+        _check_scalar(self.omega, "omega")
+        _check_scalar(self.omega_prime, "omega_prime")
+        _check_scalar(self.gamma, "gamma")
         _non_negative(self.dipole_proj, "dipole_proj")
 
 
 def lamb_rate_sweep(scenario: LambLineScenario, omega_0_grid) -> Spectrum:
     """Rate as a function of drive frequency, with the n' column attached."""
-    grid = np.asarray(omega_0_grid, dtype=float)
-    _check_positive(grid, "omega_0 grid")
-    n = np.asarray(
-        lamb_n_factor(scenario.rep, grid, scenario.omega, scenario.omega_prime)
-    )
-    values = _rate_kernel(
-        scenario.intensity,
-        scenario.gamma,
-        scenario.dipole_proj**2,
-        n,
-        grid - scenario.omega,
-    )
+    def kernel(w):
+        n = _lamb_n_factor(scenario.rep, w, scenario.omega, scenario.omega_prime)
+        return _rate_kernel(scenario.intensity, scenario.gamma,
+                            scenario.dipole_proj**2, n, w - scenario.omega), n
+
     meta = {
         "representation": scenario.rep.name,
         "gamma": scenario.gamma,
@@ -180,7 +184,7 @@ def lamb_rate_sweep(scenario: LambLineScenario, omega_0_grid) -> Spectrum:
         "omega_prime": scenario.omega_prime,
         "kind": "lamb-line",
     }
-    return Spectrum(grid=grid, values=values, metadata=meta, n_factor=n)
+    return _sweep(omega_0_grid, "omega_0 grid", kernel, meta, with_n_factor=True)
 
 
 def lamb_hydrogen_preset(

@@ -24,9 +24,8 @@ tail at line center.
 The pulse-window kernel has removable zeros in its denominator.  They are
 factored out exactly (see ``closed_form_amplitude``), so one branch-free
 expression in real arithmetic, two trig calls per point, serves the whole
-line.  ``pulse_spectrum`` evaluates it over the grid in cache-sized
-blocks; every step is elementwise, so the blocks leave the result bit for
-bit the same.
+line.  ``pulse_spectrum`` evaluates it through the blocked sweep of
+:mod:`lineshape.spectra`.
 
 ``integrate_dynamics`` steps the pulse window with the package's own
 adaptive DOP853 pair (``_ode``; Hairer, Norsett & Wanner, *Solving ODEs I*,
@@ -53,7 +52,9 @@ from .representations import GaugeRepresentation, coupling_pair
 from .spectra import (
     DEFAULT_CUTOFF,
     Spectrum,
-    _check_positive,
+    _check_scalar,
+    _numerator,
+    _sweep,
     lorentzian_density,
     numerator,
 )
@@ -217,7 +218,8 @@ def closed_form_amplitude(omega_k, config: PulseConfig,
     where mode couplings are attached.  Scalar in, scalar out; arrays
     keep their shape.
     """
-    _check_positive(gamma, "gamma")
+    _check_scalar(gamma, "gamma")
+    _check_scalar(omega_0, "omega_0")
     delta_k = omega_0 - np.asarray(omega_k, dtype=float)
     re, im = _amplitude_parts(delta_k, config, rep, omega_0, gamma)
     out = re + 1j * im
@@ -412,8 +414,8 @@ def integrate_dynamics(
 
     Modes enter only through their detunings unless back-reaction is on.
     """
-    _check_positive(gamma, "gamma")
-    _check_positive(omega_0, "omega_0")
+    _check_scalar(gamma, "gamma")
+    _check_scalar(omega_0, "omega_0")
     if (isinstance(samples, bool) or not isinstance(samples, numbers.Real)
             or not float(samples).is_integer() or samples < 2):
         raise DomainError(
@@ -421,10 +423,10 @@ def integrate_dynamics(
         )
     samples = int(samples)
     from ._ode import _dop853  # here: other runs skip compiling the tableau
-    _check_positive(rtol, "rtol")
-    _check_positive(atol, "atol")
+    _check_scalar(rtol, "rtol")
+    _check_scalar(atol, "atol")
     if post_horizon is not None:
-        _check_positive(post_horizon, "post_horizon")
+        _check_scalar(post_horizon, "post_horizon")
     mode_grid = np.asarray(mode_grid, dtype=float)
     if mode_grid.ndim != 1 or not np.all(np.isfinite(mode_grid)):
         raise DomainError("mode grid must be a finite 1-d array")
@@ -498,12 +500,6 @@ def integrate_dynamics(
 
 # -- spectra -----------------------------------------------------------------
 
-# Grid points per block of pulse_spectrum (256 KiB per float64 temporary).
-# Chosen by timing 1e6-point spectra on a 2-vCPU Xeon with 2 MiB of L2
-# per core: smaller blocks pay more per-block Python overhead (about
-# 0.1 ms), larger ones leave the cache; 8192 to 131072 were tried.
-_BLOCK = 32768
-
 
 def pulse_spectrum(
     config: PulseConfig,
@@ -517,29 +513,22 @@ def pulse_spectrum(
     """Emission spectrum after the pulse.
 
     S(w) = numerator(rep, w, omega_0) * (Gamma/2pi) * |beta(w)|^2 with beta
-    the reduced amplitude of :func:`closed_form_amplitude`, evaluated
-    ``_BLOCK`` points at a time so that its temporaries stay in cache; the
-    kernel is elementwise, so the blocking does not change a bit.  With
+    the reduced amplitude of :func:`closed_form_amplitude`, evaluated and
+    checked by the blocked sweep of :mod:`lineshape.spectra`.  With
     ``include_laser=False`` the pulse-window term is dropped and the
     spectrum reduces, bit for bit, to the plain emission lineshape.
     """
-    _check_positive(gamma, "gamma")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1:
-        raise DomainError("spectrum grid must be a 1-d array")
-    if np.any(grid <= 0.0):
-        raise DomainError("spectrum grid must be positive")
-    delta_l = omega_0 - config.omega_l
+    _check_scalar(gamma, "gamma")
+    _check_scalar(omega_0, "omega_0")
     if include_laser:
-        values = np.empty_like(grid)
-        for i in range(0, grid.size, _BLOCK):
-            w = grid[i:i + _BLOCK]
+        def kernel(w):
             re, im = _amplitude_parts(omega_0 - w, config, rep, omega_0, gamma)
-            values[i:i + _BLOCK] = numerator(rep, w, omega_0) * (
+            return _numerator(rep, w / omega_0) * (
                 gamma / (2.0 * math.pi)) * (re * re + im * im)
     else:
-        num = np.asarray(numerator(rep, grid, omega_0))
-        values = num * lorentzian_density(grid - omega_0, gamma)
+        def kernel(w):
+            return _numerator(rep, w / omega_0) * lorentzian_density(
+                w - omega_0, gamma)
     meta = {
         "representation": rep.name,
         "gamma": gamma,
@@ -547,13 +536,14 @@ def pulse_spectrum(
         "lamb_shift": 0.0,
         "cutoff": DEFAULT_CUTOFF,
         "rabi": config.rabi,
-        "delta_l": delta_l,
+        "delta_l": omega_0 - config.omega_l,
         "include_laser": include_laser,
         "kind": "pulse",
     }
-    if _zero_locus_on_grid(config, rep, omega_0, grid):
+    spectrum = _sweep(grid, "spectrum grid", kernel, meta)
+    if _zero_locus_on_grid(config, rep, omega_0, spectrum.grid):
         meta["denominator_zero_on_grid"] = True
-    return Spectrum(grid=grid, values=values, metadata=meta)
+    return spectrum
 
 
 def _zero_locus_on_grid(config, rep, omega_0, grid) -> bool:
@@ -572,11 +562,8 @@ def _zero_locus_on_grid(config, rep, omega_0, grid) -> bool:
 
 def lorentzian_reference_spectrum(omega_0: float, gamma: float, grid) -> Spectrum:
     """Bare Lorentzian (Gamma/2pi)/(delta_k^2 + Gamma^2/4) as a reference curve."""
-    _check_positive(gamma, "gamma")
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.0):
-        raise DomainError("spectrum grid must be positive")
-    values = lorentzian_density(grid - omega_0, gamma)
+    _check_scalar(gamma, "gamma")
+    _check_scalar(omega_0, "omega_0")
     meta = {
         "representation": "lorentzian",
         "gamma": gamma,
@@ -585,5 +572,5 @@ def lorentzian_reference_spectrum(omega_0: float, gamma: float, grid) -> Spectru
         "cutoff": DEFAULT_CUTOFF,
         "kind": "reference",
     }
-    return Spectrum(grid=grid, values=values, metadata=meta)
-
+    return _sweep(grid, "spectrum grid",
+                  lambda w: lorentzian_density(w - omega_0, gamma), meta)

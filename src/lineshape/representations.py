@@ -34,7 +34,6 @@ __all__ = [
     "COULOMB",
     "POINCARE",
     "SYMMETRIC",
-    "alpha_k",
     "coupling_pair",
     "mixing",
 ]
@@ -139,20 +138,6 @@ def _constant_alpha(rep: GaugeRepresentation) -> float | None:
     """The fixed mixing constant, or None for the symmetric kind."""
     return {"coulomb": 0.0, "poincare": 1.0, "symmetric": None}.get(
         rep.kind, rep.custom_alpha)
-
-
-def alpha_k(rep: GaugeRepresentation, omega_k, omega_0: float):
-    """Mixing function alpha evaluated at mode frequency ``omega_k``.
-
-    Scalar in, scalar out; array in, array out.
-    """
-    omega_k = _check_frequencies(omega_k, omega_0)
-    alpha = _constant_alpha(rep)
-    if alpha is None:
-        out = omega_0 / (omega_k + omega_0)
-    else:
-        out = np.full_like(omega_k, alpha)
-    return out if out.ndim else float(out)
 
 
 def coupling_pair(rep: GaugeRepresentation, omega_k, omega_0: float) -> CouplingPair:

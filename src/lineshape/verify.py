@@ -52,7 +52,6 @@ __all__ = [
     "VerificationReport",
     "REQUIRED_CHECKS",
     "run_all_checks",
-    "missing_checks",
 ]
 
 REPS = (COULOMB, POINCARE, SYMMETRIC, GaugeRepresentation.constant(0.3))
@@ -138,12 +137,6 @@ class VerificationReport:
                 f"{c.name:40s} {c.residual:12.3e} {c.tolerance:12.3e}  {status}"
             )
         return "\n".join(lines)
-
-
-def missing_checks(report: VerificationReport) -> list[str]:
-    """Names from the required inventory absent from the report."""
-    present = {c.name for c in report.checks}
-    return [name for name in REQUIRED_CHECKS if name not in present]
 
 
 # -- oracles: independent routes to what the library computes --------------

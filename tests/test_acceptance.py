@@ -30,7 +30,6 @@ from lineshape import (
     lamb_n_factor,
     lineshape_S,
     lorentzian_reference_spectrum,
-    missing_checks,
     n_factor,
     numerator,
     pulse_spectrum,
@@ -43,6 +42,8 @@ from lineshape.verify import (
     _built_numerator,
     _resonant_amplitude,
 )
+
+from helpers import missing_checks
 
 FOUR_REPS = (COULOMB, POINCARE, SYMMETRIC, GaugeRepresentation.constant(0.3))
 PRESET_DIR = Path(lineshape.__path__[0]) / "presets"

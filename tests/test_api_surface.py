@@ -39,12 +39,12 @@ PUBLIC_NAMES = [
     "LambLineScenario", "Level", "LineshapeParams", "POINCARE",
     "PulseConfig", "PulseTrajectory", "REQUIRED_CHECKS", "SYMMETRIC",
     "ScenarioError", "SharpLineScenario", "Spectrum", "VerificationFailure",
-    "VerificationReport", "alpha_k", "build_oscillator", "build_two_level",
+    "VerificationReport", "build_oscillator", "build_two_level",
     "closed_form_amplitude", "coupling_pair", "delta_offshell",
     "excited_amplitude_during_pulse", "fluorescence_sweep", "gamma_offshell",
     "gamma_onshell", "integrate_dynamics", "lamb_hydrogen_preset",
     "lamb_n_factor", "lamb_rate_sweep", "lamb_shift", "lineshape_S",
-    "lorentzian_reference_spectrum", "missing_checks", "mixing", "n_factor",
+    "lorentzian_reference_spectrum", "mixing", "n_factor",
     "numerator", "pulse_spectrum", "read_spectrum_csv", "run_all_checks",
     "total_shift", "total_shift_integrand", "trk_sum", "write_spectrum_csv",
 ]

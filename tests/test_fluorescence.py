@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from lineshape import (
     lamb_rate_sweep,
     n_factor,
 )
+from lineshape.spectra import _BLOCK
 from lineshape.verify import (
     _FLUORESCENCE_TABLE,
     _STIMULATED_DECAY_TABLE,
@@ -97,6 +100,13 @@ class TestFluorescenceRate:
             rtol=0, atol=0,
         )
 
+    def test_overflowing_sweep_is_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^spectral density must be "
+                               "finite and non-negative$"):
+                fluorescence_sweep(self.scenario(POINCARE), [0.5, 1e200])
+
 
 class TestLambLine:
     @pytest.mark.parametrize("rep", ALL_REPS, ids=lambda r: r.name)
@@ -118,6 +128,15 @@ class TestLambLine:
     def test_rejects_closed_emission_channel(self):
         with pytest.raises(DomainError):
             lamb_n_factor(POINCARE, 11.0, 1.0, 10.0)
+
+    def test_sweep_rejects_a_channel_closed_only_in_its_last_block(self):
+        s = LambLineScenario(intensity=1.0, omega=1.0, omega_prime=4.0,
+                             gamma=0.6, dipole_proj=1.0, rep=POINCARE)
+        grid = np.linspace(0.02, 3.0, 2 * _BLOCK + 3)
+        grid[-1] = 5.0  # emitted 1 + 4 - 5 = 0
+        with pytest.raises(DomainError, match="^emitted frequency omega "
+                           r"\+ omega' - omega_0 must be positive$"):
+            lamb_rate_sweep(s, grid)
 
     @pytest.mark.parametrize("rep", (COULOMB, POINCARE, SYMMETRIC),
                              ids=lambda r: r.name)

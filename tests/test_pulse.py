@@ -23,15 +23,16 @@ from lineshape import (
 from lineshape import _ode
 from lineshape.cli import main
 from lineshape.pulse import (
-    _BLOCK,
     _kernel_parts,
     _mode_weights,
     _zero_locus_on_grid,
     laser_coupling_pair,
 )
 from lineshape.representations import coupling_pair
-from lineshape.spectra import numerator
+from lineshape.spectra import _BLOCK, numerator
 from lineshape.verify import _resonant_amplitude, check_ode_oracle
+
+from helpers import SWEEPS, assert_blocks_are_seamless
 
 OMEGA0 = 1.0
 GAMMA = 0.1
@@ -195,15 +196,10 @@ class TestBranchFreeKernel:
     DETUNED = PulseConfig(rabi=1.0, omega_l=0.9)
 
     def test_blocking_leaves_the_spectrum_bitwise_unchanged(self):
+        # Every sweep, the pulse spectrum's two branches among them.
         grid = np.linspace(0.02, 3.0, 2 * _BLOCK + 3)
-        rep = GaugeRepresentation.constant(0.3)
-        whole = pulse_spectrum(self.DETUNED, rep, OMEGA0, GAMMA, grid).values
-        cuts = (0, 1, _BLOCK + 5, grid.size)
-        pieces = [
-            pulse_spectrum(self.DETUNED, rep, OMEGA0, GAMMA, grid[a:b]).values
-            for a, b in zip(cuts[:-1], cuts[1:])
-        ]
-        np.testing.assert_array_equal(np.concatenate(pieces), whole)
+        for call, _ in SWEEPS.values():
+            assert_blocks_are_seamless(call, grid)
 
     def test_amplitude_keeps_scalar_and_2d_shapes(self):
         wk = np.linspace(0.2, 1.9, 12).reshape(3, 4)
@@ -281,7 +277,8 @@ class TestGammaDomain:
         assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -0.1])
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -0.1,
+                                       pytest.param(10**400, id="huge-int")])
     def test_library_rejects_before_computing(self, gamma):
         calls = [
             lambda: closed_form_amplitude(0.7, RESONANT, COULOMB, OMEGA0,
@@ -340,6 +337,24 @@ class TestDynamicsDomain:
         self._rejects(monkeypatch, "mode grid must be a finite 1-d array",
                       [0.5, bad, 1.5],
                       include_field_during_pulse=back_reaction)
+
+    @pytest.mark.parametrize("name,value", [
+        ("gamma", "0.1"), ("gamma", np.array([0.1, 0.2])), ("omega_0", "1"),
+        ("omega_0", True), ("rtol", "1e-8"), ("rtol", np.array([1e-8, 1e-9])),
+        ("atol", True), ("post_horizon", [1.0, 2.0]),
+    ], ids=str)
+    def test_rejects_scalars_that_are_not_real(self, name, value, monkeypatch):
+        scalars = {"omega_0": OMEGA0, "gamma": GAMMA, name: value}
+        message = f"^{name} must be a real number"
+        monkeypatch.setattr(_ode, "_dop853", None)  # never reached
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                integrate_dynamics(RESONANT, SYMMETRIC, mode_grid=self.GRID,
+                                   include_field_during_pulse=True, **scalars)
+            if name in ("omega_0", "gamma"):
+                with pytest.raises(DomainError, match=message):
+                    closed_form_amplitude(0.7, RESONANT, COULOMB, **scalars)
 
     def test_rejects_2d_mode_grid(self, monkeypatch):
         self._rejects(monkeypatch, "mode grid must be a finite 1-d array",

@@ -7,35 +7,45 @@ from lineshape import (
     SYMMETRIC,
     DomainError,
     GaugeRepresentation,
-    alpha_k,
     coupling_pair,
     mixing,
 )
+from lineshape.representations import _constant_alpha
 
 ALPHA_03 = GaugeRepresentation.constant(0.3)
 ALL_REPS = (COULOMB, POINCARE, SYMMETRIC, ALPHA_03)
 
 
 class TestAlpha:
+    """The mixing constant alpha and the mixing factor m = (1 - alpha) +
+    alpha x it enters, x = omega_k/omega_0."""
+
     def test_coulomb_is_zero(self):
+        assert _constant_alpha(COULOMB) == 0.0
         for wk in (0.1, 1.0, 17.3):
-            assert alpha_k(COULOMB, wk, 1.0) == 0.0
+            assert mixing(COULOMB, wk, 1.0) == 1.0
 
     def test_poincare_is_one(self):
-        assert alpha_k(POINCARE, 2.5, 1.0) == 1.0
+        assert _constant_alpha(POINCARE) == 1.0
+        assert mixing(POINCARE, 2.5, 1.0) == 2.5
 
     @pytest.mark.parametrize("wk,expected", [(1.0, 0.5), (3.0, 0.25)])
     def test_symmetric_values(self, wk, expected):
-        assert alpha_k(SYMMETRIC, wk, 1.0) == pytest.approx(expected, rel=1e-15)
+        # alpha = omega_0/(omega_k + omega_0) varies with the mode.
+        assert _constant_alpha(SYMMETRIC) is None
+        assert mixing(SYMMETRIC, wk, 1.0) == pytest.approx(
+            (1.0 - expected) + expected * wk, rel=1e-15)
 
     def test_custom_constant(self):
-        assert alpha_k(ALPHA_03, 5.0, 1.0) == 0.3
+        assert _constant_alpha(ALPHA_03) == 0.3
+        assert mixing(ALPHA_03, 5.0, 1.0) == pytest.approx(0.7 + 0.3 * 5.0,
+                                                           rel=1e-15)
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(DomainError):
-            alpha_k(COULOMB, 0.0, 1.0)
+            mixing(COULOMB, 0.0, 1.0)
         with pytest.raises(DomainError):
-            alpha_k(COULOMB, 1.0, -2.0)
+            mixing(COULOMB, 1.0, -2.0)
 
     def test_rejects_alpha_outside_unit_interval(self):
         with pytest.raises(DomainError):
@@ -70,7 +80,9 @@ class TestCouplingPair:
         wk = np.geomspace(1e-2, 1e2, 2000)
         for rep in (COULOMB, POINCARE, SYMMETRIC, ALPHA_03):
             u = coupling_pair(rep, wk, 1.0)
-            alpha = np.asarray(alpha_k(rep, wk, 1.0))
+            alpha = _constant_alpha(rep)
+            if alpha is None:
+                alpha = 1.0 / (wk + 1.0)
             expected = 2.0 * (1.0 - alpha) * np.sqrt(1.0 / wk)
             np.testing.assert_allclose(u.u_plus + u.u_minus, expected,
                                        rtol=1e-13, atol=1e-15)

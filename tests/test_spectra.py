@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lineshape import (
     COULOMB,
@@ -25,7 +27,11 @@ from lineshape import (
     total_shift_integrand,
     write_spectrum_csv,
 )
+from lineshape import spectra
+from lineshape.spectra import _BLOCK
 from lineshape.verify import _NUMERATOR_TABLE, _built_numerator
+
+from helpers import SWEEPS
 
 ALPHA_03 = GaugeRepresentation.constant(0.3)
 ALL_REPS = (COULOMB, POINCARE, SYMMETRIC, ALPHA_03)
@@ -327,3 +333,102 @@ class TestSpectrumObject:
         path = tmp_path / "spec.csv"
         write_spectrum_csv(spec, path)
         assert not (tmp_path / "spec.csv.tmp").exists()
+
+
+class TestBlockedSweep:
+    """Every sweep rejects a fault that lies only beyond its first block,
+    with the message of an unblocked check, and sums its area block by
+    block; the block size changes neither values nor rejections."""
+
+    GRID = np.linspace(0.02, 3.0, 2 * _BLOCK + 3)
+
+    @staticmethod
+    def _rejects(call, grid, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call(grid)
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_non_increasing_pair_across_a_block_edge(self, sweep):
+        grid = self.GRID.copy()
+        grid[_BLOCK] = grid[_BLOCK - 1]
+        self._rejects(SWEEPS[sweep][0], grid, "grid must be strictly increasing")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_bad_grid_point_in_the_last_block(self, sweep, bad):
+        call, name = SWEEPS[sweep]
+        grid = self.GRID.copy()
+        grid[-2] = bad
+        self._rejects(call, grid, f"{name} must be finite and positive")
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_grid_must_be_one_dimensional(self, sweep):
+        call, name = SWEEPS[sweep]
+        self._rejects(call, self.GRID[:4].reshape(2, 2), f"{name} must be a 1-d array")
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_area_is_the_trapezoid(self, sweep):
+        spec = SWEEPS[sweep][0](self.GRID)
+        assert spec.metadata["area"] == pytest.approx(
+            np.trapezoid(spec.values, spec.grid), rel=1e-15, abs=0.0)
+
+    def test_overflowing_kernel_is_rejected_without_a_warning(self):
+        params = LineshapeParams(POINCARE, 1.0, 0.1)
+        self._rejects(lambda g: lineshape_S(params, g), [0.5, 1e300],
+                      "spectral density must be finite and non-negative")
+
+    def test_spectrum_object_checks_every_block(self):
+        values = np.ones_like(self.GRID)
+        grid = self.GRID.copy()
+        grid[_BLOCK] = grid[_BLOCK - 1]
+        with pytest.raises(DomainError, match="grid must be strictly increasing"):
+            Spectrum(grid=grid, values=values)
+        for bad in (math.nan, math.inf, -1.0):
+            values[-2] = bad
+            with pytest.raises(DomainError,
+                               match="spectral density must be finite and non-negative"):
+                Spectrum(grid=self.GRID, values=values)
+        values[-2] = 1.0
+        area = Spectrum(grid=self.GRID, values=values).metadata["area"]
+        assert area == pytest.approx(np.trapezoid(values, self.GRID), rel=1e-15, abs=0.0)
+
+
+def _outcome(call, grid):
+    """The message a sweep rejects ``grid`` with, or the bytes of its columns."""
+    try:
+        spec = call(grid)
+    except DomainError as exc:
+        return str(exc)
+    return [None if column is None else column.tobytes()
+            for column in (spec.grid, spec.values, spec.n_factor)]
+
+
+_BLOCK_EDGES = [7, 14, 21, 28]  # where a patched block of 7 points starts
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweep=st.sampled_from(sorted(SWEEPS)),
+       points=st.integers(0, 30).flatmap(lambda n: st.lists(
+           st.floats(0.01, 3.0), min_size=n, max_size=n, unique=True)),
+       faults=st.lists(st.tuples(
+           st.one_of(st.integers(0, 29), st.sampled_from(_BLOCK_EDGES)),
+           # A repeated neighbour, points every sweep rejects, and one so
+           # large that the kernels overflow (or the Lamb line's emission
+           # channel closes).
+           st.sampled_from(["repeat", 0.0, -1.0, math.nan, math.inf, 1e300]),
+       ), max_size=2))
+def test_block_size_changes_nothing(sweep, points, faults):
+    call = SWEEPS[sweep][0]
+    grid = np.sort(np.array(points, dtype=float))
+    for index, bad in faults:
+        if index < grid.size:
+            grid[index] = grid[index - 1] if bad == "repeat" else bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = _outcome(call, grid)  # a single block at the real size
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectra, "_BLOCK", 7)
+            blocked = _outcome(call, grid)
+    assert blocked == whole

@@ -6,9 +6,10 @@ from lineshape import (
     REQUIRED_CHECKS,
     CheckResult,
     VerificationReport,
-    missing_checks,
     run_all_checks,
 )
+
+from helpers import missing_checks
 
 
 @pytest.fixture(scope="module")
