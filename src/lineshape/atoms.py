@@ -17,12 +17,13 @@ and Poincare-route level shifts coincide mode by mode.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, _check_scalar
 
 __all__ = [
     "Level",
@@ -75,8 +76,10 @@ class AtomModel:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mass <= 0 or self.charge <= 0:
-            raise DomainError("mass and charge must be positive")
+        _check_scalar(self.mass, "mass")
+        _check_scalar(self.charge, "charge")
+        for lv in self.levels:
+            _check_scalar(lv.energy, f"energy of level {lv.label!r}", "finite")
         labels = [lv.label for lv in self.levels]
         if len(set(labels)) != len(labels):
             raise DomainError("level labels must be unique")
@@ -148,10 +151,8 @@ def build_two_level(
     ``d_eg`` is the real dipole magnitude along ``axis``; polarization
     geometry is handled downstream by angular factors.
     """
-    if not np.isfinite(omega_eg) or omega_eg <= 0:
-        raise DomainError("transition frequency must be positive")
-    if d_eg < 0:
-        raise DomainError("dipole magnitude must be non-negative")
+    _check_scalar(omega_eg, "omega_eg")
+    _check_scalar(d_eg, "d_eg", "non-negative")
     axis = _unit_axis(axis)
     dipoles = {}
     if d_eg > 0:
@@ -174,10 +175,12 @@ def build_oscillator(
     dipole-connected (selection rule).  Interior states of this model
     saturate the TRK sum rule along ``axis``: trk_sum == 1/(2 mass).
     """
-    if n_levels < 3:
-        raise ConfigurationError("an oscillator ladder needs at least 3 levels")
-    if omega <= 0 or mass <= 0:
-        raise DomainError("oscillator frequency and mass must be positive")
+    if not isinstance(n_levels, numbers.Integral) or n_levels < 3:  # bools fail too
+        raise ConfigurationError(
+            f"n_levels must be an integer of at least 3, got {n_levels!r}")
+    _check_scalar(omega, "omega")
+    _check_scalar(mass, "mass")
+    _check_scalar(charge, "charge")
     axis = _unit_axis(axis)
     levels = tuple(Level(str(n), n * float(omega)) for n in range(n_levels))
     dipoles = {}

@@ -30,6 +30,7 @@ from .errors import (
     DomainError,
     ScenarioError,
     VerificationFailure,
+    _check_scalar,
 )
 from .fluorescence import (
     LambLineScenario,
@@ -55,7 +56,7 @@ from .scenario import (
 )
 from .spectra import (
     LineshapeParams,
-    _check_scalar,
+    _write_text,
     lamb_shift,
     lineshape_S,
     read_spectrum_csv,
@@ -147,13 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _safe_name(rep_name: str) -> str:
     return rep_name.replace(":", "-")
-
-
-def _write_text(path, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
 
 
 def _write_outputs(spectra, out_dir, prefix, plot, log_scale, params) -> list[str]:

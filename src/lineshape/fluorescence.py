@@ -17,16 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_positive, _check_scalar
 from .representations import GaugeRepresentation, _mixing
-from .spectra import (
-    DEFAULT_CUTOFF,
-    Spectrum,
-    _check_positive,
-    _check_scalar,
-    _numerator,
-    _sweep,
-)
+from .spectra import DEFAULT_CUTOFF, Spectrum, _numerator, _sweep
 
 __all__ = [
     "SharpLineScenario",
@@ -37,11 +30,6 @@ __all__ = [
     "lamb_rate_sweep",
     "lamb_hydrogen_preset",
 ]
-
-
-def _non_negative(value, name):
-    if not np.isfinite(value) or value < 0.0:
-        raise DomainError(f"{name} must be finite and non-negative")
 
 
 # -- sharp incident line -----------------------------------------------------
@@ -55,8 +43,7 @@ def n_factor(rep: GaugeRepresentation, omega_0, omega_eg: float):
     times the flux factor 1/x.  That is 1/x (Coulomb), x**3 (Poincare) and
     16 x**3 / (1 + x)**4 (symmetric).
     """
-    omega_0 = np.asarray(omega_0, dtype=float)
-    _check_positive(omega_0, "omega_0")
+    omega_0 = _check_positive(omega_0, "omega_0")
     _check_scalar(omega_eg, "omega_eg")
     out = _n_factor(rep, omega_0 / omega_eg)
     return out if np.ndim(out) else float(out)
@@ -80,11 +67,11 @@ class SharpLineScenario:
     rep: GaugeRepresentation
 
     def __post_init__(self):
-        _non_negative(self.intensity, "intensity")
+        _check_scalar(self.intensity, "intensity", "non-negative")
         _check_scalar(self.omega_0, "omega_0")
         _check_scalar(self.omega_eg, "omega_eg")
         _check_scalar(self.gamma, "gamma")
-        _non_negative(self.dipole_proj, "dipole_proj")
+        _check_scalar(self.dipole_proj, "dipole_proj", "non-negative")
 
 
 def _rate_kernel(intensity, gamma, d2, n, detuning):
@@ -125,8 +112,7 @@ def lamb_n_factor(rep: GaugeRepresentation, omega_0, omega: float, omega_prime: 
     mixing factor of the driven transition: squared absorption coupling
     m_0**2 / x_0 times the flux factor 1/x_0.
     """
-    omega_0 = np.asarray(omega_0, dtype=float)
-    _check_positive(omega_0, "omega_0")
+    omega_0 = _check_positive(omega_0, "omega_0")
     _check_scalar(omega, "omega")
     _check_scalar(omega_prime, "omega_prime")
     out = _lamb_n_factor(rep, omega_0, omega, omega_prime)
@@ -159,11 +145,11 @@ class LambLineScenario:
     rep: GaugeRepresentation
 
     def __post_init__(self):
-        _non_negative(self.intensity, "intensity")
+        _check_scalar(self.intensity, "intensity", "non-negative")
         _check_scalar(self.omega, "omega")
         _check_scalar(self.omega_prime, "omega_prime")
         _check_scalar(self.gamma, "gamma")
-        _non_negative(self.dipole_proj, "dipole_proj")
+        _check_scalar(self.dipole_proj, "dipole_proj", "non-negative")
 
 
 def lamb_rate_sweep(scenario: LambLineScenario, omega_0_grid) -> Spectrum:

@@ -42,19 +42,18 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, _check_positive, _check_scalar
 from .representations import GaugeRepresentation, coupling_pair
 from .spectra import (
     DEFAULT_CUTOFF,
     Spectrum,
-    _check_scalar,
     _numerator,
     _sweep,
+    _write_text,
     lorentzian_density,
     numerator,
 )
@@ -87,15 +86,13 @@ class PulseConfig:
     alpha_laser: float | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.rabi) or self.rabi <= 0.0:
-            raise DomainError("rabi amplitude must be finite and positive")
+        _check_scalar(self.rabi, "rabi")
         duration = math.pi / float(self.rabi)  # the closed forms square it
         if not math.isfinite(duration * duration):
             raise DomainError("rabi amplitude is too small: (pi/rabi)**2 overflows")
-        if not np.isfinite(self.omega_l) or self.omega_l <= 0.0:
-            raise DomainError("laser carrier frequency must be finite and positive")
-        if self.alpha_laser is not None and not np.isfinite(self.alpha_laser):
-            raise DomainError("alpha_laser must be finite")
+        _check_scalar(self.omega_l, "omega_l")
+        if self.alpha_laser is not None:
+            _check_scalar(self.alpha_laser, "alpha_laser", "finite")
 
     @property
     def duration(self) -> float:
@@ -109,6 +106,7 @@ def laser_coupling_pair(config: PulseConfig, rep: GaugeRepresentation,
     On resonance u_minus equals 1 in every representation, so a resonant
     pulse drives identically no matter the gauge.
     """
+    _check_scalar(omega_0, "omega_0")
     if config.alpha_laser is None:
         return coupling_pair(rep, config.omega_l, omega_0)
     a = config.alpha_laser
@@ -137,7 +135,8 @@ def excited_amplitude_during_pulse(t, config: PulseConfig,
     """
     t_arr = np.asarray(t, dtype=float)
     T = config.duration
-    if np.any(t_arr < -T - 1e-12) or np.any(t_arr > 1e-12):
+    # min and max are NaN if any time is, which then fails the test.
+    if t_arr.size and not (t_arr.min() >= -T - 1e-12 and t_arr.max() <= 1e-12):
         raise DomainError("time outside the pulse window [-pi/Omega, 0]")
     u_l, delta_l, mu = _drive(config, rep, omega_0)
     out = (
@@ -169,16 +168,16 @@ def _kernel_parts(P, theta: float):
     return k_re, k_im * np.sign(P)  # K(-P) = conj K(P); Im K(0) = 0
 
 
-def _amplitude_parts(delta_k, config: PulseConfig, rep: GaugeRepresentation,
-                     omega_0: float, gamma: float):
+def _amplitude_parts(delta_k, config: PulseConfig, drive, gamma: float):
     """Real and imaginary parts of the reduced emission amplitude at the
-    mode detunings ``delta_k``, for a ``gamma`` already checked.
+    mode detunings ``delta_k``, for a ``gamma`` already checked and the
+    constants ``drive`` of :func:`_drive`.
 
     The tail 1/(i delta_k + Gamma/2), the kernel and its complex prefactor
     are combined in real arithmetic.  Every step is elementwise, so any
     slice of ``delta_k`` gives the same bits as the whole.
     """
-    u_l, delta_l, mu = _drive(config, rep, omega_0)
+    u_l, delta_l, mu = drive
     T = config.duration
     # Prefactor -2i Omega u_l e^{-i delta_l T/2} T^2/4 = z_re + i z_im.
     scale = -0.5 * config.rabi * u_l * T**2
@@ -214,14 +213,16 @@ def closed_form_amplitude(omega_k, config: PulseConfig,
     the imaginary part flipped where P < 0.  theta + q >= theta > 0, so
     the removable singularity on (Omega u_l)^2 + 4 delta_k delta_kl = 0
     needs no branch, and each point costs two real trig calls.  Only the
-    detuning of ``omega_k`` enters here; frequency positivity is enforced
-    where mode couplings are attached.  Scalar in, scalar out; arrays
-    keep their shape.
+    detuning of ``omega_k`` enters here, so ``omega_k`` may take either
+    sign but must be finite (its largest magnitude is NaN if any element
+    is).  Scalar in, scalar out; arrays keep their shape.
     """
     _check_scalar(gamma, "gamma")
     _check_scalar(omega_0, "omega_0")
-    delta_k = omega_0 - np.asarray(omega_k, dtype=float)
-    re, im = _amplitude_parts(delta_k, config, rep, omega_0, gamma)
+    omega_k = np.asarray(omega_k, dtype=float)
+    _check_scalar(np.abs(omega_k).max(initial=0.0), "omega_k", "finite")
+    drive = _drive(config, rep, omega_0)
+    re, im = _amplitude_parts(omega_0 - omega_k, config, drive, gamma)
     out = re + 1j * im
     return out if np.ndim(out) else complex(out)
 
@@ -253,10 +254,7 @@ class PulseTrajectory:
                     f"{v:.17g}" for v in (t, g.real, g.imag, e.real, e.imag)
                 )
             )
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(rows) + "\n")
-        os.replace(tmp, path)
+        _write_text(path, "\n".join(rows) + "\n")
 
 
 def _mode_weights(mode_grid: np.ndarray, rep, omega_0: float,
@@ -267,8 +265,7 @@ def _mode_weights(mode_grid: np.ndarray, rep, omega_0: float,
     post-pulse propagation brackets one eigenvalue between each pair of
     neighbouring mode frequencies, so they must be distinct.
     """
-    if not np.all(mode_grid > 0.0):
-        raise DomainError("field back-reaction needs a positive mode grid")
+    _check_positive(mode_grid, "mode grid with field back-reaction")
     steps = np.diff(mode_grid)
     if mode_grid.size < 2 or not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise DomainError(
@@ -520,9 +517,10 @@ def pulse_spectrum(
     """
     _check_scalar(gamma, "gamma")
     _check_scalar(omega_0, "omega_0")
+    drive = _drive(config, rep, omega_0)
     if include_laser:
         def kernel(w):
-            re, im = _amplitude_parts(omega_0 - w, config, rep, omega_0, gamma)
+            re, im = _amplitude_parts(omega_0 - w, config, drive, gamma)
             return _numerator(rep, w / omega_0) * (
                 gamma / (2.0 * math.pi)) * (re * re + im * im)
     else:
@@ -541,21 +539,21 @@ def pulse_spectrum(
         "kind": "pulse",
     }
     spectrum = _sweep(grid, "spectrum grid", kernel, meta)
-    if _zero_locus_on_grid(config, rep, omega_0, spectrum.grid):
+    if _zero_locus_on_grid(config, drive, omega_0, spectrum.grid):
         meta["denominator_zero_on_grid"] = True
     return spectrum
 
 
-def _zero_locus_on_grid(config, rep, omega_0, grid) -> bool:
+def _zero_locus_on_grid(config, drive, omega_0, grid) -> bool:
     """Whether D = (Omega u_l)^2 + 4 delta_k delta_kl is <= 0 somewhere on
-    the grid (the removable-singularity locus crosses the requested
-    frequencies).  D = mu^2 - (2 delta_k - delta_l)^2 is concave in
-    omega_k, so its least value on the grid is at the lowest or the
-    highest grid frequency."""
+    the increasing ``grid`` (the removable-singularity locus crosses the
+    requested frequencies), for the constants ``drive`` of :func:`_drive`.
+    D = mu^2 - (2 delta_k - delta_l)^2 is concave in omega_k, so its least
+    value on the grid is at its first or its last point."""
     if grid.size == 0:
         return False
-    delta_k = omega_0 - np.array([grid.min(), grid.max()])
-    u_l, delta_l, _ = _drive(config, rep, omega_0)
+    delta_k = omega_0 - np.array([grid[0], grid[-1]])
+    u_l, delta_l, _ = drive
     D = (config.rabi * u_l) ** 2 + 4.0 * delta_k * (delta_l - delta_k)
     return bool(np.any(D <= 0.0))
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_positive, _check_scalar
 
 __all__ = [
     "GaugeRepresentation",
@@ -57,11 +57,7 @@ class GaugeRepresentation:
         if self.kind not in self._KINDS:
             raise DomainError(f"unknown representation kind {self.kind!r}")
         if self.kind == "custom":
-            a = self.custom_alpha
-            if a is None or not np.isfinite(a) or not 0.0 <= a <= 1.0:
-                raise DomainError(
-                    f"custom mixing constant must be finite and in [0, 1], got {a!r}"
-                )
+            _check_scalar(self.custom_alpha, "custom mixing constant", "in [0, 1]")
         elif self.custom_alpha is not None:
             raise DomainError("custom_alpha is only meaningful for kind='custom'")
 
@@ -79,7 +75,7 @@ class GaugeRepresentation:
 
     @classmethod
     def constant(cls, alpha: float) -> "GaugeRepresentation":
-        return cls("custom", float(alpha))
+        return cls("custom", alpha)
 
     @classmethod
     def parse(cls, text: str) -> "GaugeRepresentation":
@@ -125,15 +121,6 @@ class CouplingPair(NamedTuple):
     u_minus: np.ndarray | float
 
 
-def _check_frequencies(omega_k, omega_0) -> np.ndarray:
-    omega_k = np.asarray(omega_k, dtype=float)
-    if not np.all(np.isfinite(omega_k)) or np.any(omega_k <= 0.0):
-        raise DomainError("mode frequency must be finite and positive")
-    if not np.isfinite(omega_0) or omega_0 <= 0.0:
-        raise DomainError("transition frequency must be finite and positive")
-    return omega_k
-
-
 def _constant_alpha(rep: GaugeRepresentation) -> float | None:
     """The fixed mixing constant, or None for the symmetric kind."""
     return {"coulomb": 0.0, "poincare": 1.0, "symmetric": None}.get(
@@ -153,7 +140,8 @@ def coupling_pair(rep: GaugeRepresentation, omega_k, omega_0: float) -> Coupling
     hold to the last bit, and u_minus in the simplified form
     2 sqrt(omega_0 omega_k) / (omega_k + omega_0).
     """
-    omega_k = _check_frequencies(omega_k, omega_0)
+    omega_k = _check_positive(omega_k, "mode frequency")
+    _check_scalar(omega_0, "transition frequency")
     if rep.kind == "symmetric":
         u_minus = 2.0 * np.sqrt(omega_0 * omega_k) / (omega_k + omega_0)
         u_plus = np.zeros_like(u_minus)
@@ -177,7 +165,9 @@ def mixing(rep: GaugeRepresentation, omega_k, omega_0: float):
 
     Scalar in, scalar out; array in, array out.
     """
-    out = _mixing(rep, _check_frequencies(omega_k, omega_0) / omega_0)
+    omega_k = _check_positive(omega_k, "mode frequency")
+    _check_scalar(omega_0, "transition frequency")
+    out = _mixing(rep, omega_k / omega_0)
     return out if out.ndim else float(out)
 
 

@@ -26,15 +26,13 @@ only the area, summed block by block, may differ in its last bits.
 from __future__ import annotations
 
 import math
-import numbers
 import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .atoms import AtomModel
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, _check_positive, _check_scalar
 from .quadrature import pv_quad, smooth_quad
 from .representations import POINCARE, GaugeRepresentation, _mixing, coupling_pair
 
@@ -58,22 +56,6 @@ DEFAULT_CUTOFF = 1000.0  # in units of the reference transition frequency
 
 CSV_COLUMNS = ("omega_k", "S", "representation", "gamma", "omega_eg",
                "lamb_shift", "cutoff")
-
-
-def _check_positive(value, name: str):
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError(f"{name} must be finite and positive")
-    return arr
-
-
-def _check_scalar(value, name: str) -> None:
-    """Reject a scalar parameter that is not a finite, positive real number,
-    strings, bools and arrays included, before numpy arithmetic sees it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    if not 0.0 < value <= sys.float_info.max:  # exact for ints of any size
-        raise DomainError(f"{name} must be finite and positive")
 
 
 # -- lineshape numerators --------------------------------------------------
@@ -141,6 +123,7 @@ def gamma_offshell(
     golden-rule rate scaled by the representation's off-shell weight.
     Returns 0 below all thresholds.
     """
+    _check_scalar(omega, "omega", "finite")
     if state is None:
         state = model.top
     total = 0.0
@@ -168,6 +151,7 @@ def _pv_over_shift_kernel(gfun, omega_ns: float, cutoff: float, n: int) -> float
 
 
 def _require_cutoff(model: AtomModel, cutoff: float):
+    _check_scalar(cutoff, "cutoff")
     w_max = max(
         (abs(a.energy - b.energy) for a in model.levels for b in model.levels),
         default=0.0,
@@ -190,6 +174,7 @@ def delta_offshell(
     channels therefore drop out.  Off shell the result is representation
     dependent.
     """
+    _check_scalar(omega, "omega", "finite")
     _require_cutoff(model, cutoff)
     if state is None:
         state = model.top
@@ -326,8 +311,7 @@ class LineshapeParams:
     def __post_init__(self):
         _check_scalar(self.omega_eg, "omega_eg")
         _check_scalar(self.gamma, "gamma")
-        if not np.isfinite(self.lamb_shift):
-            raise DomainError("lamb_shift must be finite")
+        _check_scalar(self.lamb_shift, "lamb_shift", "finite")
 
 
 @dataclass
@@ -371,19 +355,15 @@ class Spectrum:
 _BLOCK = 32768
 
 
-def _check_blocks(grid, values, name=None, kernel=None, n_factor=None) -> float:
+def _check_blocks(grid, values, kernel=None, n_factor=None) -> float:
     """Check a spectrum ``_BLOCK`` points at a time; return its trapezoid area.
 
-    A ``name``d grid must be finite and positive (min and max need no
-    temporaries); every grid must be strictly increasing, each block
-    reaching back one point for the pair across its edge.  Then each block
-    of ``values``, filled first by ``kernel`` if given (with ``n_factor``,
-    if that is given), must be finite and non-negative.  Overflow or an
-    undefined result fails that test, so numpy's warnings are silenced.
+    The grid must be strictly increasing, each block reaching back one
+    point for the pair across its edge.  Then each block of ``values``,
+    filled first by ``kernel`` if given (with ``n_factor``, if that is
+    given), must be finite and non-negative.  Overflow or an undefined
+    result fails that test, so numpy's warnings are silenced.
     """
-    if name is not None and grid.size and not (
-            grid.min() > 0.0 and grid.max() < math.inf):
-        raise DomainError(f"{name} must be finite and positive")
     for i in range(0, grid.size, _BLOCK):
         if np.any(np.diff(grid[max(i - 1, 0):i + _BLOCK]) <= 0.0):
             raise DomainError("grid must be strictly increasing")
@@ -408,12 +388,12 @@ def _sweep(grid, name: str, kernel, metadata: dict,
     blocks.  ``kernel`` maps a block of grid points to the values there,
     or to values and n-factors ``with_n_factor``.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1:
+    if np.ndim(grid) != 1:
         raise DomainError(f"{name} must be a 1-d array")
+    grid = _check_positive(grid, name)
     values = np.empty_like(grid)
     n = np.empty_like(grid) if with_n_factor else None
-    area = _check_blocks(grid, values, name, kernel, n)
+    area = _check_blocks(grid, values, kernel, n)
     spectrum = object.__new__(Spectrum)  # __post_init__ would check again
     spectrum.grid, spectrum.values = grid, values
     spectrum.metadata, spectrum.n_factor = metadata, n
@@ -518,7 +498,11 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
         if spectrum.n_factor is not None:
             row.append(_fmt(spectrum.n_factor[i]))
         rows.append(",".join(row))
-    text = "\n".join(rows) + "\n"
+    _write_text(path, "\n".join(rows) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically (write-then-rename)."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)

@@ -23,6 +23,7 @@ from lineshape import (
 from lineshape import _ode
 from lineshape.cli import main
 from lineshape.pulse import (
+    _drive,
     _kernel_parts,
     _mode_weights,
     _zero_locus_on_grid,
@@ -251,7 +252,8 @@ class TestBranchFreeKernel:
         delta_k = OMEGA0 - grid
         D = (config.rabi * u_l) ** 2 + 4.0 * delta_k * (delta_l - delta_k)
         want = bool(np.any(D <= 0.0))
-        assert _zero_locus_on_grid(config, SYMMETRIC, OMEGA0, grid) is want
+        drive = _drive(config, SYMMETRIC, OMEGA0)
+        assert _zero_locus_on_grid(config, drive, OMEGA0, grid) is want
         if config is RESONANT:
             assert want is (lo <= 0.5 or hi >= 1.5)
 
