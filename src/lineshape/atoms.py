@@ -181,6 +181,8 @@ def build_oscillator(
     _check_scalar(omega, "omega")
     _check_scalar(mass, "mass")
     _check_scalar(charge, "charge")
+    # Bounds every x^2 = (n + 1) / (2 m omega), also where m omega underflows.
+    _check_scalar(n_levels / 2.0 / mass / omega, "n_levels / (2 mass omega)")
     axis = _unit_axis(axis)
     levels = tuple(Level(str(n), n * float(omega)) for n in range(n_levels))
     dipoles = {}

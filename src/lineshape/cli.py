@@ -6,6 +6,8 @@ writes one CSV per representation plus a run-metadata JSON file, and can
 emit a static SVG or gnuplot plot.  The parameter flags are generated from
 ``scenario.PARAMS``.  A run's parameters are the table's defaults, then the
 scenario file's keys, then the flags actually given: a given flag wins.
+Argparse only collects a flag's string, which is then read exactly as the
+same key in a file is, with the same error message and exit code.
 Outputs are written atomically and are byte-identical across runs;
 timestamps appear only in the metadata file.
 
@@ -45,12 +47,10 @@ from .pulse import (
     lorentzian_reference_spectrum,
     pulse_spectrum,
 )
-from .representations import GaugeRepresentation
 from .scenario import (
     PARAMS,
     MissingKeyError,
     Scenario,
-    coerce_value,
     load_scenario,
     parse_scenario,
 )
@@ -81,11 +81,10 @@ _FLAG_HELP = {
     "--variable-width": "use the frequency-dependent width "
                         "Gamma * numerator(omega_k) (experimental)",
     "--include-reference": "add the bare Lorentzian as a reference curve",
+    "--preset": "named defaults: lamb-hydrogen",
     "--trajectory": "also dump the pulse-window amplitude trajectory",
     "--no-rwa": "retain counter-rotating drive terms in the trajectory",
 }
-
-_FLAG_TYPE = {"number": float, "shift": coerce_value}
 
 
 def _flag(key: str, param) -> str:
@@ -111,27 +110,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("scenario", nargs="?", default=None,
                        help="scenario file (the flags given override its keys)")
         p.add_argument("--out-dir", default="out")
+        # Every value is kept as the string a file line would hold.
         if mode != "verify":
-            p.add_argument("--plot", choices=["svg", "gnuplot"])
-            p.add_argument("--log-scale", action="store_true",
+            p.add_argument("--plot", help="svg or gnuplot")
+            p.add_argument("--log-scale", action="store_const", const="true",
                            help="plot ln(S) instead of S")
-            p.add_argument("--reps")
+            p.add_argument("--reps", dest="representations", metavar="REPS")
         for key, param in table.items():
             flag = _flag(key, param)
             if flag == "--grid":  # the grid keys share one composite flag
                 continue
             if param.kind == "flag":
-                action = "store_false" if param.default else "store_true"
-                p.add_argument(flag, dest=key, action=action,
-                               help=_FLAG_HELP.get(flag))
+                const = "false" if param.default else "true"
+                p.add_argument(flag, dest=key, action="store_const",
+                               const=const, help=_FLAG_HELP.get(flag))
             else:
-                choices = param.kind if isinstance(param.kind, tuple) else None
-                p.add_argument(flag, dest=key, type=_FLAG_TYPE.get(param.kind),
-                               choices=choices, help=_FLAG_HELP.get(flag))
+                p.add_argument(flag, dest=key, help=_FLAG_HELP.get(flag))
         if "grid_min" in table:
             p.add_argument("--grid", help="min,max,points[,linear|log]")
-        if mode == "lineshape":
-            p.add_argument("--suppress-lamb-shift", action="store_true")
 
     p = sub.add_parser("plot", help="re-plot previously written CSV spectra")
     p.add_argument("csv", nargs="+")
@@ -150,18 +146,28 @@ def _safe_name(rep_name: str) -> str:
     return rep_name.replace(":", "-")
 
 
-def _write_outputs(spectra, out_dir, prefix, plot, log_scale, params) -> list[str]:
+def _write_plot(spectra, style: PlotStyle, fmt: str, path: str) -> None:
+    """Write an SVG, or a gnuplot script with its .dat file beside it."""
+    if fmt == "svg":
+        _write_text(path, emit_svg(spectra, style))
+        return
+    dat_path = os.path.splitext(path)[0] + ".dat"
+    dat, script = emit_gnuplot(spectra, style, os.path.basename(dat_path))
+    _write_text(dat_path, dat)
+    _write_text(path, script)
+
+
+def _write_outputs(spectra, out_dir, prefix, plot, log_scale, params) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    names = []
     for spec in spectra:
         rep = _safe_name(str(spec.metadata.get("representation", "curve")))
-        path = os.path.join(out_dir, f"{prefix}_{rep}.csv")
-        write_spectrum_csv(spec, path)
-        written.append(path)
+        names.append(f"{prefix}_{rep}.csv")
+        write_spectrum_csv(spec, os.path.join(out_dir, names[-1]))
 
     meta = {
         "parameters": params,
-        "outputs": [os.path.basename(p) for p in written],
+        "outputs": names,
         "versions": {
             "package": __version__,
             "python": sys.version.split()[0],
@@ -184,32 +190,16 @@ def _write_outputs(spectra, out_dir, prefix, plot, log_scale, params) -> list[st
             ylabel="S",
             log_scale=log_scale,
         )
-        if plot == "svg":
-            path = os.path.join(out_dir, f"{prefix}.svg")
-            _write_text(path, emit_svg(spectra, style))
-            written.append(path)
-        else:
-            dat = f"{prefix}.dat"
-            dat_text, gp_text = emit_gnuplot(spectra, style, dat)
-            _write_text(os.path.join(out_dir, dat), dat_text)
-            _write_text(os.path.join(out_dir, f"{prefix}.gp"), gp_text)
-            written.append(os.path.join(out_dir, f"{prefix}.gp"))
-    return written
-
-
-def _parse_reps(text: str) -> list[GaugeRepresentation]:
-    reps = [GaugeRepresentation.parse(tok) for tok in text.split(",") if tok.strip()]
-    if not reps:
-        raise ScenarioError("no representations given")
-    return reps
+        ext = "svg" if plot == "svg" else "gp"
+        _write_plot(spectra, style, plot, os.path.join(out_dir, f"{prefix}.{ext}"))
 
 
 def _parse_grid_flag(text: str) -> dict:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) not in (3, 4):
         raise ScenarioError(f"--grid expects min,max,points[,scale], got {text!r}")
-    keys = ("grid_min", "grid_max", "grid_points", "grid_scale")
-    return dict(zip(keys, map(coerce_value, parts)))
+    return dict(zip(("grid_min", "grid_max", "grid_points", "grid_scale"),
+                    parts))
 
 
 # Without a scenario file, a run starts from this one.
@@ -222,10 +212,6 @@ def _scenario_from_args(args) -> Scenario:
              if key not in ("command", "scenario", "out_dir")}
     if "grid" in given:
         given.update(_parse_grid_flag(given.pop("grid")))
-    if given.pop("suppress_lamb_shift", False):
-        given["lamb_shift"] = 0.0
-    if "reps" in given:
-        given["representations"] = _parse_reps(given.pop("reps"))
     given["mode"] = args.command
     if args.scenario:
         return load_scenario(args.scenario, given)
@@ -314,13 +300,7 @@ def _run_plot(args) -> int:
     spectra = [read_spectrum_csv(path) for path in args.csv]
     style = PlotStyle(title=args.title, xlabel="omega / omega_ref",
                       ylabel="S", log_scale=args.log_scale)
-    if args.plot == "svg":
-        _write_text(args.out, emit_svg(spectra, style))
-    else:
-        dat_path = os.path.splitext(args.out)[0] + ".dat"
-        dat, script = emit_gnuplot(spectra, style, os.path.basename(dat_path))
-        _write_text(dat_path, dat)
-        _write_text(args.out, script)
+    _write_plot(spectra, style, args.plot, args.out)
     return 0
 
 

@@ -4,10 +4,10 @@ Entry points check their numeric arguments here before numpy sees them, so
 a bad value raises DomainError and is never coerced.  A scalar must be a
 real number (not a bool, string, array or None), finite and, by its rule,
 positive, non-negative or in [0, 1].  An array must have a real dtype (not
-bool, string, complex or object) and finite, positive elements.
+bool, string, complex or object) and finite elements of either sign or,
+by its rule, positive or non-negative ones.
 """
 
-import math
 import numbers
 import sys
 
@@ -47,22 +47,27 @@ class VerificationFailure(RuntimeError):
     """The verification suite reported a failing (non-expected-fail) check."""
 
 
+def _fail(name: str, rule: str) -> DomainError:
+    return DomainError(f"{name} must be finite"
+                       + ("" if rule == "finite" else f" and {rule}"))
+
+
 def _check_scalar(value, name: str, rule: str = "positive") -> None:
     """Reject a scalar ``name`` that is not a real number obeying ``rule``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     if not _RULES[rule](value):
-        raise DomainError(f"{name} must be finite"
-                          + ("" if rule == "finite" else f" and {rule}"))
+        raise _fail(name, rule)
 
 
-def _check_positive(value, name: str) -> np.ndarray:
-    """``value`` as a float array of finite, positive elements, decided by
-    whole-array min and max, which build no boolean temporary."""
+def _check_real(value, name: str, rule: str = "finite") -> np.ndarray:
+    """``value`` as a float array whose elements obey ``rule`` (by default
+    finite, of either sign), decided by whole-array min and max, which
+    build no boolean temporary."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise DomainError(f"{name} must hold real numbers, got dtype {arr.dtype}")
     arr = arr.astype(float, copy=False)
-    if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):
-        raise DomainError(f"{name} must be finite and positive")
+    if arr.size and not (_RULES[rule](arr.min()) and _RULES[rule](arr.max())):
+        raise _fail(name, rule)
     return arr

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_positive, _check_scalar
+from .errors import DomainError, _check_real, _check_scalar
 from .representations import GaugeRepresentation, _mixing
 from .spectra import DEFAULT_CUTOFF, Spectrum, _numerator, _sweep
 
@@ -43,7 +43,7 @@ def n_factor(rep: GaugeRepresentation, omega_0, omega_eg: float):
     times the flux factor 1/x.  That is 1/x (Coulomb), x**3 (Poincare) and
     16 x**3 / (1 + x)**4 (symmetric).
     """
-    omega_0 = _check_positive(omega_0, "omega_0")
+    omega_0 = _check_real(omega_0, "omega_0", "positive")
     _check_scalar(omega_eg, "omega_eg")
     out = _n_factor(rep, omega_0 / omega_eg)
     return out if np.ndim(out) else float(out)
@@ -112,7 +112,7 @@ def lamb_n_factor(rep: GaugeRepresentation, omega_0, omega: float, omega_prime: 
     mixing factor of the driven transition: squared absorption coupling
     m_0**2 / x_0 times the flux factor 1/x_0.
     """
-    omega_0 = _check_positive(omega_0, "omega_0")
+    omega_0 = _check_real(omega_0, "omega_0", "positive")
     _check_scalar(omega, "omega")
     _check_scalar(omega_prime, "omega_prime")
     out = _lamb_n_factor(rep, omega_0, omega, omega_prime)

@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, _check_positive, _check_scalar
+from .errors import ConfigurationError, DomainError, _check_real, _check_scalar
 from .representations import GaugeRepresentation, coupling_pair
 from .spectra import (
     DEFAULT_CUTOFF,
@@ -133,9 +132,8 @@ def excited_amplitude_during_pulse(t, config: PulseConfig,
     b_e(t) = -i (Omega u_l / mu) exp(i delta_l (t - pi/Omega)/2)
              sin((mu/2)(t + pi/Omega)),   -pi/Omega <= t <= 0.
     """
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _check_real(t, "t")
     T = config.duration
-    # min and max are NaN if any time is, which then fails the test.
     if t_arr.size and not (t_arr.min() >= -T - 1e-12 and t_arr.max() <= 1e-12):
         raise DomainError("time outside the pulse window [-pi/Omega, 0]")
     u_l, delta_l, mu = _drive(config, rep, omega_0)
@@ -214,13 +212,12 @@ def closed_form_amplitude(omega_k, config: PulseConfig,
     the removable singularity on (Omega u_l)^2 + 4 delta_k delta_kl = 0
     needs no branch, and each point costs two real trig calls.  Only the
     detuning of ``omega_k`` enters here, so ``omega_k`` may take either
-    sign but must be finite (its largest magnitude is NaN if any element
-    is).  Scalar in, scalar out; arrays keep their shape.
+    sign but must be real and finite.  Scalar in, scalar out; arrays keep
+    their shape.
     """
     _check_scalar(gamma, "gamma")
     _check_scalar(omega_0, "omega_0")
-    omega_k = np.asarray(omega_k, dtype=float)
-    _check_scalar(np.abs(omega_k).max(initial=0.0), "omega_k", "finite")
+    omega_k = _check_real(omega_k, "omega_k")
     drive = _drive(config, rep, omega_0)
     re, im = _amplitude_parts(omega_0 - omega_k, config, drive, gamma)
     out = re + 1j * im
@@ -265,7 +262,7 @@ def _mode_weights(mode_grid: np.ndarray, rep, omega_0: float,
     post-pulse propagation brackets one eigenvalue between each pair of
     neighbouring mode frequencies, so they must be distinct.
     """
-    _check_positive(mode_grid, "mode grid with field back-reaction")
+    _check_real(mode_grid, "mode grid with field back-reaction", "positive")
     steps = np.diff(mode_grid)
     if mode_grid.size < 2 or not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise DomainError(
@@ -413,8 +410,8 @@ def integrate_dynamics(
     """
     _check_scalar(gamma, "gamma")
     _check_scalar(omega_0, "omega_0")
-    if (isinstance(samples, bool) or not isinstance(samples, numbers.Real)
-            or not float(samples).is_integer() or samples < 2):
+    _check_scalar(samples, "samples")  # so that a huge int cannot overflow float()
+    if not float(samples).is_integer() or samples < 2:
         raise DomainError(
             f"samples must be a whole number of at least 2, got {samples!r}"
         )

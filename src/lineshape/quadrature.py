@@ -58,7 +58,7 @@ def _graded_nodes(a: float, b: float, n: int, toward: str) -> np.ndarray:
     return nodes
 
 
-def smooth_quad(f, a: float, b: float, n: int = 4096, toward: str | None = None) -> float:
+def smooth_quad(f, a: float, b: float, n: int = 4096, *, toward: str) -> float:
     """Integrate a smooth function on [a, b] with a fixed Simpson grid.
 
     ``toward`` grades the nodes toward 'lo' or 'hi' for integrands that
@@ -66,11 +66,7 @@ def smooth_quad(f, a: float, b: float, n: int = 4096, toward: str | None = None)
     """
     if b <= a:
         return 0.0
-    n = _odd(max(n, 5))
-    if toward is None:
-        x = np.linspace(a, b, n)
-    else:
-        x = _graded_nodes(a, b, n, toward)
+    x = _graded_nodes(a, b, _odd(max(n, 5)), toward)
     return _simpson_nonuniform(f(x), x)
 
 

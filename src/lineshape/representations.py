@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _check_positive, _check_scalar
+from .errors import DomainError, _check_real, _check_scalar
 
 __all__ = [
     "GaugeRepresentation",
@@ -140,7 +140,7 @@ def coupling_pair(rep: GaugeRepresentation, omega_k, omega_0: float) -> Coupling
     hold to the last bit, and u_minus in the simplified form
     2 sqrt(omega_0 omega_k) / (omega_k + omega_0).
     """
-    omega_k = _check_positive(omega_k, "mode frequency")
+    omega_k = _check_real(omega_k, "mode frequency", "positive")
     _check_scalar(omega_0, "transition frequency")
     if rep.kind == "symmetric":
         u_minus = 2.0 * np.sqrt(omega_0 * omega_k) / (omega_k + omega_0)
@@ -165,7 +165,7 @@ def mixing(rep: GaugeRepresentation, omega_k, omega_0: float):
 
     Scalar in, scalar out; array in, array out.
     """
-    omega_k = _check_positive(omega_k, "mode frequency")
+    omega_k = _check_real(omega_k, "mode frequency", "positive")
     _check_scalar(omega_0, "transition frequency")
     out = _mixing(rep, omega_k / omega_0)
     return out if out.ndim else float(out)

@@ -6,10 +6,11 @@ parameters.  Unknown keys and sections are rejected with the offending
 line number, so a typo cannot silently fall back to a default.
 
 ``PARAMS`` declares each mode's section keys once: kind, default and CLI
-flag.  The CLI generates its flags from it, and building a Scenario checks,
-types and default-fills the parameters against it, so a file and the flags
-get the same defaults.  A named ``preset`` lays its own defaults over the
-table's; keys that are given override both.
+flag.  The CLI generates its flags from it and hands their strings to
+:func:`parse_scenario`, and building a Scenario checks, types and
+default-fills the parameters against it, so a file and the flags get the
+same defaults and the same checks.  A named ``preset`` lays its own
+defaults over the table's; keys that are given override both.
 
 Example::
 
@@ -246,9 +247,10 @@ def coerce_value(value: str):
 def parse_scenario(text: str, given: dict | None = None) -> Scenario:
     """Parse scenario text into a Scenario.
 
-    ``given`` holds values that override the text's (the CLI's flags):
-    section keys, ``representations`` (a list), ``plot``, ``log_scale``,
-    and ``mode``, which must match the text's.
+    ``given`` maps keys to value strings that override the text's (the
+    CLI's flags): top-level keys, the mode's section keys, and ``mode``,
+    which must match the text's.  A given value is read exactly as the
+    same key on a line of the text is.
     """
     top: dict = {}
     sections: dict[str, dict] = {}
@@ -263,27 +265,25 @@ def parse_scenario(text: str, given: dict | None = None) -> Scenario:
             raise ScenarioError("expected 'key: value'", lineno)
         key, value = (part.strip() for part in line.split(":", 1))
         if not indented:
-            if value == "":
-                # A bare "name:" opens a section.
+            current = None
+            if key not in _TOP_KEYS:
+                if value:
+                    raise ScenarioError(f"unknown top-level key {key!r}", lineno)
+                # Any other bare "name:" opens a section.
                 if key in sections:
                     raise ScenarioError(f"duplicate section {key!r}", lineno)
                 sections[key] = {}
                 current = key
                 continue
-            current = None
-            if key not in _TOP_KEYS:
-                raise ScenarioError(f"unknown top-level key {key!r}", lineno)
             if key in top:
                 raise ScenarioError(f"duplicate key {key!r}", lineno)
             top[key] = value
         else:
             if current is None:
                 raise ScenarioError("indented line outside any section", lineno)
-            if value == "":
-                raise ScenarioError(f"missing value for {key!r}", lineno)
             if key in sections[current]:
                 raise ScenarioError(f"duplicate key {key!r}", lineno)
-            sections[current][key] = coerce_value(value)
+            sections[current][key] = value
 
     if "mode" not in top:
         raise ScenarioError("scenario is missing 'mode'")
@@ -300,6 +300,9 @@ def parse_scenario(text: str, given: dict | None = None) -> Scenario:
     for name in sections:
         if name != expected_section:
             raise ScenarioError(f"unexpected section {name!r} for mode {mode!r}")
+    section = sections.get(expected_section, {})
+    for key, value in given.items():
+        (top if key in _TOP_KEYS else section)[key] = value
 
     reps = []
     for token in top.get("representations", "").split(","):
@@ -310,13 +313,10 @@ def parse_scenario(text: str, given: dict | None = None) -> Scenario:
                 raise ScenarioError(str(exc)) from exc
     log_scale = typed("log_scale", coerce_value(top.get("log_scale", "false")),
                       "flag")
-
-    fields = {"representations": reps, "plot": top.get("plot"),
-              "log_scale": log_scale,
-              "out_prefix": top.get("out_prefix")}
-    fields.update({key: given.pop(key) for key in fields.keys() & given.keys()})
-    params = {**sections.get(expected_section, {}), **given}
-    return Scenario(mode=mode, params=params, **fields)
+    params = {key: coerce_value(value) for key, value in section.items()}
+    return Scenario(mode=mode, representations=reps, params=params,
+                    plot=top.get("plot"), log_scale=log_scale,
+                    out_prefix=top.get("out_prefix"))
 
 
 def load_scenario(path, given: dict | None = None) -> Scenario:

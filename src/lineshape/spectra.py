@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atoms import AtomModel
-from .errors import ConfigurationError, DomainError, _check_positive, _check_scalar
-from .quadrature import pv_quad, smooth_quad
+from .errors import ConfigurationError, DomainError, _check_real, _check_scalar
+from .quadrature import pv_quad
 from .representations import POINCARE, GaugeRepresentation, _mixing, coupling_pair
 
 __all__ = [
@@ -69,7 +69,7 @@ def numerator(rep: GaugeRepresentation, omega_k, omega_eg: float):
     :func:`~lineshape.representations.mixing` factor.  That is x (Coulomb),
     x**3 (Poincare) and 4 x**3 / (1 + x)**2 (symmetric).
     """
-    omega_k = _check_positive(omega_k, "omega_k")
+    omega_k = _check_real(omega_k, "omega_k", "positive")
     _check_scalar(omega_eg, "omega_eg")
     out = _numerator(rep, omega_k / omega_eg)
     return out if np.ndim(out) else float(out)
@@ -141,15 +141,6 @@ def gamma_offshell(
 # -- level shifts ------------------------------------------------------------
 
 
-def _pv_over_shift_kernel(gfun, omega_ns: float, cutoff: float, n: int) -> float:
-    """PV int_0^cutoff gfun(w) / (omega_ns + w) dw."""
-    if omega_ns > 0.0:
-        return smooth_quad(lambda w: gfun(w) / (omega_ns + w), 0.0, cutoff, n,
-                           toward="lo")
-    # Pole at w = -omega_ns:  1/(omega_ns + w) = -1/(pole - w).
-    return -pv_quad(gfun, -omega_ns, 0.0, cutoff, n)
-
-
 def _require_cutoff(model: AtomModel, cutoff: float):
     _check_scalar(cutoff, "cutoff")
     w_max = max(
@@ -210,7 +201,7 @@ def total_shift_integrand(
     Poincare route (folded into omega_ns/(omega_ns + w)).  Only these two
     routes define the diagonal term; other representations are rejected.
     """
-    w = _check_positive(omega_modes, "mode frequency")
+    w = _check_real(omega_modes, "mode frequency", "positive")
     weight = w**2 / (3.0 * math.pi**2)
     if rep.kind == "coulomb":
         bracket = np.full_like(w, 0.5)
@@ -242,16 +233,15 @@ def total_shift(
     """
     _require_cutoff(model, cutoff)
     if rep.kind == "coulomb":
-        total = smooth_quad(
-            lambda w: model.charge**2 * w / (12.0 * math.pi**2 * model.mass),
-            0.0, cutoff, n,
-        )
+        # The diagonal A^2 term, int_0^cutoff e^2 w / (12 pi^2 m) dw.
+        total = model.charge**2 * cutoff**2 / (24.0 * math.pi**2 * model.mass)
         for tr in model.transitions_from(state):
             p2 = float(np.sum(np.abs(model.momentum(tr.label, state)) ** 2))
             if p2 == 0.0:
                 continue
             coeff = model.charge**2 * p2 / (6.0 * math.pi**2 * model.mass**2)
-            total -= coeff * _pv_over_shift_kernel(lambda w: w, tr.omega, cutoff, n)
+            # PV int_0^cutoff w / (omega_ns + w) dw; its pole is at -omega_ns.
+            total += coeff * pv_quad(lambda w: w, -tr.omega, 0.0, cutoff, n)
         return total
     if rep.kind == "poincare":
         total = 0.0
@@ -260,8 +250,7 @@ def total_shift(
             if d2 == 0.0:
                 continue
             coeff = 0.5 * d2 * tr.omega / (3.0 * math.pi**2)
-            total += coeff * _pv_over_shift_kernel(lambda w: w**2, tr.omega,
-                                                   cutoff, n)
+            total -= coeff * pv_quad(lambda w: w**2, -tr.omega, 0.0, cutoff, n)
         return total
     raise DomainError(
         "the diagonal interaction term is defined only on the coulomb and "
@@ -284,8 +273,7 @@ def lamb_shift(model: AtomModel, state: str, cutoff: float, n: int = 4096) -> fl
         if p2 == 0.0:
             continue
         coeff = model.charge**2 * tr.omega * p2 / (6.0 * math.pi**2 * model.mass**2)
-        total += coeff * _pv_over_shift_kernel(lambda w: np.ones_like(w),
-                                               tr.omega, cutoff, n)
+        total -= coeff * pv_quad(np.ones_like, -tr.omega, 0.0, cutoff, n)
     return total
 
 
@@ -330,13 +318,13 @@ class Spectrum:
     n_factor: np.ndarray | None = None
 
     def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+        self.grid = _check_real(self.grid, "grid")
+        self.values = _check_real(self.values, "spectral density", "non-negative")
         if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
             raise DomainError("grid and values must be 1-d arrays of equal length")
         area = _check_blocks(self.grid, self.values)
         if self.n_factor is not None:
-            self.n_factor = np.asarray(self.n_factor, dtype=float)
+            self.n_factor = _check_real(self.n_factor, "n_factor")
             if self.n_factor.shape != self.grid.shape:
                 raise DomainError("n_factor column must match the grid length")
         self._describe(area)
@@ -390,7 +378,7 @@ def _sweep(grid, name: str, kernel, metadata: dict,
     """
     if np.ndim(grid) != 1:
         raise DomainError(f"{name} must be a 1-d array")
-    grid = _check_positive(grid, name)
+    grid = _check_real(grid, name, "positive")
     values = np.empty_like(grid)
     n = np.empty_like(grid) if with_n_factor else None
     area = _check_blocks(grid, values, kernel, n)

@@ -119,14 +119,6 @@ class VerificationReport:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        payload = json.loads(text)
-        return cls(
-            checks=[CheckResult(**c) for c in payload["checks"]],
-            environment=payload["environment"],
-        )
-
     def table(self) -> str:
         lines = [f"{'check':40s} {'residual':>12s} {'tolerance':>12s}  status"]
         for c in self.checks:

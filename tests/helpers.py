@@ -1,14 +1,18 @@
 """Helpers shared by the test modules."""
 
+import json
+
 import numpy as np
 
 from lineshape import (
     REQUIRED_CHECKS,
+    CheckResult,
     GaugeRepresentation,
     LambLineScenario,
     LineshapeParams,
     PulseConfig,
     SharpLineScenario,
+    VerificationReport,
     fluorescence_sweep,
     lamb_rate_sweep,
     lineshape_S,
@@ -22,6 +26,15 @@ def missing_checks(report) -> list[str]:
     """Names from the required inventory absent from ``report``."""
     present = {c.name for c in report.checks}
     return [name for name in REQUIRED_CHECKS if name not in present]
+
+
+def report_from_json(text: str) -> VerificationReport:
+    """Read back a report written by ``VerificationReport.to_json``."""
+    payload = json.loads(text)
+    return VerificationReport(
+        checks=[CheckResult(**c) for c in payload["checks"]],
+        environment=payload["environment"],
+    )
 
 
 _REP = GaugeRepresentation.constant(0.3)

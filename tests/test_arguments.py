@@ -2,10 +2,11 @@
 
 Each row names a public callable, arguments it accepts, and one argument
 to replace by a bad value: a numeric string, a bool, an array where a
-scalar belongs, a non-finite or an out-of-range number.  The call must
-then raise DomainError (ConfigurationError for an oscillator's level
-count) with numpy warnings raised as errors, never a numpy traceback, a
-silent NaN or a silent coercion.
+scalar belongs, a non-finite or an out-of-range number, or an int too
+large for a float.  The call must then raise DomainError
+(ConfigurationError for an oscillator's level count) with numpy warnings
+raised as errors, never a numpy traceback, a silent NaN or a silent
+coercion.
 """
 
 import math
@@ -25,12 +26,14 @@ from lineshape import (
     LineshapeParams,
     PulseConfig,
     SharpLineScenario,
+    Spectrum,
     build_oscillator,
     build_two_level,
     closed_form_amplitude,
     coupling_pair,
     delta_offshell,
     excited_amplitude_during_pulse,
+    integrate_dynamics,
     lamb_shift,
     lineshape_S,
     mixing,
@@ -50,6 +53,7 @@ PARAMS = dict(rep=COULOMB, omega_eg=1.0, gamma=0.1, lamb_shift=0.0)
 PULSE = dict(rabi=1.0, omega_l=1.0, alpha_laser=None)
 CUTOFF = dict(model=ATOM, state="e", cutoff=1000.0)
 ENERGY = dict(levels=(Level("g", 0.0), Level("e", 1.0)), dipoles={})
+HUGE = 10**400  # an int too large for a float
 
 # (callable, good keyword arguments, argument to spoil, bad value)
 ROWS = [
@@ -101,13 +105,25 @@ ROWS = [
     (closed_form_amplitude,
      dict(omega_k=[-0.7, 0.7], config=DRIVE, rep=COULOMB, omega_0=1.0,
           gamma=0.1), "omega_k", [-math.inf, 0.7]),
+    (closed_form_amplitude,
+     dict(omega_k=0.7, config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1),
+     "omega_k", "0.7"),
+    (excited_amplitude_during_pulse,
+     dict(t=-1.0, config=DRIVE, rep=COULOMB, omega_0=1.0), "t", "-1"),
+    (Spectrum, dict(grid=[1.0, 2.0], values=[1.0, 1.0]), "grid", ["1", "2"]),
+    (integrate_dynamics,
+     dict(config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1, samples=11),
+     "samples", HUGE),
     (build_oscillator, dict(omega=1.0, mass=1.0, n_levels=4), "n_levels", 3.5),
+    # mass * omega underflows to 0.
+    (build_oscillator, dict(omega=1e-200, mass=1.0, n_levels=3), "mass", 1e-200),
 ]
 
 
 def _row_id(row):
     call, _, name, bad = row
-    return f"{getattr(call, '__qualname__', call)}-{name}={bad!r}"
+    text = "10**400" if bad is HUGE else repr(bad)
+    return f"{getattr(call, '__qualname__', call)}-{name}={text}"
 
 
 @pytest.mark.parametrize("call, good, name, bad", ROWS,

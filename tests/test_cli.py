@@ -37,7 +37,7 @@ class TestSubcommands:
         code = main([
             "lineshape", "--gamma", "0.1",
             "--reps", "coulomb,poincare,symmetric",
-            "--suppress-lamb-shift", "--out-dir", str(tmp_path),
+            "--lamb-shift", "0", "--out-dir", str(tmp_path),
         ])
         assert code == 0
         files = sorted(p.name for p in tmp_path.glob("*.csv"))
@@ -193,34 +193,85 @@ PULSE_SCN = (
 )
 
 
-class TestWrongTypedValues:
-    """A value of the wrong type exits 2 naming its key; nothing is coerced."""
+# Section keys of a valid scenario file per mode, for the tests below.
+BASE_KEYS = {
+    "lineshape": {"gamma": "0.1", "grid_min": "0.5", "grid_max": "1.5",
+                  "grid_points": "11"},
+    "pulse": {"rabi": "1.0", "gamma": "0.1", "grid_min": "0.5",
+              "grid_max": "1.5", "grid_points": "11"},
+    "lamb-line": {"preset": "lamb-hydrogen"},
+}
+TOP_FLAGS = {"representations": "--reps", "plot": "--plot"}
+GRID_KEYS = ("grid_min", "grid_max", "grid_points")
 
-    @pytest.mark.parametrize("mode, text, key", [
-        ("lineshape", LINESHAPE_SCN.replace("gamma: 0.1", "gamma: fast"),
-         "gamma"),
-        ("lineshape", LINESHAPE_SCN.replace("grid_points: 11",
-                                            "grid_points: 10.9"),
-         "grid_points"),
-        ("lineshape", LINESHAPE_SCN.replace("grid_min: 0.5", "grid_min: low"),
-         "grid_min"),
-        ("lineshape", LINESHAPE_SCN + "  variable_width: 1\n",
-         "variable_width"),
-        ("lineshape", LINESHAPE_SCN + "  lamb_shift: big\n", "lamb_shift"),
-        ("lineshape", LINESHAPE_SCN + "  cutoff: true\n", "cutoff"),
-        ("pulse", PULSE_SCN + "  rwa: no\n", "rwa"),
-        ("pulse", PULSE_SCN + "  include_reference: nope\n",
-         "include_reference"),
-        ("pulse", PULSE_SCN + "  trajectory: yes\n", "trajectory"),
-        ("pulse", PULSE_SCN.replace("rabi: 1.0", "rabi: strong"), "rabi"),
-    ], ids=lambda v: v if isinstance(v, str) and "\n" not in v else "")
-    def test_scenario_value_exits_2(self, mode, text, key, tmp_path, capsys):
-        scn = tmp_path / "bad.scn"
-        scn.write_text(text)
-        assert main([mode, str(scn), "--out-dir", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err
-        assert not list(tmp_path.glob("*.csv"))
+
+def scenario_text(mode: str, key: str | None = None, value: str = "") -> str:
+    """A valid scenario file for ``mode``, with ``key`` set to ``value``."""
+    top = {"mode": mode, "representations": "coulomb"}
+    section = dict(BASE_KEYS[mode])
+    if key is not None:
+        (top if key in TOP_FLAGS else section)[key] = value
+    lines = [f"{k}: {v}" for k, v in top.items()] + [mode.replace("-", "_") + ":"]
+    lines += [f"  {k}: {v}" for k, v in section.items()]
+    return "\n".join(lines) + "\n"
+
+
+def value_flag(mode: str, key: str, value: str) -> list[str] | None:
+    """The flag setting ``key`` to ``value``; None for a switch, which
+    takes no value on the command line."""
+    if key in TOP_FLAGS:
+        return [TOP_FLAGS[key], value]
+    if key in GRID_KEYS:
+        grid = [value if k == key else BASE_KEYS[mode][k] for k in GRID_KEYS]
+        return ["--grid", ",".join(grid)]
+    param = PARAMS[mode][key]
+    return None if param.kind == "flag" else [_flag(key, param), value]
+
+
+BAD_VALUES = [
+    ("lineshape", "gamma", "fast"),
+    ("lineshape", "grid_points", "10.9"),
+    ("lineshape", "grid_min", "low"),
+    ("lineshape", "grid_max", "three"),
+    ("lineshape", "variable_width", "1"),
+    ("lineshape", "lamb_shift", "abc"),
+    ("lineshape", "cutoff", "true"),
+    ("lineshape", "plot", "png"),
+    ("lineshape", "representations", "weyl"),
+    ("lineshape", "representations", "alpha:2"),
+    ("lineshape", "representations", ""),
+    ("lamb-line", "preset", "lamb-helium"),
+    ("pulse", "rwa", "no"),
+    ("pulse", "include_reference", "nope"),
+    ("pulse", "trajectory", "yes"),
+    ("pulse", "rabi", "strong"),
+    ("pulse", "omega_0", ""),
+]
+
+
+class TestWrongTypedValues:
+    """A bad value exits 2 naming its key, nothing is coerced, and a flag
+    gives the same exit code and error line as the same key in a file."""
+
+    @pytest.mark.parametrize("mode, key, value", BAD_VALUES, ids=[
+        f"{mode}--{key}" + (f"-{value or 'empty'}" if key in TOP_FLAGS else "")
+        for mode, key, value in BAD_VALUES])
+    def test_scenario_value_exits_2(self, mode, key, value, tmp_path, capsys):
+        runs = {"file": [str(tmp_path / "bad.scn")]}
+        (tmp_path / "bad.scn").write_text(scenario_text(mode, key, value))
+        flag = value_flag(mode, key, value)
+        if flag is not None:
+            (tmp_path / "good.scn").write_text(scenario_text(mode))
+            runs["flag"] = [str(tmp_path / "good.scn"), *flag]
+        errors = set()
+        for how, args in runs.items():
+            out = tmp_path / how
+            assert main([mode, *args, "--out-dir", str(out)]) == 2, how
+            errors.add(capsys.readouterr().err)
+            assert not out.exists(), how
+        [err] = errors
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err or key == "representations"
 
     @pytest.mark.parametrize("flags, key", [
         (["--grid", "0.1,3,2.7"], "grid_points"),
@@ -290,10 +341,9 @@ class TestParameterTable:
     """One table per mode gives the flags, the file keys and their defaults;
     the flags given override the file's keys."""
 
-    # Flags that are not section keys: output options, the top-level
-    # representations/plot/log_scale keys, and lamb_shift's 0 shorthand.
-    FRONT_END = {"-h", "--help", "--out-dir", "--plot", "--log-scale", "--reps",
-                 "--suppress-lamb-shift"}
+    # Flags that are not section keys: output options and the top-level
+    # representations/plot/log_scale keys.
+    FRONT_END = {"-h", "--help", "--out-dir", "--plot", "--log-scale", "--reps"}
 
     def test_every_key_has_one_flag_and_every_flag_a_key(self):
         subparsers = build_parser()._subparsers._group_actions[0].choices

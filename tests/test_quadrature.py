@@ -54,7 +54,7 @@ def test_doubling_the_grid_confirms_convergence():
 
 
 def test_smooth_quad_polynomial():
-    got = smooth_quad(lambda t: t**2, 0.0, 3.0)
+    got = smooth_quad(lambda t: t**2, 0.0, 3.0, toward="lo")
     assert got == pytest.approx(9.0, rel=1e-12)
 
 
@@ -66,4 +66,4 @@ def test_smooth_quad_graded_endpoint():
 
 def test_empty_interval_is_zero():
     assert pv_quad(lambda t: t, 0.5, 2.0, 2.0) == 0.0
-    assert smooth_quad(lambda t: t, 2.0, 1.0) == 0.0
+    assert smooth_quad(lambda t: t, 2.0, 1.0, toward="lo") == 0.0

@@ -9,7 +9,7 @@ from lineshape import (
     run_all_checks,
 )
 
-from helpers import missing_checks
+from helpers import missing_checks, report_from_json
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ def test_report_is_deterministic(report):
 
 
 def test_json_round_trip_is_lossless(report):
-    back = VerificationReport.from_json(report.to_json())
+    back = report_from_json(report.to_json())
     assert back.to_json() == report.to_json()
     assert [dataclasses.asdict(c) for c in back.checks] == [
         dataclasses.asdict(c) for c in report.checks
