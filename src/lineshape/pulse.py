@@ -23,8 +23,8 @@ tail at line center.
 
 The pulse-window kernel has removable zeros in its denominator.  They are
 factored out exactly (see ``closed_form_amplitude``), so one branch-free
-expression in real arithmetic, two trig calls per point, serves the whole
-line.  ``pulse_spectrum`` evaluates it through the blocked sweep of
+expression in real arithmetic, one vectorised tan per point, serves the
+whole line.  ``pulse_spectrum`` evaluates it through the blocked sweep of
 :mod:`lineshape.spectra`.
 
 ``integrate_dynamics`` steps the pulse window with the package's own
@@ -154,11 +154,16 @@ def _expm1_over(eps):
 
 def _kernel_parts(P, theta: float):
     """Real and imaginary parts of the pulse-window kernel K(P) of
-    :func:`closed_form_amplitude`, branch-free through P = +/- theta."""
+    :func:`closed_form_amplitude`, branch-free through P = +/- theta.
+    With t = tan(h/2), sin h = 2t/(1 + t^2) and cos h = (1 - t^2)/(1 + t^2):
+    numpy vectorises float64 tan, not sin or cos (scalar libm calls).  No
+    double is near enough to an odd multiple of pi/2 for t*t to overflow."""
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     q = np.abs(P)
     h = 0.5 * (q - theta)
-    sin_h, cos_h = np.sin(h), np.cos(h)
+    t = np.tan(0.5 * h)
+    u = 1.0 / (1.0 + t * t)
+    sin_h, cos_h = 2.0 * t * u, (1.0 - t * t) * u
     s = np.divide(sin_h, h, out=np.ones_like(h), where=h != 0.0)
     inv = 1.0 / (theta + q)
     k_re = s * (sin_h * cos_t + cos_h * sin_t) * inv
@@ -210,10 +215,10 @@ def closed_form_amplitude(omega_k, config: PulseConfig,
 
     the imaginary part flipped where P < 0.  theta + q >= theta > 0, so
     the removable singularity on (Omega u_l)^2 + 4 delta_k delta_kl = 0
-    needs no branch, and each point costs two real trig calls.  Only the
-    detuning of ``omega_k`` enters here, so ``omega_k`` may take either
-    sign but must be real and finite.  Scalar in, scalar out; arrays keep
-    their shape.
+    needs no branch.  sin(h) and cos(h) come from one tan(h/2) per point
+    (see :func:`_kernel_parts`).  Only the detuning of ``omega_k`` enters
+    here, so ``omega_k`` may take either sign but must be real and finite.
+    Scalar in, scalar out; arrays keep their shape.
     """
     _check_scalar(gamma, "gamma")
     _check_scalar(omega_0, "omega_0")

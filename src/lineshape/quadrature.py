@@ -9,8 +9,9 @@ on [pole - h, pole + h] the pair-cancelled integrand
 (g(pole - u) - g(pole + u))/u is smooth (it tends to -2 g'(pole) as
 u -> 0), so ordinary quadrature applies; the leftover piece is regular.
 Nodes are log-graded toward the pole, the default count is 4096, and
-convergence can be checked by doubling.  Everything here is fixed-grid
-and reproducible bit for bit.
+convergence can be checked by doubling.  The first graded node lies
+1e-12 of the span inside its endpoint, and a rectangle adds the sliver
+between them.  Everything here is fixed-grid and reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ def smooth_quad(f, a: float, b: float, n: int = 4096, *, toward: str) -> float:
     if b <= a:
         return 0.0
     x = _graded_nodes(a, b, _odd(max(n, 5)), toward)
-    return _simpson_nonuniform(f(x), x)
+    y = f(x)
+    sliver = y[0] * (x[0] - a) if toward == "lo" else y[-1] * (b - x[-1])
+    return _simpson_nonuniform(y, x) + float(sliver)
 
 
 def pv_quad(g, pole: float, lo: float, hi: float, n: int = 4096) -> float:

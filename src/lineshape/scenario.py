@@ -174,7 +174,7 @@ class Scenario:
             raise ScenarioError(f"unknown plot format {self.plot!r}")
         self.params = _resolve(self.mode, self.params)
         if self.mode != "verify" and not self.representations:
-            raise ScenarioError("at least one representation is required")
+            raise ScenarioError("representations: at least one is required")
 
     @property
     def prefix(self) -> str:
@@ -305,12 +305,12 @@ def parse_scenario(text: str, given: dict | None = None) -> Scenario:
         (top if key in _TOP_KEYS else section)[key] = value
 
     reps = []
-    for token in top.get("representations", "").split(","):
-        if token.strip():
+    for token in map(str.strip, top.get("representations", "").split(",")):
+        if token:
             try:
-                reps.append(GaugeRepresentation.parse(token.strip()))
+                reps.append(GaugeRepresentation.parse(token))
             except DomainError as exc:
-                raise ScenarioError(str(exc)) from exc
+                raise ScenarioError(f"representations: {token!r}: {exc}") from exc
     log_scale = typed("log_scale", coerce_value(top.get("log_scale", "false")),
                       "flag")
     params = {key: coerce_value(value) for key, value in section.items()}

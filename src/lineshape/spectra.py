@@ -350,7 +350,8 @@ def _check_blocks(grid, values, kernel=None, n_factor=None) -> float:
     point for the pair across its edge.  Then each block of ``values``,
     filled first by ``kernel`` if given (with ``n_factor``, if that is
     given), must be finite and non-negative.  Overflow or an undefined
-    result fails that test, so numpy's warnings are silenced.
+    result fails that test, so numpy's warnings are silenced.  The area
+    is ``np.trapezoid``'s sum halved once, not termwise: the same bits.
     """
     for i in range(0, grid.size, _BLOCK):
         if np.any(np.diff(grid[max(i - 1, 0):i + _BLOCK]) <= 0.0):
@@ -365,7 +366,8 @@ def _check_blocks(grid, values, kernel=None, n_factor=None) -> float:
                 values[i:j] = kernel(grid[i:j])
             if not (values[i:j].min() >= 0.0 and values[i:j].max() < math.inf):
                 raise DomainError("spectral density must be finite and non-negative")
-            area += float(np.trapezoid(values[k:j], grid[k:j]))
+            y = values[k:j]
+            area += float(np.add.reduce(np.diff(grid[k:j]) * (y[1:] + y[:-1]))) / 2.0
     return area
 
 

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -234,6 +235,52 @@ class TestBranchFreeKernel:
             got = closed_form_amplitude(OMEGA0 - d0, RESONANT, SYMMETRIC,
                                         OMEGA0, GAMMA)
             assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("config", [
+        RESONANT,
+        PulseConfig(rabi=1.0, omega_l=0.9),
+        PulseConfig(rabi=0.3, omega_l=1.2, alpha_laser=0.4),
+    ], ids=["resonant", "detuned", "weak"])
+    def test_kernel_matches_an_80_digit_oracle(self, config):
+        # K(P) = [e^{iP} - cos theta - i (P/theta) sin theta]/(theta^2 - P^2)
+        # at the theta of each drive, its limit at P = +/- theta taken by
+        # l'Hopital.  Forty digits do not resolve P = theta +/- 1e-6.
+        theta = 0.5 * _drive(config, COULOMB, OMEGA0)[2] * config.duration
+        rng = np.random.default_rng(12)
+        P = np.concatenate((
+            rng.uniform(-10.0, 10.0, 900), rng.uniform(-1e3, 1e3, 90),
+            [0.0, theta, -theta], theta + np.array([1e-6, -1e-6]),
+            -theta + np.array([1e-6, -1e-6]),
+        ))
+        re, im = _kernel_parts(P, theta)
+        with mpmath.workdps(80):
+            th = mpmath.mpf(theta)
+            worst = 0.0
+            for p, k_re, k_im in zip(map(mpmath.mpf, P.tolist()), re.tolist(),
+                                     im.tolist()):
+                if abs(p) == th:
+                    want = 1j * (mpmath.exp(1j * p) - mpmath.sin(th) / th) / (-2 * p)
+                else:
+                    want = (mpmath.exp(1j * p) - mpmath.cos(th)
+                            - 1j * (p / th) * mpmath.sin(th)) / (th**2 - p**2)
+                err = abs(mpmath.mpc(k_re, k_im) - want) / abs(want)
+                worst = max(worst, float(err))
+        assert worst <= 1e-15
+
+    def test_kernels_call_neither_sin_nor_cos(self, monkeypatch):
+        # numpy evaluates float64 sin and cos with scalar libm calls; the
+        # pulse kernel gets both from one vectorised tan instead.
+        def scalar_trig(*args, **kwargs):
+            raise AssertionError("np.sin/np.cos on the pulse kernel path")
+
+        monkeypatch.setattr(np, "sin", scalar_trig)
+        monkeypatch.setattr(np, "cos", scalar_trig)
+        grid = np.linspace(0.02, 3.0, 2 * _BLOCK + 3)
+        for config in (RESONANT, self.DETUNED):
+            spectrum = pulse_spectrum(config, SYMMETRIC, OMEGA0, GAMMA, grid)
+            assert np.all(np.isfinite(spectrum.values))
+            beta = closed_form_amplitude(grid, config, COULOMB, OMEGA0, GAMMA)
+            assert np.all(np.isfinite(beta.view(float)))
 
     @pytest.mark.parametrize("config", [
         RESONANT,

@@ -58,6 +58,23 @@ def test_smooth_quad_polynomial():
     assert got == pytest.approx(9.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("f, toward", [
+    (lambda t: (3.0 - t) ** 2, "lo"), (lambda t: t**2, "hi"),
+], ids=["lo", "hi"])
+def test_smooth_quad_keeps_the_sliver_at_the_graded_end(f, toward):
+    # The first graded node sits 1e-12 of the span inside the endpoint,
+    # where f = 9; dropping that sliver would miss 2.7e-11.
+    assert abs(smooth_quad(f, 0.0, 3.0, toward=toward) - 9.0) < 1e-14
+
+
+def test_pv_pole_far_below_a_long_interval():
+    # PV int_0^1e5 dt/(1 - t) = -log(99999); the regular remainder is
+    # graded toward its low end, next to the pole (1.04e-7 off without
+    # the sliver).
+    got = pv_quad(np.ones_like, 1.0, 0.0, 1e5)
+    assert abs(got + math.log(99999.0)) < 1e-8
+
+
 def test_smooth_quad_graded_endpoint():
     # Integrand varies fastest near the lower endpoint.
     got = smooth_quad(lambda t: 1.0 / (0.01 + t), 0.0, 1.0, toward="lo")

@@ -256,6 +256,14 @@ class TestShifts:
         assert got == pytest.approx(want, rel=1e-6)
         assert lamb_shift(osc, "1", 1e3) == pytest.approx(oracle(1e3), rel=1e-8)
 
+    def test_lamb_shift_holds_its_closed_form_at_a_large_cutoff(self):
+        # omega^3 |r|^2 / (6 pi^2) log|(omega + cutoff)/omega|, omega = -1
+        # for the excited level; 9.0e-9 off while the quadrature dropped
+        # the sliver at its graded endpoint.
+        want = -math.log(1e5 - 1.0) / (6.0 * math.pi**2)
+        got = lamb_shift(build_two_level(1.0, 1.0), "e", 1e5)
+        assert got == pytest.approx(want, rel=1e-9)
+
 
 class TestLineshape:
     def test_peak_value(self):
