@@ -68,6 +68,8 @@ __all__ = [
     "lorentzian_reference_spectrum",
 ]
 
+_MAX_SAMPLES = 10**7  # samples per trajectory; 160 MB per complex component
+
 
 @dataclass(frozen=True)
 class PulseConfig:
@@ -400,10 +402,9 @@ def integrate_dynamics(
 
     The drive is the rectangular pi-pulse of ``config`` on [-pi/Omega, 0],
     so the t >= 0 continuation starts where it ends.  ``gamma`` and
-    ``omega_0`` must be finite and positive.  ``samples`` must be a whole
-    number of at least 2: the first sample is the pulse start and the last
-    the pulse end.  The mode grid must be a finite 1-d array and a given
-    ``post_horizon`` finite and positive.
+    ``omega_0`` must be finite and positive, ``samples`` (pulse start to
+    end) a whole number from 2 to 10**7, the mode grid a finite 1-d array
+    and a given ``post_horizon`` finite and positive.
     The in-package DOP853 pair (Hairer, Norsett & Wanner, Sec. II.4-II.6)
     steps the pulse window.  ``rtol`` and ``atol``, finite and positive,
     mean what they mean in scipy's ``solve_ivp``: each step's error
@@ -416,10 +417,9 @@ def integrate_dynamics(
     _check_scalar(gamma, "gamma")
     _check_scalar(omega_0, "omega_0")
     _check_scalar(samples, "samples")  # so that a huge int cannot overflow float()
-    if not float(samples).is_integer() or samples < 2:
-        raise DomainError(
-            f"samples must be a whole number of at least 2, got {samples!r}"
-        )
+    if not float(samples).is_integer() or not 2 <= samples <= _MAX_SAMPLES:
+        raise DomainError(f"samples must be a whole number from 2 to "
+                          f"{_MAX_SAMPLES}, got {samples!r}")
     samples = int(samples)
     from ._ode import _dop853  # here: other runs skip compiling the tableau
     _check_scalar(rtol, "rtol")

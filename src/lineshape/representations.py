@@ -149,8 +149,11 @@ def coupling_pair(rep: GaugeRepresentation, omega_k, omega_0: float) -> Coupling
         alpha = _constant_alpha(rep)
         down = np.sqrt(omega_0 / omega_k)
         up = np.sqrt(omega_k / omega_0)
-        u_plus = (1.0 - alpha) * down - alpha * up
-        u_minus = (1.0 - alpha) * down + alpha * up
+        # In place for arrays, two grid-sized temporaries fewer: same bits.
+        down *= 1.0 - alpha
+        up *= alpha
+        u_plus = down - up
+        u_minus = np.add(down, up, out=down) if down.ndim else down + up
     if np.ndim(u_minus) == 0:
         return CouplingPair(float(u_plus), float(u_minus))
     return CouplingPair(u_plus, u_minus)

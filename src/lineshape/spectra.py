@@ -17,16 +17,17 @@ the condition for the Coulomb- and Poincare-route shifts to coincide mode
 by mode.
 
 Every spectrum on a frequency grid is built by one blocked sweep: after
-the grid checks, its kernel is evaluated ``_BLOCK`` points at a time and
-each block of values is checked, and its trapezoid area summed, while it
-is in cache.  The kernels are elementwise, so blocking changes no value;
-only the area, summed block by block, may differ in its last bits.
+the grid checks, its kernel is evaluated ``_BLOCK`` points at a time, on
+up to two CPUs, and each block of values is checked, and its trapezoid
+area taken, while it is in cache.  Blocking changes no value, only the
+area's last bits; the number of CPUs changes neither, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -337,9 +338,9 @@ class Spectrum:
 
 
 # Grid points per block of a spectrum sweep (256 KiB per float64
-# temporary), timed on 1e6-point pulse spectra on a 2-vCPU Xeon with 2 MiB
-# of L2 per core: smaller blocks pay more per-block Python overhead (about
-# 0.1 ms), larger ones leave the cache; 8192 to 131072 were tried.
+# temporary).  On two threads of a 2-vCPU Xeon a detuned 1e6-point pulse
+# spectrum took 40.8, 34.2, 32.5 and 47.2 ms at 16384 to 131072 points;
+# the areas' last bits depend on this size, so it stays fixed.
 _BLOCK = 32768
 
 
@@ -350,25 +351,61 @@ def _check_blocks(grid, values, kernel=None, n_factor=None) -> float:
     point for the pair across its edge.  Then each block of ``values``,
     filled first by ``kernel`` if given (with ``n_factor``, if that is
     given), must be finite and non-negative.  Overflow or an undefined
-    result fails that test, so numpy's warnings are silenced.  The area
-    is ``np.trapezoid``'s sum halved once, not termwise: the same bits.
+    result fails that test, so numpy's warnings are silenced.  Given two
+    CPUs, a helper thread fills the blocks past the middle (numpy releases
+    the GIL in its loops); each thread stops at its first failing block,
+    and the lowest one raises.  A block's area is taken once the block
+    before it is filled too, and summed in block order: the bits of one
+    thread, and of ``np.trapezoid``'s sum halved once, not termwise.
     """
-    for i in range(0, grid.size, _BLOCK):
+    starts = range(0, grid.size, _BLOCK)
+    for i in starts:
         if np.any(np.diff(grid[max(i - 1, 0):i + _BLOCK]) <= 0.0):
             raise DomainError("grid must be strictly increasing")
-    area = 0.0
-    with np.errstate(all="ignore"):
-        for i in range(0, grid.size, _BLOCK):
-            j, k = i + _BLOCK, max(i - 1, 0)
-            if n_factor is not None:
-                values[i:j], n_factor[i:j] = kernel(grid[i:j])
-            elif kernel is not None:
-                values[i:j] = kernel(grid[i:j])
-            if not (values[i:j].min() >= 0.0 and values[i:j].max() < math.inf):
-                raise DomainError("spectral density must be finite and non-negative")
-            y = values[k:j]
-            area += float(np.add.reduce(np.diff(grid[k:j]) * (y[1:] + y[:-1]))) / 2.0
-    return area
+    areas, errors = [None] * len(starts), [None] * len(starts)
+
+    def area(b):
+        k, j = max(starts[b] - 1, 0), starts[b] + _BLOCK
+        y = values[k:j]
+        return float(np.add.reduce(np.diff(grid[k:j]) * (y[1:] + y[:-1]))) / 2.0
+
+    def fill(first, stop):
+        with np.errstate(all="ignore"):  # not inherited by a new thread
+            for b in range(first, stop):
+                i, j = starts[b], starts[b] + _BLOCK
+                try:
+                    if n_factor is not None:
+                        values[i:j], n_factor[i:j] = kernel(grid[i:j])
+                    elif kernel is not None:
+                        values[i:j] = kernel(grid[i:j])
+                    if not (values[i:j].min() >= 0.0 and values[i:j].max() < math.inf):
+                        raise DomainError(
+                            "spectral density must be finite and non-negative")
+                except Exception as exc:
+                    errors[b] = exc
+                    return
+                if b == 0 or b > first:  # the block before it is filled
+                    areas[b] = area(b)
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    split, helper = len(starts), None
+    if min(cpus, len(starts)) >= 2:
+        split = (grid.size + _BLOCK) // (2 * _BLOCK)  # the edge nearest the middle
+        helper = threading.Thread(target=fill, args=(split, len(starts)))
+        helper.start()
+    try:
+        fill(0, split)
+    finally:
+        if helper is not None:
+            helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    total = 0.0
+    for b, a in enumerate(areas):
+        total += area(b) if a is None else a
+    return total
 
 
 def _sweep(grid, name: str, kernel, metadata: dict,

@@ -6,10 +6,11 @@ scalar belongs, a non-finite or an out-of-range number, or an int too
 large for a float.  The call must then raise DomainError
 (ConfigurationError for an oscillator's level count) with numpy warnings
 raised as errors, never a numpy traceback, a silent NaN or a silent
-coercion.
+coercion, and before it allocates 1 MiB.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,7 +42,7 @@ from lineshape import (
     numerator,
     total_shift,
 )
-from lineshape.pulse import laser_coupling_pair
+from lineshape.pulse import _MAX_SAMPLES, laser_coupling_pair
 
 ATOM = build_two_level(1.0, 1.0)
 DRIVE = PulseConfig(rabi=1.0, omega_l=1.0)
@@ -54,6 +55,7 @@ PULSE = dict(rabi=1.0, omega_l=1.0, alpha_laser=None)
 CUTOFF = dict(model=ATOM, state="e", cutoff=1000.0)
 ENERGY = dict(levels=(Level("g", 0.0), Level("e", 1.0)), dipoles={})
 HUGE = 10**400  # an int too large for a float
+LARGE = {HUGE: "10**400", 10**300: "10**300", _MAX_SAMPLES + 1: "10**7+1"}
 
 # (callable, good keyword arguments, argument to spoil, bad value)
 ROWS = [
@@ -114,6 +116,12 @@ ROWS = [
     (integrate_dynamics,
      dict(config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1, samples=11),
      "samples", HUGE),
+    (integrate_dynamics,
+     dict(config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1, samples=11),
+     "samples", 10**300),
+    (integrate_dynamics,
+     dict(config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1, samples=11),
+     "samples", _MAX_SAMPLES + 1),
     (build_oscillator, dict(omega=1.0, mass=1.0, n_levels=4), "n_levels", 3.5),
     # mass * omega underflows to 0.
     (build_oscillator, dict(omega=1e-200, mass=1.0, n_levels=3), "mass", 1e-200),
@@ -122,7 +130,7 @@ ROWS = [
 
 def _row_id(row):
     call, _, name, bad = row
-    text = "10**400" if bad is HUGE else repr(bad)
+    text = LARGE.get(bad, repr(bad)) if type(bad) is int else repr(bad)
     return f"{getattr(call, '__qualname__', call)}-{name}={text}"
 
 
@@ -133,5 +141,11 @@ def test_bad_argument_raises_a_library_error(call, good, name, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         call(**good)  # the row's other arguments are valid
-        with pytest.raises(error):
-            call(**{**good, name: bad})
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                call(**{**good, name: bad})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2**20  # rejected before anything sized by it is allocated

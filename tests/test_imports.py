@@ -1,9 +1,11 @@
-"""No run of the package loads scipy.
+"""No run of the package loads scipy, and no CLI run starts a thread.
 
 The package needs numpy alone: the ODE oracle behind ``lineshape verify``
 and pulse trajectories is an in-package DOP853.  Each case runs in a fresh
 interpreter and reports whether ``scipy`` reached ``sys.modules``, so a
-scipy import added anywhere in the package fails here.  No timing is
+scipy import added anywhere in the package fails here.  The spectra of
+the shipped presets and of ``verify`` fit in one block of the sweep, so
+their runs start no thread and load no thread pool.  No timing is
 asserted.
 """
 
@@ -111,3 +113,26 @@ def test_spectra_runs_leave_the_ode_module_unloaded(tmp_path):
             f"'--out-dir', {str(tmp_path)!r}]); "
             "print('lineshape._ode' in sys.modules)")
     assert run_python(code) == "False"
+
+
+THREAD_CHILD = """
+import json, sys, threading
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: started.append(self) or start(self)
+from lineshape.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "started": len(started),
+                  "threads": threading.active_count(),
+                  "futures": "concurrent.futures" in sys.modules}))
+"""
+
+
+def test_cli_runs_start_no_thread_and_no_pool(tmp_path):
+    argvs = [[mode, str(path), "--out-dir", str(tmp_path)]
+             for mode in ("lineshape", "fluorescence", "lamb-line", "pulse")
+             for path in presets_of(mode)]
+    argvs.append(["verify", "--out-dir", str(tmp_path / "verify")])
+    result = json.loads(run_python(THREAD_CHILD, json.dumps(argvs)))
+    assert result == {"codes": [0] * len(argvs), "started": 0, "threads": 1,
+                      "futures": False}

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -401,6 +404,117 @@ class TestBlockedSweep:
         values[-2] = 1.0
         area = Spectrum(grid=self.GRID, values=values).metadata["area"]
         assert area == pytest.approx(np.trapezoid(values, self.GRID), rel=1e-15, abs=0.0)
+
+
+def _cpus(monkeypatch, count):
+    """Let the sweeps see ``count`` CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+class TestTwoWorkers:
+    """A sweep of more than one block fills its blocks on two threads when
+    two CPUs are there; nothing it returns or raises depends on that."""
+
+    GRID = np.linspace(0.02, 3.0, 3 * _BLOCK + 7)  # 4 blocks: 2 per thread
+
+    def columns(self, sweep):
+        spec = SWEEPS[sweep][0](self.GRID)
+        return [None if column is None else column.tobytes()
+                for column in (spec.values, spec.n_factor,
+                               np.float64(spec.metadata["area"]))]
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_two_workers_give_the_bits_of_one(self, sweep, monkeypatch):
+        _cpus(monkeypatch, 1)
+        one = self.columns(sweep)
+        _cpus(monkeypatch, 2)
+        for _ in range(5):  # the area across the threads' edge must not race
+            np.full(2 * self.GRID.size, np.nan)  # leaves nan in freed memory
+            assert self.columns(sweep) == one
+
+    def test_concurrent_sweeps_switching_every_microsecond(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        one = self.columns("fluorescence")
+        _cpus(monkeypatch, 2)
+        got = [None] * 3
+
+        def run(k):
+            got[k] = self.columns("fluorescence")
+
+        # Three sweeps at once, each with its helper: six threads, two CPUs.
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [one] * 3
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_lowest_failing_block_raises(self, cpus, monkeypatch):
+        _cpus(monkeypatch, cpus)
+        called, helper_failed = set(), threading.Event()
+
+        def kernel(w):
+            block = int(np.searchsorted(self.GRID, w[0])) // _BLOCK
+            called.add(block)
+            if block == 2:
+                helper_failed.set()
+            elif block == 1 and cpus == 2:
+                helper_failed.wait(timeout=10)  # fail after the helper has
+            if block in (1, 2):
+                raise DomainError(f"block {block}")
+            return np.ones_like(w)
+
+        with pytest.raises(DomainError, match="^block 1$"):
+            spectra._sweep(self.GRID, "grid", kernel, {})
+        # Each thread stops at its first failing block.
+        assert called == ({0, 1} if cpus == 1 else {0, 1, 2})
+
+    def test_grid_error_comes_before_any_kernel_call(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        grid = self.GRID.copy()
+        grid[-3] = grid[-4] - 1e-3  # decreasing in the last block only
+        calls = []
+        with pytest.raises(DomainError, match="^grid must be strictly increasing$"):
+            spectra._sweep(grid, "grid", lambda w: calls.append(w) or w, {})
+        assert calls == []
+
+    def test_overflow_on_the_helper_thread_raises_without_a_warning(
+            self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        numerator, threads = spectra._numerator, {}
+
+        def recording(rep, x):
+            threads[x[-1] > 1e200] = threading.current_thread()
+            return numerator(rep, x)
+
+        monkeypatch.setattr(spectra, "_numerator", recording)
+        grid = np.linspace(0.5, 1.5, 2 * _BLOCK)
+        grid[-1] = 1e300  # Poincare's x**3 overflows in block 1 only
+        TestBlockedSweep._rejects(
+            lambda g: lineshape_S(LineshapeParams(POINCARE, 1.0, 0.1), g), grid,
+            "spectral density must be finite and non-negative")
+        assert threads[False] is threading.main_thread()
+        assert threads[True] is not threading.main_thread()
+
+    def test_no_thread_outlives_a_sweep(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        before = threading.active_count()
+        call = SWEEPS["pulse"][0]
+        call(self.GRID)
+        assert threading.active_count() == before
+        grid = self.GRID.copy()
+        grid[-2] = 1e300  # the Lamb line's emission channel closes
+        with pytest.raises(DomainError):
+            SWEEPS["lamb-line"][0](grid)
+        assert threading.active_count() == before
 
 
 def _outcome(call, grid):
