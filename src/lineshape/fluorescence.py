@@ -74,9 +74,10 @@ class SharpLineScenario:
         _check_scalar(self.dipole_proj, "dipole_proj", "non-negative")
 
 
-def _rate_kernel(intensity, gamma, d2, n, detuning):
-    """Shared arithmetic of the damped scattering rates."""
-    return intensity * gamma * d2 / 2.0 * n / (detuning**2 + gamma**2 / 4.0)
+def _rate_kernel(intensity, gamma, d, n, detuning):
+    """Shared arithmetic of the damped scattering rates.  Scalars are
+    squared by multiplying: Python's ** raises OverflowError, not inf."""
+    return intensity * gamma * (d * d) / 2.0 * n / (detuning**2 + gamma * gamma / 4.0)
 
 
 def fluorescence_sweep(scenario: SharpLineScenario, omega_0_grid) -> Spectrum:
@@ -84,7 +85,7 @@ def fluorescence_sweep(scenario: SharpLineScenario, omega_0_grid) -> Spectrum:
     def kernel(w):
         n = _n_factor(scenario.rep, w / scenario.omega_eg)
         return _rate_kernel(scenario.intensity, scenario.gamma,
-                            scenario.dipole_proj**2, n, w - scenario.omega_eg), n
+                            scenario.dipole_proj, n, w - scenario.omega_eg), n
 
     meta = {
         "representation": scenario.rep.name,
@@ -157,7 +158,7 @@ def lamb_rate_sweep(scenario: LambLineScenario, omega_0_grid) -> Spectrum:
     def kernel(w):
         n = _lamb_n_factor(scenario.rep, w, scenario.omega, scenario.omega_prime)
         return _rate_kernel(scenario.intensity, scenario.gamma,
-                            scenario.dipole_proj**2, n, w - scenario.omega), n
+                            scenario.dipole_proj, n, w - scenario.omega), n
 
     meta = {
         "representation": scenario.rep.name,
@@ -173,17 +174,15 @@ def lamb_rate_sweep(scenario: LambLineScenario, omega_0_grid) -> Spectrum:
     return _sweep(omega_0_grid, "omega_0 grid", kernel, meta, with_n_factor=True)
 
 
-def lamb_hydrogen_preset(
-    rep: GaugeRepresentation, intensity: float = 1.0
-) -> LambLineScenario:
-    """Named preset for the stimulated-decay sweep.
+def lamb_hydrogen_preset(rep: GaugeRepresentation) -> LambLineScenario:
+    """Named preset for the stimulated-decay sweep, at unit intensity.
 
     The ratios (omega'/omega = 1e3, gamma/omega = 0.6) are legibility
     placeholders chosen to make the plotted asymmetries visible; they are
     NOT physical hydrogen values.  Override any field as needed.
     """
     return LambLineScenario(
-        intensity=intensity,
+        intensity=1.0,
         omega=1.0,
         omega_prime=1000.0,
         gamma=0.6,

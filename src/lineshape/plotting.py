@@ -46,6 +46,13 @@ def _curve_order(spectra: list[Spectrum]) -> list[Spectrum]:
 
 
 def _resampled(spectra: list[Spectrum]):
+    """The curves in their fixed order, on the first one's grid.  Both
+    formats need at least one curve, and two points on every curve."""
+    if not spectra:
+        raise ConfigurationError("nothing to plot")
+    if min(spec.grid.size for spec in spectra) < 2:
+        raise ConfigurationError("a plot needs at least two points per curve")
+    spectra = _curve_order(spectra)
     base = spectra[0].grid
     curves = []
     for spec in spectra:
@@ -79,9 +86,6 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 def emit_svg(spectra: list[Spectrum], style: PlotStyle) -> str:
     """Render spectra to a self-contained SVG string."""
-    if not spectra:
-        raise ConfigurationError("nothing to plot")
-    spectra = _curve_order(spectra)
     grid, curves = _resampled(spectra)
     if style.log_scale:
         transformed = []
@@ -201,9 +205,6 @@ def emit_svg(spectra: list[Spectrum], style: PlotStyle) -> str:
 def emit_gnuplot(spectra: list[Spectrum], style: PlotStyle,
                  dat_name: str) -> tuple[str, str]:
     """Return (data file text, gnuplot script text)."""
-    if not spectra:
-        raise ConfigurationError("nothing to plot")
-    spectra = _curve_order(spectra)
     grid, curves = _resampled(spectra)
     header = "# omega " + " ".join(name for name, _ in curves)
     rows = [header]

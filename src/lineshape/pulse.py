@@ -60,7 +60,6 @@ from .spectra import (
 __all__ = [
     "PulseConfig",
     "PulseTrajectory",
-    "laser_coupling_pair",
     "excited_amplitude_during_pulse",
     "closed_form_amplitude",
     "integrate_dynamics",
@@ -68,7 +67,9 @@ __all__ = [
     "lorentzian_reference_spectrum",
 ]
 
-_MAX_SAMPLES = 10**7  # samples per trajectory; 160 MB per complex component
+# integrate_dynamics: samples per phase, DOP853 tolerances for the pulse
+# window, and the post-pulse horizon in units of 1/Gamma.
+_SAMPLES, _RTOL, _ATOL, _HORIZON = 401, 1e-11, 1e-13, 8.0
 
 
 @dataclass(frozen=True)
@@ -77,14 +78,14 @@ class PulseConfig:
 
     The drive has constant amplitude ``rabi`` on the window [-pi/rabi, 0]
     and is off outside it; the closed forms and the integrated dynamics
-    both assume this shape.  ``alpha_laser`` overrides the
-    representation's mixing constant for the drive coupling only (None:
-    derive it from the representation at the carrier frequency).
+    both assume this shape.  It couples through the representation's own
+    u_l at the carrier frequency ``omega_l``.  The integrated dynamics use
+    fixed ODE settings (see :func:`integrate_dynamics`): 401 samples per
+    phase, DOP853 at rtol 1e-11 and atol 1e-13, a horizon of 8/Gamma.
     """
 
     rabi: float
     omega_l: float
-    alpha_laser: float | None = None
 
     def __post_init__(self):
         _check_scalar(self.rabi, "rabi")
@@ -92,37 +93,21 @@ class PulseConfig:
         if not math.isfinite(duration * duration):
             raise DomainError("rabi amplitude is too small: (pi/rabi)**2 overflows")
         _check_scalar(self.omega_l, "omega_l")
-        if self.alpha_laser is not None:
-            _check_scalar(self.alpha_laser, "alpha_laser", "finite")
 
     @property
     def duration(self) -> float:
         return math.pi / self.rabi
 
 
-def laser_coupling_pair(config: PulseConfig, rep: GaugeRepresentation,
-                        omega_0: float):
-    """Drive couplings u_l(+/-) at the carrier frequency.
-
-    On resonance u_minus equals 1 in every representation, so a resonant
-    pulse drives identically no matter the gauge.
-    """
-    _check_scalar(omega_0, "omega_0")
-    if config.alpha_laser is None:
-        return coupling_pair(rep, config.omega_l, omega_0)
-    a = config.alpha_laser
-    down = math.sqrt(omega_0 / config.omega_l)
-    up = math.sqrt(config.omega_l / omega_0)
-    return (1.0 - a) * down - a * up, (1.0 - a) * down + a * up
-
-
 # -- closed forms ------------------------------------------------------------
 
 
 def _drive(config: PulseConfig, rep: GaugeRepresentation, omega_0: float):
-    """Drive constants: coupling u_l, laser detuning delta_l and the
+    """Drive constants: coupling u_l (u_minus at the carrier; 1 on
+    resonance in every representation), laser detuning delta_l and the
     generalised Rabi frequency mu = hypot(Omega u_l, delta_l)."""
-    u_l = laser_coupling_pair(config, rep, omega_0)[1]
+    _check_scalar(omega_0, "omega_0")
+    u_l = coupling_pair(rep, config.omega_l, omega_0).u_minus
     delta_l = omega_0 - config.omega_l
     return u_l, delta_l, math.hypot(config.rabi * u_l, delta_l)
 
@@ -159,7 +144,9 @@ def _kernel_parts(P, theta: float):
     :func:`closed_form_amplitude`, branch-free through P = +/- theta.
     With t = tan(h/2), sin h = 2t/(1 + t^2) and cos h = (1 - t^2)/(1 + t^2):
     numpy vectorises float64 tan, not sin or cos (scalar libm calls).  No
-    double is near enough to an odd multiple of pi/2 for t*t to overflow."""
+    double is near enough to an odd multiple of pi/2 for t*t to overflow.
+    Against 80 digits the relative error is at most 1e-14: 5.3e-15 at theta
+    = 3.2, near pi, where sin(theta)/theta - s cos(phi) cancels."""
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     q = np.abs(P)
     h = 0.5 * (q - theta)
@@ -382,10 +369,6 @@ def integrate_dynamics(
     *,
     rwa: bool = True,
     include_field_during_pulse: bool = False,
-    samples: int = 401,
-    rtol: float = 1e-11,
-    atol: float = 1e-13,
-    post_horizon: float | None = None,
 ) -> PulseTrajectory:
     """Integrate the coupled amplitude equations through the pulse window.
 
@@ -395,42 +378,31 @@ def integrate_dynamics(
     picks up the analytic Lorentzian tail.  With
     ``include_field_during_pulse`` the discretized modes are retained in
     the atom equations during the pulse, and afterwards the drive-free
-    decay into them (``post_horizon``, default 8/Gamma, sampled at
-    ``samples`` times) is propagated exactly from the eigen-decomposition
-    of the atom-plus-modes system, a beyond-closed-form check.  The mode
-    grid must then be strictly monotonic, in either direction.
+    decay into them over [0, 8/Gamma] is propagated exactly from the
+    eigen-decomposition of the atom-plus-modes system, a beyond-closed-form
+    check.  The mode grid must then be strictly monotonic, in either
+    direction.
 
     The drive is the rectangular pi-pulse of ``config`` on [-pi/Omega, 0],
     so the t >= 0 continuation starts where it ends.  ``gamma`` and
-    ``omega_0`` must be finite and positive, ``samples`` (pulse start to
-    end) a whole number from 2 to 10**7, the mode grid a finite 1-d array
-    and a given ``post_horizon`` finite and positive.
-    The in-package DOP853 pair (Hairer, Norsett & Wanner, Sec. II.4-II.6)
-    steps the pulse window.  ``rtol`` and ``atol``, finite and positive,
-    mean what they mean in scipy's ``solve_ivp``: each step's error
-    estimate over ``atol + rtol * |y|`` has an RMS over components below
-    1; tolerances that cannot be met raise ``ConfigurationError``.  They
-    govern the pulse window only; the post-pulse phase is exact to rounding.
+    ``omega_0`` must be finite and positive and the mode grid a finite 1-d
+    array.  The ODE settings are fixed: each phase is sampled at 401
+    times, and the in-package DOP853 pair (Hairer, Norsett & Wanner, Sec.
+    II.4-II.6) steps the pulse window with ``rtol`` 1e-11 and ``atol``
+    1e-13, as in scipy's ``solve_ivp``: each step's error estimate over
+    ``atol + rtol * |y|`` has an RMS over components below 1.  The
+    post-pulse phase is exact to rounding.
 
     Modes enter only through their detunings unless back-reaction is on.
     """
     _check_scalar(gamma, "gamma")
     _check_scalar(omega_0, "omega_0")
-    _check_scalar(samples, "samples")  # so that a huge int cannot overflow float()
-    if not float(samples).is_integer() or not 2 <= samples <= _MAX_SAMPLES:
-        raise DomainError(f"samples must be a whole number from 2 to "
-                          f"{_MAX_SAMPLES}, got {samples!r}")
-    samples = int(samples)
     from ._ode import _dop853  # here: other runs skip compiling the tableau
-    _check_scalar(rtol, "rtol")
-    _check_scalar(atol, "atol")
-    if post_horizon is not None:
-        _check_scalar(post_horizon, "post_horizon")
     mode_grid = np.asarray(mode_grid, dtype=float)
     if mode_grid.ndim != 1 or not np.all(np.isfinite(mode_grid)):
         raise DomainError("mode grid must be a finite 1-d array")
     delta_modes = omega_0 - mode_grid
-    u_plus, u_minus = laser_coupling_pair(config, rep, omega_0)
+    u_plus, u_minus = coupling_pair(rep, config.omega_l, omega_0)
     nmodes = len(mode_grid)
     back_reaction = include_field_during_pulse and nmodes > 0
     weights = (_mode_weights(mode_grid, rep, omega_0, gamma)
@@ -468,14 +440,13 @@ def integrate_dynamics(
     y0 = np.zeros(size, dtype=complex)
     y0[0] = 1.0
     start = -config.duration
-    t_eval = np.linspace(start, 0.0, samples)
-    y, _ = _dop853(rhs, start, 0.0, y0, t_eval, rtol, atol)
+    t_eval = np.linspace(start, 0.0, _SAMPLES)
+    y, _ = _dop853(rhs, start, 0.0, y0, t_eval, _RTOL, _ATOL)
 
     beta_end = y[2:, -1] if nmodes else np.zeros(0, dtype=complex)
     post_times = post_b_e = None
     if back_reaction:
-        horizon = post_horizon if post_horizon is not None else 8.0 / gamma
-        post_times = np.linspace(0.0, horizon, samples)
+        post_times = np.linspace(0.0, _HORIZON / gamma, _SAMPLES)
         post_b_e, beta_final = _field_free_decay(
             y[1, -1], beta_end, delta_modes, weights, post_times
         )
@@ -556,7 +527,8 @@ def _zero_locus_on_grid(config, drive, omega_0, grid) -> bool:
         return False
     delta_k = omega_0 - np.array([grid[0], grid[-1]])
     u_l, delta_l, _ = drive
-    D = (config.rabi * u_l) ** 2 + 4.0 * delta_k * (delta_l - delta_k)
+    rabi_u = config.rabi * u_l  # squared by hand: ** raises on overflow
+    D = rabi_u * rabi_u + 4.0 * delta_k * (delta_l - delta_k)
     return bool(np.any(D <= 0.0))
 
 

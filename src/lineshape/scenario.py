@@ -49,6 +49,10 @@ _TOP_KEYS = ("mode", "representations", "plot", "log_scale", "out_prefix")
 
 REQUIRED = object()  # the default of a key that must be given
 
+# The most grid points a run may ask for: the 1e6-point grids of the
+# benchmark and the ROADMAP, well within memory.
+_MAX_POINTS = 10**6
+
 
 class Param(NamedTuple):
     """One section key: its kind (see :func:`typed`), its default
@@ -190,7 +194,7 @@ def typed(key: str, value, kind="number"):
     """Return the value of parameter ``key`` checked against its kind.
 
     ``number`` accepts an int or float and returns a float; ``points``
-    accepts a whole number of at least 2 and returns an int; ``flag``
+    accepts a whole number from 2 to 10**6 and returns an int; ``flag``
     accepts only true/false; ``shift`` accepts a number or ``auto``; a
     tuple of words accepts one of them.  Anything else (a word where a
     number belongs, a fractional point count, ``no`` for a flag) raises
@@ -210,10 +214,9 @@ def typed(key: str, value, kind="number"):
         raise ScenarioError(f"{key} must be a number, got {value!r}")
     value = float(value)
     if kind == "points":
-        if not (value.is_integer() and value >= 2):
-            raise ScenarioError(
-                f"{key} must be a whole number of at least 2, got {value:g}"
-            )
+        if not (value.is_integer() and 2 <= value <= _MAX_POINTS):
+            raise ScenarioError(f"{key} must be a whole number of at least 2 "
+                                f"and at most {_MAX_POINTS}, got {value:g}")
         return int(value)
     return value
 

@@ -98,11 +98,11 @@ def gamma_onshell(
     if w <= 0.0:
         raise DomainError("upper level must lie above lower level")
     if rep.kind == "coulomb":
-        p2 = float(np.sum(np.abs(model.momentum(lower, upper)) ** 2))
-        return model.charge**2 * p2 * w / (3.0 * math.pi * model.mass**2)
-    d2 = float(np.sum(np.abs(model.dipole(lower, upper)) ** 2))
+        p = model.momentum(lower, upper)
+        return model.charge**2 * (p * p) * w / (3.0 * math.pi * model.mass**2)
+    d = model.dipole(lower, upper)
     u_on = coupling_pair(rep, w, w).u_minus
-    return w**3 * d2 * u_on**2 / (3.0 * math.pi)
+    return w**3 * (d * d) * u_on**2 / (3.0 * math.pi)
 
 
 def _channel_weight(rep, emitted: float, w_abs: float, downward: bool) -> float:
@@ -133,7 +133,7 @@ def gamma_offshell(
         if emitted <= 0.0:
             continue
         w_abs = abs(tr.omega)
-        d2 = float(np.sum(np.abs(tr.dipole) ** 2))
+        d2 = tr.dipole * tr.dipole
         base = w_abs**3 * d2 / (3.0 * math.pi)
         total += base * _channel_weight(rep, emitted, w_abs, downward=tr.omega < 0.0)
     return total
@@ -173,7 +173,7 @@ def delta_offshell(
     total = 0.0
     for tr in model.transitions_from(state):
         w_abs = abs(tr.omega)
-        d2 = float(np.sum(np.abs(tr.dipole) ** 2))
+        d2 = tr.dipole * tr.dipole
         if d2 == 0.0:
             continue
         downward = tr.omega < 0.0
@@ -207,14 +207,13 @@ def total_shift_integrand(
     if rep.kind == "coulomb":
         bracket = np.full_like(w, 0.5)
         for tr in model.transitions_from(state):
-            p2 = float(np.sum(np.abs(model.momentum(tr.label, state)) ** 2))
-            bracket -= p2 / model.mass / (tr.omega + w)
+            p = model.momentum(tr.label, state)
+            bracket -= p * p / model.mass / (tr.omega + w)
         return weight * model.charge**2 / (2.0 * model.mass * w) * bracket
     if rep.kind == "poincare":
         out = np.zeros_like(w)
         for tr in model.transitions_from(state):
-            d2 = float(np.sum(np.abs(tr.dipole) ** 2))
-            out += 0.5 * d2 * tr.omega / (tr.omega + w)
+            out += 0.5 * (tr.dipole * tr.dipole) * tr.omega / (tr.omega + w)
         return weight * out
     raise DomainError(
         "the diagonal interaction term is defined only on the coulomb and "
@@ -237,17 +236,17 @@ def total_shift(
         # The diagonal A^2 term, int_0^cutoff e^2 w / (12 pi^2 m) dw.
         total = model.charge**2 * cutoff**2 / (24.0 * math.pi**2 * model.mass)
         for tr in model.transitions_from(state):
-            p2 = float(np.sum(np.abs(model.momentum(tr.label, state)) ** 2))
-            if p2 == 0.0:
+            p = model.momentum(tr.label, state)
+            if p == 0.0:
                 continue
-            coeff = model.charge**2 * p2 / (6.0 * math.pi**2 * model.mass**2)
+            coeff = model.charge**2 * (p * p) / (6.0 * math.pi**2 * model.mass**2)
             # PV int_0^cutoff w / (omega_ns + w) dw; its pole is at -omega_ns.
             total += coeff * pv_quad(lambda w: w, -tr.omega, 0.0, cutoff, n)
         return total
     if rep.kind == "poincare":
         total = 0.0
         for tr in model.transitions_from(state):
-            d2 = float(np.sum(np.abs(tr.dipole) ** 2))
+            d2 = tr.dipole * tr.dipole
             if d2 == 0.0:
                 continue
             coeff = 0.5 * d2 * tr.omega / (3.0 * math.pi**2)
@@ -270,10 +269,11 @@ def lamb_shift(model: AtomModel, state: str, cutoff: float, n: int = 4096) -> fl
     _require_cutoff(model, cutoff)
     total = 0.0
     for tr in model.transitions_from(state):
-        p2 = float(np.sum(np.abs(model.momentum(tr.label, state)) ** 2))
-        if p2 == 0.0:
+        p = model.momentum(tr.label, state)
+        if p == 0.0:
             continue
-        coeff = model.charge**2 * tr.omega * p2 / (6.0 * math.pi**2 * model.mass**2)
+        coeff = (model.charge**2 * tr.omega * (p * p)
+                 / (6.0 * math.pi**2 * model.mass**2))
         total -= coeff * pv_quad(np.ones_like, -tr.omega, 0.0, cutoff, n)
     return total
 
@@ -431,7 +431,7 @@ def _sweep(grid, name: str, kernel, metadata: dict,
 def lorentzian_density(delta, gamma: float):
     """(gamma / 2 pi) / (delta**2 + gamma**2 / 4); shared by all spectra."""
     delta = np.asarray(delta, dtype=float)
-    return (gamma / (2.0 * math.pi)) / (delta**2 + gamma**2 / 4.0)
+    return (gamma / (2.0 * math.pi)) / (delta**2 + gamma * gamma / 4.0)
 
 
 def lineshape_S(params: LineshapeParams, grid) -> Spectrum:

@@ -29,7 +29,6 @@ from .pulse import (
     closed_form_amplitude,
     excited_amplitude_during_pulse,
     integrate_dynamics,
-    laser_coupling_pair,
     pulse_spectrum,
 )
 from .representations import (
@@ -464,16 +463,15 @@ def check_ode_oracle(omega_0=1.0, rabi=1.0, gamma=0.1) -> list[CheckResult]:
 
     # Detuned drives: the removable points sit at delta_k = (delta_l +/- mu)/2.
     detuned_residual = 0.0
-    for drive in (PulseConfig(rabi=rabi, omega_l=0.8 * omega_0),
-                  PulseConfig(rabi=rabi, omega_l=0.9 * omega_0),
-                  PulseConfig(rabi=rabi, omega_l=0.9 * omega_0,
-                              alpha_laser=0.4)):
-        _, delta_l, mu = _drive(drive, rep, omega_0)
+    for omega_l, drive_rep in ((0.8, rep), (0.9, rep),
+                               (0.9, GaugeRepresentation.constant(0.4))):
+        drive = PulseConfig(rabi=rabi, omega_l=omega_l * omega_0)
+        _, delta_l, mu = _drive(drive, drive_rep, omega_0)
         removable = omega_0 - 0.5 * (delta_l + np.array([-mu, mu]))
         wk = np.concatenate((np.linspace(0.2, 1.9, 1001) * omega_0,
                              removable, removable * (1.0 + 1e-9)))
-        got = closed_form_amplitude(wk, drive, rep, omega_0, gamma)
-        want = _detuned_amplitude(wk, drive, rep, omega_0, gamma)
+        got = closed_form_amplitude(wk, drive, drive_rep, omega_0, gamma)
+        want = _detuned_amplitude(wk, drive, drive_rep, omega_0, gamma)
         detuned_residual = max(
             detuned_residual, float(np.max(np.abs(got - want) / np.abs(want)))
         )
@@ -491,10 +489,7 @@ def check_ode_oracle(omega_0=1.0, rabi=1.0, gamma=0.1) -> list[CheckResult]:
     reduction_bits = float(np.max(np.abs(laser_free.values - bare.values)))
 
     coupling_residual = max(
-        abs(laser_coupling_pair(PulseConfig(rabi=rabi, omega_l=omega_0), r,
-                                omega_0)[1] - 1.0)
-        for r in REPS
-    )
+        abs(coupling_pair(r, omega_0, omega_0).u_minus - 1.0) for r in REPS)
 
     return [
         CheckResult.measure(

@@ -6,6 +6,7 @@ import numpy as np
 
 from lineshape import (
     REQUIRED_CHECKS,
+    AtomModel,
     CheckResult,
     GaugeRepresentation,
     LambLineScenario,
@@ -13,6 +14,7 @@ from lineshape import (
     PulseConfig,
     SharpLineScenario,
     VerificationReport,
+    build_oscillator,
     fluorescence_sweep,
     lamb_rate_sweep,
     lineshape_S,
@@ -20,6 +22,14 @@ from lineshape import (
     pulse_spectrum,
 )
 from lineshape.spectra import _BLOCK
+
+
+def charged_oscillator(omega, mass, n_levels, charge) -> AtomModel:
+    """``build_oscillator``'s ladder for a charge e: d = -e x, the builder's
+    dipoles times e, so each route's value scales as e**2."""
+    ladder = build_oscillator(omega, mass, n_levels)
+    return AtomModel(levels=ladder.levels, mass=mass, charge=charge,
+                     dipoles={k: charge * d for k, d in ladder.dipoles.items()})
 
 
 def missing_checks(report) -> list[str]:

@@ -1,5 +1,5 @@
-"""Public names resolve, are the reviewed set, and every name the
-benchmark uses still exists.
+"""Public names resolve, are the reviewed set with the reviewed
+parameters, and every name the benchmark uses still exists.
 
 The benchmark in ``perfbench/`` reaches the library through ``import
 lineshape as ls`` attributes, ``from lineshape.<module> import ...`` and the
@@ -9,6 +9,7 @@ it, so those names are read from its source and looked up here.
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import types
 from pathlib import Path
@@ -48,6 +49,79 @@ PUBLIC_NAMES = [
     "numerator", "pulse_spectrum", "read_spectrum_csv", "run_all_checks",
     "total_shift", "total_shift_integrand", "trk_sum", "write_spectrum_csv",
 ]
+
+
+# The parameters (names, kinds, defaults) of every public callable and
+# dataclass that has a signature.  A parameter added here is an API change
+# like a name: it needs a caller in the CLI, ``verify``, the benchmark or
+# the README-documented library use, not only in tests.
+PUBLIC_SIGNATURES = {
+    "AtomModel": "(levels, dipoles, mass=1.0, charge=1.0)",
+    "CheckResult": "(name, description, residual, tolerance, passed, claim, "
+                   "expected_fail=False)",
+    "GaugeRepresentation": "(kind, custom_alpha=None)",
+    "LambLineScenario": "(intensity, omega, omega_prime, gamma, dipole_proj, "
+                        "rep)",
+    "Level": "(label, energy)",
+    "LineshapeParams": "(rep, omega_eg, gamma, lamb_shift=0.0, "
+                       "variable_width=False)",
+    "PulseConfig": "(rabi, omega_l)",
+    "PulseTrajectory": "(times, b_g, b_e, mode_grid, beta_pulse_end, "
+                       "beta_final, rwa, include_field_during_pulse, "
+                       "post_times=None, post_b_e=None)",
+    "ScenarioError": "(message, line=None)",
+    "SharpLineScenario": "(intensity, omega_0, omega_eg, gamma, dipole_proj, "
+                         "rep)",
+    "Spectrum": "(grid, values, metadata=<factory>, n_factor=None)",
+    "VerificationReport": "(checks, environment=<factory>)",
+    "build_oscillator": "(omega, mass, n_levels)",
+    "build_two_level": "(omega_eg, d_eg)",
+    "closed_form_amplitude": "(omega_k, config, rep, omega_0, gamma)",
+    "coupling_pair": "(rep, omega_k, omega_0)",
+    "delta_offshell": "(omega, model, rep, cutoff, state=None, n=4096)",
+    "excited_amplitude_during_pulse": "(t, config, rep, omega_0)",
+    "fluorescence_sweep": "(scenario, omega_0_grid)",
+    "gamma_offshell": "(omega, model, rep, state=None)",
+    "gamma_onshell": "(model, upper, lower, "
+                     "rep=GaugeRepresentation(kind='poincare', custom_alpha=None))",
+    "integrate_dynamics": "(config, rep, omega_0, gamma, mode_grid=(), *, "
+                          "rwa=True, include_field_during_pulse=False)",
+    "lamb_hydrogen_preset": "(rep)",
+    "lamb_n_factor": "(rep, omega_0, omega, omega_prime)",
+    "lamb_rate_sweep": "(scenario, omega_0_grid)",
+    "lamb_shift": "(model, state, cutoff, n=4096)",
+    "lineshape_S": "(params, grid)",
+    "lorentzian_reference_spectrum": "(omega_0, gamma, grid)",
+    "mixing": "(rep, omega_k, omega_0)",
+    "n_factor": "(rep, omega_0, omega_eg)",
+    "numerator": "(rep, omega_k, omega_eg)",
+    "pulse_spectrum": "(config, rep, omega_0, gamma, grid, *, "
+                      "include_laser=True)",
+    "read_spectrum_csv": "(path)",
+    "run_all_checks": "(cutoff=1000.0)",
+    "total_shift": "(model, state, rep, cutoff, n=4096)",
+    "total_shift_integrand": "(model, state, rep, omega_modes)",
+    "trk_sum": "(model, state)",
+    "write_spectrum_csv": "(spectrum, path)",
+}
+
+
+def test_public_signatures_are_the_reviewed_set():
+    found = {}
+    for name in PUBLIC_NAMES:
+        value = getattr(lineshape, name)
+        if not callable(value):
+            continue
+        try:
+            sig = inspect.signature(value)
+        except ValueError:  # an exception class with ValueError's arguments
+            continue
+        # Annotations are left out: their text differs between Pythons.
+        found[name] = str(sig.replace(
+            parameters=[p.replace(annotation=p.empty)
+                        for p in sig.parameters.values()],
+            return_annotation=sig.empty))
+    assert found == PUBLIC_SIGNATURES
 
 
 def test_public_names_are_the_reviewed_set():

@@ -42,7 +42,6 @@ from lineshape import (
     numerator,
     total_shift,
 )
-from lineshape.pulse import _MAX_SAMPLES, laser_coupling_pair
 
 ATOM = build_two_level(1.0, 1.0)
 DRIVE = PulseConfig(rabi=1.0, omega_l=1.0)
@@ -51,11 +50,11 @@ SHARP = dict(intensity=1.0, omega_0=1.0, omega_eg=1.0, gamma=0.1,
 LAMB = dict(intensity=1.0, omega=1.0, omega_prime=4.0, gamma=0.6,
             dipole_proj=1.0, rep=COULOMB)
 PARAMS = dict(rep=COULOMB, omega_eg=1.0, gamma=0.1, lamb_shift=0.0)
-PULSE = dict(rabi=1.0, omega_l=1.0, alpha_laser=None)
+PULSE = dict(rabi=1.0, omega_l=1.0)
 CUTOFF = dict(model=ATOM, state="e", cutoff=1000.0)
 ENERGY = dict(levels=(Level("g", 0.0), Level("e", 1.0)), dipoles={})
 HUGE = 10**400  # an int too large for a float
-LARGE = {HUGE: "10**400", 10**300: "10**300", _MAX_SAMPLES + 1: "10**7+1"}
+LARGE = {HUGE: "10**400"}
 
 # (callable, good keyword arguments, argument to spoil, bad value)
 ROWS = [
@@ -68,7 +67,6 @@ ROWS = [
     (PulseConfig, PULSE, "rabi", "1"),
     (PulseConfig, PULSE, "rabi", True),
     (PulseConfig, PULSE, "omega_l", [1, 2]),
-    (PulseConfig, PULSE, "alpha_laser", "0.3"),
     (GaugeRepresentation, dict(kind="custom", custom_alpha=0.3),
      "custom_alpha", "0.3"),
     (GaugeRepresentation, dict(kind="custom", custom_alpha=0.3),
@@ -76,7 +74,6 @@ ROWS = [
     (GaugeRepresentation.constant, dict(alpha=0.3), "alpha", "0.3"),
     (build_two_level, dict(omega_eg=1.0, d_eg=1.0), "d_eg", math.nan),
     (build_two_level, dict(omega_eg=1.0, d_eg=1.0), "d_eg", "1"),
-    (build_two_level, dict(omega_eg=1.0, d_eg=1.0), "mass", math.nan),
     (AtomModel, ENERGY, "levels", (Level("g", 0.0), Level("e", math.nan))),
     (lamb_shift, CUTOFF, "cutoff", math.nan),
     (lamb_shift, CUTOFF, "cutoff", math.inf),
@@ -98,9 +95,8 @@ ROWS = [
      "omega", math.nan),
     (excited_amplitude_during_pulse,
      dict(t=-1.0, config=DRIVE, rep=COULOMB, omega_0=1.0), "t", math.nan),
-    (laser_coupling_pair,
-     dict(config=PulseConfig(1.0, 1.0, alpha_laser=0.4), rep=COULOMB,
-          omega_0=1.0), "omega_0", math.nan),
+    (excited_amplitude_during_pulse,
+     dict(t=-1.0, config=DRIVE, rep=COULOMB, omega_0=1.0), "omega_0", math.nan),
     (closed_form_amplitude,
      dict(omega_k=0.7, config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1),
      "omega_k", math.nan),
@@ -113,15 +109,8 @@ ROWS = [
     (excited_amplitude_during_pulse,
      dict(t=-1.0, config=DRIVE, rep=COULOMB, omega_0=1.0), "t", "-1"),
     (Spectrum, dict(grid=[1.0, 2.0], values=[1.0, 1.0]), "grid", ["1", "2"]),
-    (integrate_dynamics,
-     dict(config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1, samples=11),
-     "samples", HUGE),
-    (integrate_dynamics,
-     dict(config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1, samples=11),
-     "samples", 10**300),
-    (integrate_dynamics,
-     dict(config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1, samples=11),
-     "samples", _MAX_SAMPLES + 1),
+    (integrate_dynamics, dict(config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1),
+     "gamma", HUGE),
     (build_oscillator, dict(omega=1.0, mass=1.0, n_levels=4), "n_levels", 3.5),
     # mass * omega underflows to 0.
     (build_oscillator, dict(omega=1e-200, mass=1.0, n_levels=3), "mass", 1e-200),

@@ -167,6 +167,40 @@ class TestExitCodes:
         assert main(["plot", str(bad), "--out",
                      str(tmp_path / "p.svg")]) == 3
 
+    @pytest.mark.parametrize("rows", ["", "1.0,0.5,coulomb,0.1,1,0,1000\n"],
+                             ids=["header-only", "one-row"])
+    @pytest.mark.parametrize("fmt", ["svg", "gnuplot"])
+    def test_plot_of_fewer_than_two_points_is_3(self, rows, fmt, tmp_path,
+                                                capsys):
+        short = tmp_path / "short.csv"
+        short.write_text(
+            "omega_k,S,representation,gamma,omega_eg,lamb_shift,cutoff\n" + rows)
+        assert main(["plot", str(short), "--plot", fmt, "--out",
+                     str(tmp_path / "p.out")]) == 3
+        assert capsys.readouterr().err == (
+            "error: a plot needs at least two points per curve\n")
+
+    # Squares of huge inputs once raised OverflowError from Python's **.
+    @pytest.mark.parametrize("argv", [
+        ["lineshape", "--gamma", "1e308"],
+        ["pulse", "--rabi", "1e300", "--gamma", "0.1"],
+        ["fluorescence", "--gamma", "0.1", "--intensity", "1e308",
+         "--dipole", "1e308"],
+        ["fluorescence", "--gamma", "1e200"],
+        ["lamb-line", "--preset", "lamb-hydrogen", "--gamma-2p1s", "1e200"],
+        ["lineshape", "--gamma", "0.1", "--grid", "0.05,3,1e9"],
+    ], ids=" ".join)
+    def test_huge_values_exit_cleanly(self, argv, tmp_path, capsys):
+        code = main([*argv, "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            return
+        for path in tmp_path.glob("*.csv"):
+            spectrum = read_spectrum_csv(path)
+            assert np.all(np.isfinite(spectrum.values))
+
     def test_verification_failure_is_4(self, tmp_path, monkeypatch, capsys):
         from lineshape import cli as cli_mod
         from lineshape.verify import CheckResult, VerificationReport

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -153,7 +154,7 @@ class TestLambLine:
         )
 
     def test_sweep_peak_height(self):
-        s = lamb_hydrogen_preset(POINCARE, intensity=2.0)
+        s = dataclasses.replace(lamb_hydrogen_preset(POINCARE), intensity=2.0)
         grid = np.linspace(0.2, 2.0, 1801)  # includes 1.0 exactly
         spec = lamb_rate_sweep(s, grid)
         i = np.where(grid == 1.0)[0][0]

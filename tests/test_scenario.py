@@ -140,6 +140,14 @@ class TestGrid:
             "error: grid_min and grid_max must be finite\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_points_ceiling_checked_at_parse_time(self):
+        # Rejected before any grid is built: 1e9 points would need 8 GB.
+        with pytest.raises(ScenarioError, match="grid_points .* at most 1000000"):
+            parse_scenario(GOOD.replace("grid_points: 296", "grid_points: 1e9"))
+        scn = parse_scenario(GOOD.replace("grid_points: 296",
+                                          "grid_points: 1000000"))
+        assert scn.params["grid_points"] == 10**6
+
     def test_grid_validated_at_parse_time(self):
         text = GOOD.replace("grid_points: 296", "grid_points: 1")
         with pytest.raises(ScenarioError, match="at least 2"):
