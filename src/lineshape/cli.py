@@ -175,6 +175,8 @@ def _write_outputs(spectra, out_dir, prefix, plot, log_scale, params) -> None:
         },
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
+    if params.get("lamb_shift") == "auto":
+        meta["resolved"] = {"lamb_shift": spectra[0].metadata["lamb_shift"]}
     _write_text(os.path.join(out_dir, f"{prefix}_metadata.json"),
                 json.dumps(meta, sort_keys=True, indent=2) + "\n")
 

@@ -18,9 +18,8 @@ by mode.
 
 Every spectrum on a frequency grid is built by one blocked sweep: after
 the grid checks, its kernel is evaluated ``_BLOCK`` points at a time, on
-up to two CPUs, and each block of values is checked, and its trapezoid
-area taken, while it is in cache.  Blocking changes no value, only the
-area's last bits; the number of CPUs changes neither, bit for bit.
+up to two CPUs, and each block of values is checked while it is in cache.
+No bit of any output depends on the block size or on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -99,10 +98,13 @@ def gamma_onshell(
         raise DomainError("upper level must lie above lower level")
     if rep.kind == "coulomb":
         p = model.momentum(lower, upper)
-        return model.charge**2 * (p * p) * w / (3.0 * math.pi * model.mass**2)
-    d = model.dipole(lower, upper)
-    u_on = coupling_pair(rep, w, w).u_minus
-    return w**3 * (d * d) * u_on**2 / (3.0 * math.pi)
+        rate = model.charge**2 * (p * p) * w / (3.0 * math.pi * model.mass**2)
+    else:
+        d = model.dipole(lower, upper)
+        u_on = coupling_pair(rep, w, w).u_minus
+        rate = (w * w * w) * (d * d) * (u_on * u_on) / (3.0 * math.pi)
+    _check_scalar(rate, "decay rate", "finite")
+    return rate
 
 
 def _channel_weight(rep, emitted: float, w_abs: float, downward: bool) -> float:
@@ -110,7 +112,7 @@ def _channel_weight(rep, emitted: float, w_abs: float, downward: bool) -> float:
     pair = coupling_pair(rep, emitted, w_abs)
     u = pair.u_minus if downward else pair.u_plus
     u_on = coupling_pair(rep, w_abs, w_abs).u_minus
-    return (emitted**2 * u**2) / (w_abs**2 * u_on**2)
+    return (emitted * emitted * (u * u)) / (w_abs * w_abs * (u_on * u_on))
 
 
 def gamma_offshell(
@@ -134,8 +136,9 @@ def gamma_offshell(
             continue
         w_abs = abs(tr.omega)
         d2 = tr.dipole * tr.dipole
-        base = w_abs**3 * d2 / (3.0 * math.pi)
+        base = (w_abs * w_abs * w_abs) * d2 / (3.0 * math.pi)
         total += base * _channel_weight(rep, emitted, w_abs, downward=tr.omega < 0.0)
+    _check_scalar(total, "decay rate", "finite")
     return total
 
 
@@ -234,7 +237,7 @@ def total_shift(
     _require_cutoff(model, cutoff)
     if rep.kind == "coulomb":
         # The diagonal A^2 term, int_0^cutoff e^2 w / (12 pi^2 m) dw.
-        total = model.charge**2 * cutoff**2 / (24.0 * math.pi**2 * model.mass)
+        total = model.charge**2 * (cutoff * cutoff) / (24.0 * math.pi**2 * model.mass)
         for tr in model.transitions_from(state):
             p = model.momentum(tr.label, state)
             if p == 0.0:
@@ -309,8 +312,9 @@ class Spectrum:
 
     ``metadata`` echoes the generating parameters (representation, gamma,
     omega_eg, lamb_shift, cutoff, ...).  The density is NOT normalized to
-    unit area; the numerically integrated area is recorded in the metadata
-    instead, since the area itself differs between representations.
+    unit area, since the area differs between representations;
+    ``np.trapezoid(values, grid)`` gives it.  The values are checked block
+    by block, and no bit of any output depends on the block size.
     """
 
     grid: np.ndarray
@@ -323,29 +327,23 @@ class Spectrum:
         self.values = _check_real(self.values, "spectral density", "non-negative")
         if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
             raise DomainError("grid and values must be 1-d arrays of equal length")
-        area = _check_blocks(self.grid, self.values)
+        _check_blocks(self.grid, self.values)
         if self.n_factor is not None:
             self.n_factor = _check_real(self.n_factor, "n_factor")
             if self.n_factor.shape != self.grid.shape:
                 raise DomainError("n_factor column must match the grid length")
-        self._describe(area)
-
-    def _describe(self, area: float) -> None:
-        self.metadata.setdefault("area", area)
-        self.metadata.setdefault(
-            "normalization", "spectral density; area reported, not normalized"
-        )
 
 
 # Grid points per block of a spectrum sweep (256 KiB per float64
 # temporary).  On two threads of a 2-vCPU Xeon a detuned 1e6-point pulse
-# spectrum took 40.8, 34.2, 32.5 and 47.2 ms at 16384 to 131072 points;
-# the areas' last bits depend on this size, so it stays fixed.
+# spectrum took 40.8, 34.2, 32.5 and 47.2 ms at 16384 to 131072 points.
+# Every point is computed on its own, so no bit of any output depends on
+# this size.
 _BLOCK = 32768
 
 
-def _check_blocks(grid, values, kernel=None, n_factor=None) -> float:
-    """Check a spectrum ``_BLOCK`` points at a time; return its trapezoid area.
+def _check_blocks(grid, values, kernel=None, n_factor=None) -> None:
+    """Check a spectrum ``_BLOCK`` points at a time.
 
     The grid must be strictly increasing, each block reaching back one
     point for the pair across its edge.  Then each block of ``values``,
@@ -354,20 +352,14 @@ def _check_blocks(grid, values, kernel=None, n_factor=None) -> float:
     result fails that test, so numpy's warnings are silenced.  Given two
     CPUs, a helper thread fills the blocks past the middle (numpy releases
     the GIL in its loops); each thread stops at its first failing block,
-    and the lowest one raises.  A block's area is taken once the block
-    before it is filled too, and summed in block order: the bits of one
-    thread, and of ``np.trapezoid``'s sum halved once, not termwise.
+    and the lowest one raises.  No bit of any output depends on the block
+    size or on the number of threads.
     """
     starts = range(0, grid.size, _BLOCK)
     for i in starts:
         if np.any(np.diff(grid[max(i - 1, 0):i + _BLOCK]) <= 0.0):
             raise DomainError("grid must be strictly increasing")
-    areas, errors = [None] * len(starts), [None] * len(starts)
-
-    def area(b):
-        k, j = max(starts[b] - 1, 0), starts[b] + _BLOCK
-        y = values[k:j]
-        return float(np.add.reduce(np.diff(grid[k:j]) * (y[1:] + y[:-1]))) / 2.0
+    errors = [None] * len(starts)
 
     def fill(first, stop):
         with np.errstate(all="ignore"):  # not inherited by a new thread
@@ -384,8 +376,6 @@ def _check_blocks(grid, values, kernel=None, n_factor=None) -> float:
                 except Exception as exc:
                     errors[b] = exc
                     return
-                if b == 0 or b > first:  # the block before it is filled
-                    areas[b] = area(b)
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -402,10 +392,6 @@ def _check_blocks(grid, values, kernel=None, n_factor=None) -> float:
     for exc in errors:
         if exc is not None:
             raise exc
-    total = 0.0
-    for b, a in enumerate(areas):
-        total += area(b) if a is None else a
-    return total
 
 
 def _sweep(grid, name: str, kernel, metadata: dict,
@@ -420,11 +406,10 @@ def _sweep(grid, name: str, kernel, metadata: dict,
     grid = _check_real(grid, name, "positive")
     values = np.empty_like(grid)
     n = np.empty_like(grid) if with_n_factor else None
-    area = _check_blocks(grid, values, kernel, n)
+    _check_blocks(grid, values, kernel, n)
     spectrum = object.__new__(Spectrum)  # __post_init__ would check again
     spectrum.grid, spectrum.values = grid, values
     spectrum.metadata, spectrum.n_factor = metadata, n
-    spectrum._describe(area)
     return spectrum
 
 

@@ -34,6 +34,8 @@ from lineshape import (
     coupling_pair,
     delta_offshell,
     excited_amplitude_during_pulse,
+    gamma_offshell,
+    gamma_onshell,
     integrate_dynamics,
     lamb_shift,
     lineshape_S,
@@ -54,7 +56,8 @@ PULSE = dict(rabi=1.0, omega_l=1.0)
 CUTOFF = dict(model=ATOM, state="e", cutoff=1000.0)
 ENERGY = dict(levels=(Level("g", 0.0), Level("e", 1.0)), dipoles={})
 HUGE = 10**400  # an int too large for a float
-LARGE = {HUGE: "10**400"}
+HOT = build_two_level(1e200, 1.0)  # its rate's w**3 overflows a float
+NAMES = {id(HUGE): "10**400", id(HOT): "build_two_level(1e200, 1.0)"}
 
 # (callable, good keyword arguments, argument to spoil, bad value)
 ROWS = [
@@ -75,6 +78,8 @@ ROWS = [
     (build_two_level, dict(omega_eg=1.0, d_eg=1.0), "d_eg", math.nan),
     (build_two_level, dict(omega_eg=1.0, d_eg=1.0), "d_eg", "1"),
     (AtomModel, ENERGY, "levels", (Level("g", 0.0), Level("e", math.nan))),
+    (gamma_onshell, dict(model=ATOM, upper="e", lower="g"), "model", HOT),
+    (gamma_offshell, dict(omega=2.0, model=ATOM, rep=COULOMB), "omega", 2e200),
     (lamb_shift, CUTOFF, "cutoff", math.nan),
     (lamb_shift, CUTOFF, "cutoff", math.inf),
     (lamb_shift, CUTOFF, "cutoff", "1000"),
@@ -119,7 +124,7 @@ ROWS = [
 
 def _row_id(row):
     call, _, name, bad = row
-    text = LARGE.get(bad, repr(bad)) if type(bad) is int else repr(bad)
+    text = NAMES.get(id(bad), repr(bad))
     return f"{getattr(call, '__qualname__', call)}-{name}={text}"
 
 

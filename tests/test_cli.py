@@ -52,14 +52,19 @@ class TestSubcommands:
 
     def test_lamb_shift_auto(self, tmp_path):
         code = main([
-            "lineshape", "--gamma", "0.1", "--reps", "coulomb",
+            "lineshape", "--gamma", "0.1", "--omega-eg", "1.3", "--reps", "coulomb",
             "--lamb-shift", "auto", "--cutoff", "500",
             "--grid", "0.5,1.5,41", "--out-dir", str(tmp_path),
         ])
         assert code == 0
         spec = read_spectrum_csv(tmp_path / "lineshape_coulomb.csv")
-        assert spec.metadata["lamb_shift"] != 0.0
         assert spec.metadata["cutoff"] == 500.0
+        meta = json.loads((tmp_path / "lineshape_metadata.json").read_text())
+        assert meta["parameters"]["lamb_shift"] == "auto"
+        used = meta["resolved"]["lamb_shift"]  # the value the run used
+        assert used == lineshape.lamb_shift(
+            lineshape.build_two_level(1.3, 1.0), "e", 500.0) != 0.0
+        assert spec.metadata["lamb_shift"] == used
 
     def test_pulse_flags_run_with_trajectory(self, tmp_path):
         code = main([
