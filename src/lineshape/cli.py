@@ -181,13 +181,11 @@ def _write_outputs(spectra, out_dir, prefix, plot, log_scale, params) -> None:
                 json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
     if plot:
-        subtitle_bits = []
-        for key in ("gamma", "omega_eg", "rabi", "delta_l", "omega_prime"):
-            if key in spectra[0].metadata:
-                subtitle_bits.append(f"{key}={spectra[0].metadata[key]:g}")
+        first = spectra[0].metadata
+        keys = ("gamma", "omega_eg", "rabi", "delta_l", "omega_prime")
         style = PlotStyle(
             title=prefix.replace("_", " "),
-            subtitle=", ".join(subtitle_bits),
+            subtitle=", ".join(f"{k}={first[k]:g}" for k in keys if k in first),
             xlabel="omega / omega_ref",
             ylabel="S",
             log_scale=log_scale,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, _check_real, _check_scalar
 from .representations import GaugeRepresentation, _mixing
-from .spectra import DEFAULT_CUTOFF, Spectrum, _numerator, _sweep
+from .spectra import Spectrum, _numerator, _sweep
 
 __all__ = [
     "SharpLineScenario",
@@ -91,8 +91,6 @@ def fluorescence_sweep(scenario: SharpLineScenario, omega_0_grid) -> Spectrum:
         "representation": scenario.rep.name,
         "gamma": scenario.gamma,
         "omega_eg": scenario.omega_eg,
-        "lamb_shift": 0.0,
-        "cutoff": DEFAULT_CUTOFF,
         "intensity": scenario.intensity,
         "dipole_proj": scenario.dipole_proj,
         "kind": "fluorescence",
@@ -164,8 +162,6 @@ def lamb_rate_sweep(scenario: LambLineScenario, omega_0_grid) -> Spectrum:
         "representation": scenario.rep.name,
         "gamma": scenario.gamma,
         "omega_eg": scenario.omega,
-        "lamb_shift": 0.0,
-        "cutoff": DEFAULT_CUTOFF,
         "intensity": scenario.intensity,
         "dipole_proj": scenario.dipole_proj,
         "omega_prime": scenario.omega_prime,

@@ -2,9 +2,9 @@
 
 Everything is emitted with fixed canvas geometry, a fixed palette order
 (Coulomb, Poincare, symmetric, Lorentzian reference, then any custom
-mixtures by name) and fixed float formatting, so identical inputs produce
-byte-identical documents.  When several spectra arrive on different grids
-they are linearly interpolated onto the first spectrum's grid.
+mixtures by name) and fixed float formatting (the tables by the writer in
+lineshape.spectra), so identical inputs produce byte-identical documents.
+Spectra on other grids are linearly interpolated onto the first one's grid.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectra import Spectrum
+from .spectra import _CELL, Spectrum, _table
 
 __all__ = ["PlotStyle", "emit_svg", "emit_gnuplot"]
 
@@ -88,14 +88,9 @@ def emit_svg(spectra: list[Spectrum], style: PlotStyle) -> str:
     """Render spectra to a self-contained SVG string."""
     grid, curves = _resampled(spectra)
     if style.log_scale:
-        transformed = []
-        for name, values in curves:
-            if np.any(values <= 0.0):
-                raise ConfigurationError(
-                    "log-scale plots need strictly positive values"
-                )
-            transformed.append((name, np.log(values)))
-        curves = transformed
+        if any(np.any(values <= 0.0) for _, values in curves):
+            raise ConfigurationError("log-scale plots need strictly positive values")
+        curves = [(name, np.log(values)) for name, values in curves]
 
     x_lo, x_hi = float(grid[0]), float(grid[-1])
     all_values = np.concatenate([v for _, v in curves])
@@ -172,11 +167,10 @@ def emit_svg(spectra: list[Spectrum], style: PlotStyle) -> str:
     )
 
     # Curves.
+    xs = sx(grid)
     for idx, (name, values) in enumerate(curves):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(
-            f"{sx(x):.3f},{sy(v):.3f}" for x, v in zip(grid, values)
-        )
+        pts = _table([xs, sy(values)], "%.3f,%.3f ")[:-1]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.6"/>'
@@ -207,18 +201,13 @@ def emit_gnuplot(spectra: list[Spectrum], style: PlotStyle,
     """Return (data file text, gnuplot script text)."""
     grid, curves = _resampled(spectra)
     header = "# omega " + " ".join(name for name, _ in curves)
-    rows = [header]
-    for i, x in enumerate(grid):
-        rows.append(
-            " ".join([f"{x:.17g}"] + [f"{v[i]:.17g}" for _, v in curves])
-        )
-    dat = "\n".join(rows) + "\n"
+    row = " ".join([_CELL] * (1 + len(curves))) + "\n"
+    dat = header + "\n" + _table([grid, *(v for _, v in curves)], row)
 
     plots = []
     for idx, (name, _) in enumerate(curves):
         col = idx + 2
-        expr = f"(log(${col}))" if style.log_scale else f"{col}"
-        using = f"1:{expr}" if style.log_scale else f"1:{col}"
+        using = f"1:(log(${col}))" if style.log_scale else f"1:{col}"
         plots.append(f"'{dat_name}' using {using} with lines title '{name}'")
     ylabel = f"ln({style.ylabel})" if style.log_scale else style.ylabel
     script = "\n".join(

@@ -48,10 +48,11 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, _check_real, _check_scalar
 from .representations import GaugeRepresentation, coupling_pair
 from .spectra import (
-    DEFAULT_CUTOFF,
+    _CELL,
     Spectrum,
     _numerator,
     _sweep,
+    _table,
     _write_text,
     lorentzian_density,
     numerator,
@@ -237,15 +238,12 @@ class PulseTrajectory:
     post_b_e: np.ndarray | None = None
 
     def to_csv(self, path) -> None:
-        """Dump the atomic amplitudes: t,re_bg0,im_bg0,re_be0,im_be0."""
-        rows = ["t,re_bg0,im_bg0,re_be0,im_be0"]
-        for t, g, e in zip(self.times, self.b_g, self.b_e):
-            rows.append(
-                ",".join(
-                    f"{v:.17g}" for v in (t, g.real, g.imag, e.real, e.imag)
-                )
-            )
-        _write_text(path, "\n".join(rows) + "\n")
+        """Dump the atomic amplitudes: t,re_bg0,im_bg0,re_be0,im_be0, one
+        row per sample, made by :func:`lineshape.spectra._table`."""
+        columns = [self.times, self.b_g.real, self.b_g.imag,
+                   self.b_e.real, self.b_e.imag]
+        _write_text(path, "t,re_bg0,im_bg0,re_be0,im_be0\n"
+                    + _table(columns, ",".join([_CELL] * 5) + "\n"))
 
 
 def _mode_weights(mode_grid: np.ndarray, rep, omega_0: float,
@@ -504,8 +502,6 @@ def pulse_spectrum(
         "representation": rep.name,
         "gamma": gamma,
         "omega_eg": omega_0,
-        "lamb_shift": 0.0,
-        "cutoff": DEFAULT_CUTOFF,
         "rabi": config.rabi,
         "delta_l": omega_0 - config.omega_l,
         "include_laser": include_laser,
@@ -540,8 +536,6 @@ def lorentzian_reference_spectrum(omega_0: float, gamma: float, grid) -> Spectru
         "representation": "lorentzian",
         "gamma": gamma,
         "omega_eg": omega_0,
-        "lamb_shift": 0.0,
-        "cutoff": DEFAULT_CUTOFF,
         "kind": "reference",
     }
     return _sweep(grid, "spectrum grid",

@@ -102,7 +102,7 @@ class GaugeRepresentation:
     def name(self) -> str:
         """Canonical string form, usable with :meth:`parse`."""
         if self.kind == "custom":
-            return f"alpha:{self.custom_alpha:g}"
+            return "alpha:" + repr(float(self.custom_alpha)).removesuffix(".0")
         return self.kind
 
     def __str__(self) -> str:

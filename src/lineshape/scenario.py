@@ -314,6 +314,9 @@ def parse_scenario(text: str, given: dict | None = None) -> Scenario:
                 reps.append(GaugeRepresentation.parse(token))
             except DomainError as exc:
                 raise ScenarioError(f"representations: {token!r}: {exc}") from exc
+            if reps[-1] in reps[:-1]:  # one output file per representation
+                raise ScenarioError(
+                    f"representations: {reps[-1].name!r} is given twice")
     log_scale = typed("log_scale", coerce_value(top.get("log_scale", "false")),
                       "flag")
     params = {key: coerce_value(value) for key, value in section.items()}

@@ -191,7 +191,9 @@ def delta_offshell(
 
         coeff = w_abs * d2 / (6.0 * math.pi**2)
         pole = omega - model.energy(tr.label)  # denominator pole - wk
-        total += coeff * pv_quad(weight, pole, 0.0, cutoff, n)
+        with np.errstate(all="ignore"):  # a non-finite total fails below
+            total += coeff * pv_quad(weight, pole, 0.0, cutoff, n)
+    _check_scalar(total, "level shift", "finite")
     return total
 
 
@@ -244,21 +246,24 @@ def total_shift(
                 continue
             coeff = model.charge**2 * (p * p) / (6.0 * math.pi**2 * model.mass**2)
             # PV int_0^cutoff w / (omega_ns + w) dw; its pole is at -omega_ns.
-            total += coeff * pv_quad(lambda w: w, -tr.omega, 0.0, cutoff, n)
-        return total
-    if rep.kind == "poincare":
+            with np.errstate(all="ignore"):  # a non-finite total fails below
+                total += coeff * pv_quad(lambda w: w, -tr.omega, 0.0, cutoff, n)
+    elif rep.kind == "poincare":
         total = 0.0
         for tr in model.transitions_from(state):
             d2 = tr.dipole * tr.dipole
             if d2 == 0.0:
                 continue
             coeff = 0.5 * d2 * tr.omega / (3.0 * math.pi**2)
-            total -= coeff * pv_quad(lambda w: w**2, -tr.omega, 0.0, cutoff, n)
-        return total
-    raise DomainError(
-        "the diagonal interaction term is defined only on the coulomb and "
-        "poincare routes"
-    )
+            with np.errstate(all="ignore"):  # a non-finite total fails below
+                total -= coeff * pv_quad(lambda w: w**2, -tr.omega, 0.0, cutoff, n)
+    else:
+        raise DomainError(
+            "the diagonal interaction term is defined only on the coulomb and "
+            "poincare routes"
+        )
+    _check_scalar(total, "level shift", "finite")
+    return total
 
 
 def lamb_shift(model: AtomModel, state: str, cutoff: float, n: int = 4096) -> float:
@@ -277,7 +282,9 @@ def lamb_shift(model: AtomModel, state: str, cutoff: float, n: int = 4096) -> fl
             continue
         coeff = (model.charge**2 * tr.omega * (p * p)
                  / (6.0 * math.pi**2 * model.mass**2))
-        total -= coeff * pv_quad(np.ones_like, -tr.omega, 0.0, cutoff, n)
+        with np.errstate(all="ignore"):  # a non-finite total fails below
+            total -= coeff * pv_quad(np.ones_like, -tr.omega, 0.0, cutoff, n)
+    _check_scalar(total, "level shift", "finite")
     return total
 
 
@@ -310,8 +317,9 @@ class LineshapeParams:
 class Spectrum:
     """A sampled spectral density with provenance metadata.
 
-    ``metadata`` echoes the generating parameters (representation, gamma,
-    omega_eg, lamb_shift, cutoff, ...).  The density is NOT normalized to
+    ``metadata`` echoes the inputs that entered it (representation, gamma,
+    omega_eg, a lineshape's lamb_shift, ...); no cutoff entered a pulse,
+    fluorescence or Lamb-line spectrum.  The density is NOT normalized to
     unit area, since the area differs between representations;
     ``np.trapezoid(values, grid)`` gives it.  The values are checked block
     by block, and no bit of any output depends on the block size.
@@ -437,7 +445,6 @@ def lineshape_S(params: LineshapeParams, grid) -> Spectrum:
         "gamma": params.gamma,
         "omega_eg": params.omega_eg,
         "lamb_shift": params.lamb_shift,
-        "cutoff": DEFAULT_CUTOFF,
         "kind": "lineshape",
     }
     if params.variable_width:
@@ -447,70 +454,57 @@ def lineshape_S(params: LineshapeParams, grid) -> Spectrum:
 
 # -- serialization -----------------------------------------------------------
 
-
-def _fmt(value) -> str:
-    return f"{float(value):.17g}"
+_CELL = "%.17g"  # 17 significant digits: every float reads back bit for bit
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    """Read back a spectrum written by :func:`write_spectrum_csv`."""
+    """Read back a spectrum written by :func:`write_spectrum_csv`, its numbers
+    by ``np.loadtxt``.  Blank lines are skipped; a header alone gives an
+    empty spectrum."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [ln.strip() for ln in handle if ln.strip()]
-    if not lines:
-        raise ConfigurationError(f"{path}: empty spectrum file")
-    header = lines[0].split(",")
-    if header[: len(CSV_COLUMNS)] != list(CSV_COLUMNS):
-        raise ConfigurationError(f"{path}: unexpected CSV header")
-    has_n = len(header) > len(CSV_COLUMNS) and header[-1] == "n_factor"
-    grid, values, nfac = [], [], []
-    rep = ""
-    constants = [0.0, 0.0, 0.0, 0.0]
-    try:
-        for line in lines[1:]:
-            cells = line.split(",")
-            grid.append(float(cells[0]))
-            values.append(float(cells[1]))
-            rep = cells[2]
-            constants = [float(c) for c in cells[3:7]]
-            if has_n:
-                nfac.append(float(cells[7]))
-    except (ValueError, IndexError) as exc:
-        raise ConfigurationError(f"{path}: malformed spectrum row") from exc
-    meta = {
-        "representation": rep,
-        "gamma": constants[0],
-        "omega_eg": constants[1],
-        "lamb_shift": constants[2],
-        "cutoff": constants[3],
-    }
-    return Spectrum(
-        grid=np.array(grid),
-        values=np.array(values),
-        metadata=meta,
-        n_factor=np.array(nfac) if has_n else None,
-    )
+        lines = iter(handle.readline, "")
+        header = next((ln for ln in lines if ln.strip()), "").strip().split(",")
+        if header == [""]:
+            raise ConfigurationError(f"{path}: empty spectrum file")
+        if header[: len(CSV_COLUMNS)] != list(CSV_COLUMNS):
+            raise ConfigurationError(f"{path}: unexpected CSV header")
+        has_n = len(header) > len(CSV_COLUMNS) and header[-1] == "n_factor"
+        columns = [0, 1, 3, 4, 5, 6] + [7] * has_n  # all but the representation
+        start = handle.tell()
+        first = next((ln for ln in lines if ln.strip()), "")
+        handle.seek(start)
+        try:
+            rep = first.strip().split(",")[2] if first else ""
+            table = (np.loadtxt(handle, delimiter=",", usecols=columns, comments=None,
+                                ndmin=2, unpack=True) if first else np.empty((7, 0)))
+        except (ValueError, IndexError) as exc:
+            raise ConfigurationError(f"{path}: malformed spectrum row") from exc
+    constants = table[2:6, 0].tolist() if first else [0.0] * 4
+    meta = dict(zip(("representation", *CSV_COLUMNS[3:]), [rep, *constants]))
+    return Spectrum(table[0], table[1], meta, table[6] if has_n else None)
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
-    """Write the fixed CSV schema; atomic (write-then-rename)."""
+    """Write the fixed CSV schema, one :func:`_table` row of ``.17g`` cells
+    per grid point; atomic (write-then-rename).  Metadata without a
+    ``lamb_shift`` or ``cutoff`` (pulse, fluorescence and Lamb-line
+    spectra: none entered the result) is written as 0 and DEFAULT_CUTOFF."""
     meta = spectrum.metadata
-    header = list(CSV_COLUMNS)
-    if spectrum.n_factor is not None:
-        header.append("n_factor")
-    rows = [",".join(header)]
-    rep = str(meta.get("representation", ""))
-    constants = [
-        _fmt(meta.get("gamma", 0.0)),
-        _fmt(meta.get("omega_eg", 0.0)),
-        _fmt(meta.get("lamb_shift", 0.0)),
-        _fmt(meta.get("cutoff", DEFAULT_CUTOFF)),
-    ]
-    for i, (w, s) in enumerate(zip(spectrum.grid, spectrum.values)):
-        row = [_fmt(w), _fmt(s), rep, *constants]
-        if spectrum.n_factor is not None:
-            row.append(_fmt(spectrum.n_factor[i]))
-        rows.append(",".join(row))
-    _write_text(path, "\n".join(rows) + "\n")
+    extra = [] if spectrum.n_factor is None else [spectrum.n_factor]
+    fixed = {"gamma": 0.0, "omega_eg": 0.0, "lamb_shift": 0.0, "cutoff": DEFAULT_CUTOFF}
+    cells = [_CELL, _CELL, str(meta.get("representation", "")).replace("%", "%%"),
+             *(_CELL % float(meta.get(key, value)) for key, value in fixed.items()),
+             *[_CELL] * len(extra)]
+    header = ",".join(CSV_COLUMNS + ("n_factor",) * len(extra))
+    table = _table([spectrum.grid, spectrum.values, *extra], ",".join(cells) + "\n")
+    _write_text(path, header + "\n" + table)
+
+
+def _table(columns, row: str) -> str:
+    """Float ``columns`` as text: the %-template ``row`` (one field per
+    column) once per row, filled by one ``%``.  Every table written is made
+    here: CSV and gnuplot cells are ``_CELL``, SVG points ``%.3f``."""
+    return (row * len(columns[0])) % tuple(np.column_stack(columns).ravel().tolist())
 
 
 def _write_text(path, text: str) -> None:

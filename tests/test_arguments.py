@@ -18,6 +18,7 @@ import pytest
 
 from lineshape import (
     COULOMB,
+    POINCARE,
     AtomModel,
     ConfigurationError,
     DomainError,
@@ -57,6 +58,7 @@ CUTOFF = dict(model=ATOM, state="e", cutoff=1000.0)
 ENERGY = dict(levels=(Level("g", 0.0), Level("e", 1.0)), dipoles={})
 HUGE = 10**400  # an int too large for a float
 HOT = build_two_level(1e200, 1.0)  # its rate's w**3 overflows a float
+LADDER = build_oscillator(1.0, 1.0, 5)
 NAMES = {id(HUGE): "10**400", id(HOT): "build_two_level(1e200, 1.0)"}
 
 # (callable, good keyword arguments, argument to spoil, bad value)
@@ -86,6 +88,14 @@ ROWS = [
     (total_shift, dict(CUTOFF, rep=COULOMB), "cutoff", math.nan),
     (total_shift, dict(CUTOFF, rep=COULOMB), "cutoff", math.inf),
     (total_shift, dict(CUTOFF, rep=COULOMB), "cutoff", "1000"),
+    # A cutoff past ~1e154 overflows the quadrature: NaN, never returned.
+    (lamb_shift, CUTOFF, "cutoff", 1e201),
+    (total_shift, dict(model=LADDER, state="1", rep=COULOMB, cutoff=1000.0),
+     "cutoff", 1e300),
+    (total_shift, dict(model=LADDER, state="1", rep=POINCARE, cutoff=1000.0),
+     "cutoff", 1e300),
+    (delta_offshell, dict(omega=1.0, model=ATOM, rep=COULOMB, cutoff=1000.0),
+     "cutoff", 1e300),
     (coupling_pair, dict(rep=COULOMB, omega_k=0.5, omega_0=1.0),
      "omega_0", "1"),
     (coupling_pair, dict(rep=COULOMB, omega_k=0.5, omega_0=1.0),
@@ -123,9 +133,10 @@ ROWS = [
 
 
 def _row_id(row):
-    call, _, name, bad = row
+    call, good, name, bad = row
     text = NAMES.get(id(bad), repr(bad))
-    return f"{getattr(call, '__qualname__', call)}-{name}={text}"
+    route = "" if good.get("rep", COULOMB) == COULOMB else f"-{good['rep']}"
+    return f"{getattr(call, '__qualname__', call)}{route}-{name}={text}"
 
 
 @pytest.mark.parametrize("call, good, name, bad", ROWS,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import warnings
@@ -65,6 +66,19 @@ class TestSubcommands:
         assert used == lineshape.lamb_shift(
             lineshape.build_two_level(1.3, 1.0), "e", 500.0) != 0.0
         assert spec.metadata["lamb_shift"] == used
+
+    def test_one_output_file_per_representation(self, tmp_path, capsys):
+        assert main(["lineshape", "--gamma", "0.1", "--grid", "0.5,1.5,11",
+                     "--reps", "alpha:0.3,alpha:0.3000001",
+                     "--out-dir", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "lineshape_metadata.json").read_text())
+        assert meta["outputs"] == ["lineshape_alpha-0.3.csv",
+                                   "lineshape_alpha-0.3000001.csv"]
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == meta["outputs"]
+        assert main(["lineshape", "--gamma", "0.1", "--reps", "coulomb,coulomb",
+                     "--out-dir", str(tmp_path / "twice")]) == 2
+        assert capsys.readouterr().err == (
+            "error: representations: 'coulomb' is given twice\n")
 
     def test_pulse_flags_run_with_trajectory(self, tmp_path):
         code = main([
@@ -164,13 +178,19 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)]) == 2
 
     def test_malformed_csv_for_plot_is_3(self, tmp_path):
+        header = "omega_k,S,representation,gamma,omega_eg,lamb_shift,cutoff\n"
+        first, last = "1.0,0.5,x,0.1,1,0,1000\n", "3.0,0.5,x,0.1,1,0,1000\n"
         bad = tmp_path / "bad.csv"
-        bad.write_text(
-            "omega_k,S,representation,gamma,omega_eg,lamb_shift,cutoff\n"
-            "1.0,not_a_number,x,0,0,0,0\n"
-        )
-        assert main(["plot", str(bad), "--out",
-                     str(tmp_path / "p.svg")]) == 3
+        bad.write_text(header + "1.0,not_a_number,x,0,0,0,0\n")
+        assert main(["plot", str(bad), "--out", str(tmp_path / "p.svg")]) == 3
+        # A short row, a row that is not a comment and a bad constant cell.
+        for row in ("1.0,0.5\n", "#2.0,0.5,x,0.1,1,0,1000\n",
+                    "2.0,0.5,x,0.1,one,0,1000\n"):
+            bad.write_text(header + first + row + last)
+            assert main(["plot", str(bad), "--out",
+                         str(tmp_path / "p.svg")]) == 3, row
+        bad.write_text(header + first + "\n" + last)  # a blank line is skipped
+        assert main(["plot", str(bad), "--out", str(tmp_path / "p.svg")]) == 0
 
     @pytest.mark.parametrize("rows", ["", "1.0,0.5,coulomb,0.1,1,0,1000\n"],
                              ids=["header-only", "one-row"])
@@ -194,6 +214,8 @@ class TestExitCodes:
         ["fluorescence", "--gamma", "1e200"],
         ["lamb-line", "--preset", "lamb-hydrogen", "--gamma-2p1s", "1e200"],
         ["lineshape", "--gamma", "0.1", "--grid", "0.05,3,1e9"],
+        ["lineshape", "--gamma", "0.1", "--omega-eg", "1e200", "--cutoff",
+         "1e201", "--lamb-shift", "auto"],
     ], ids=" ".join)
     def test_huge_values_exit_cleanly(self, argv, tmp_path, capsys):
         code = main([*argv, "--out-dir", str(tmp_path)])
@@ -279,6 +301,8 @@ BAD_VALUES = [
     ("lineshape", "representations", "weyl"),
     ("lineshape", "representations", "alpha:2"),
     ("lineshape", "representations", ""),
+    ("lineshape", "representations", "coulomb,coulomb"),
+    ("lineshape", "representations", "alpha:0.3,alpha:0.30"),
     ("lamb-line", "preset", "lamb-helium"),
     ("pulse", "rwa", "no"),
     ("pulse", "include_reference", "nope"),
@@ -534,6 +558,26 @@ class TestPresets:
         for a in (tmp_path / "a").glob("*.svg"):
             b = tmp_path / "b" / a.name
             assert a.read_bytes() == b.read_bytes()
+
+
+# Presets whose outputs pass only through correctly rounded arithmetic, so
+# their bytes do not depend on the libm a numpy build uses.
+PINNED = {"lineshape_gauge_family": "lineshape",
+          "fluorescence_sweep": "fluorescence",
+          "lamb_line_hydrogen": "lamb-line"}
+OUTPUT_SHA256 = json.loads((GOLDEN_DIR / "output_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["svg", "gnuplot"])
+@pytest.mark.parametrize("stem", sorted(PINNED))
+def test_output_bytes_are_pinned(stem, fmt, tmp_path):
+    """Every CSV, SVG, gnuplot script and .dat file of the preset, by hash."""
+    assert main([PINNED[stem], str(PRESET_DIR / f"{stem}.scn"), "--plot", fmt,
+                 "--out-dir", str(tmp_path)]) == 0
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(tmp_path.iterdir())
+           if not path.name.endswith("_metadata.json")}
+    assert got == OUTPUT_SHA256[stem][fmt]
 
 
 class TestPlotting:

@@ -145,9 +145,12 @@ class TestParsing:
         assert GaugeRepresentation.parse(text).kind == kind
 
     def test_alpha_form_round_trips(self):
-        rep = GaugeRepresentation.parse("alpha:0.3")
-        assert rep.kind == "custom" and rep.custom_alpha == 0.3
-        assert GaugeRepresentation.parse(rep.name) == rep
+        for alpha in (0.3, 0.3000001, 1 / 3, 1e-300):
+            rep = GaugeRepresentation.parse(f"alpha:{alpha!r}")
+            assert rep.kind == "custom" and rep.custom_alpha == alpha
+            assert GaugeRepresentation.parse(rep.name) == rep
+        names = [GaugeRepresentation.constant(a).name for a in (0, 1.0, 0.3)]
+        assert names == ["alpha:0", "alpha:1", "alpha:0.3"]
 
     @pytest.mark.parametrize("text", ["weyl", "alpha:", "alpha:zz", "alpha:2"])
     def test_rejects_bad_strings(self, text):

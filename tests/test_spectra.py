@@ -338,6 +338,18 @@ class TestSpectrumObject:
         np.testing.assert_array_equal(back.values, spec.values)
         assert back.metadata["representation"] == "symmetric"
 
+    def test_csv_round_trip_is_bitwise_at_the_float_edges(self, tmp_path):
+        edges = np.array([5e-324, 2.2250738585072014e-308, 0.1 + 0.2, 1 / 3,
+                          1.7976931348623157e308])
+        spec = Spectrum(edges, edges[::-1].copy(), {"representation": "5%s%%"},
+                        n_factor=-edges)
+        path = tmp_path / "spec.csv"
+        write_spectrum_csv(spec, path)
+        back = read_spectrum_csv(path)
+        for column in ("grid", "values", "n_factor"):
+            assert getattr(back, column).tobytes() == getattr(spec, column).tobytes()
+        assert back.metadata["representation"] == "5%s%%"
+
     def test_no_partial_file_on_success(self, tmp_path):
         grid = np.linspace(0.5, 1.5, 7)
         spec = lineshape_S(LineshapeParams(COULOMB, 1.0, 0.1), grid)
