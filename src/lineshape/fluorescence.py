@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, _check_real, _check_scalar
 from .representations import GaugeRepresentation, _mixing
-from .spectra import Spectrum, _numerator, _sweep
+from .spectra import Spectrum, _numerator, _scratch, _sweep
 
 __all__ = [
     "SharpLineScenario",
@@ -45,14 +45,17 @@ def n_factor(rep: GaugeRepresentation, omega_0, omega_eg: float):
     """
     omega_0 = _check_real(omega_0, "omega_0", "positive")
     _check_scalar(omega_eg, "omega_eg")
-    out = _n_factor(rep, omega_0 / omega_eg)
-    return out if np.ndim(out) else float(out)
+    x, out, tmp, _ = _scratch(omega_0.shape, 3)
+    _n_factor(rep, np.divide(omega_0, omega_eg, out=x), out, tmp)
+    return out if out.ndim else float(out)
 
 
-def _n_factor(rep: GaugeRepresentation, x):
-    """:func:`n_factor` at a frequency ratio x already checked."""
+def _n_factor(rep: GaugeRepresentation, x, out, tmp):
+    """:func:`n_factor` at a checked ratio x, into ``out``; ``tmp`` is scratch."""
+    m = _mixing(rep, x, out, tmp)
     # Squared twice: numpy takes ** 4 through pow(), about three times slower.
-    return (_mixing(rep, x) ** 2) ** 2 / x
+    np.multiply(m, m, out=m)
+    return np.divide(np.multiply(m, m, out=m), x, out=m)
 
 
 @dataclass(frozen=True)
@@ -74,18 +77,23 @@ class SharpLineScenario:
         _check_scalar(self.dipole_proj, "dipole_proj", "non-negative")
 
 
-def _rate_kernel(intensity, gamma, d, n, detuning):
-    """Shared arithmetic of the damped scattering rates.  Scalars are
-    squared by multiplying: Python's ** raises OverflowError, not inf."""
-    return intensity * gamma * (d * d) / 2.0 * n / (detuning**2 + gamma * gamma / 4.0)
+def _rate_kernel(scenario, n, detuning, out):
+    """Shared arithmetic of the damped scattering rates, written into
+    ``out``; ``detuning`` is overwritten.  Scalars are squared by
+    multiplying: Python's ** raises OverflowError, not inf."""
+    intensity, gamma, d = scenario.intensity, scenario.gamma, scenario.dipole_proj
+    np.add(np.multiply(detuning, detuning, out=detuning), gamma * gamma / 4.0,
+           out=detuning)
+    return np.divide(np.multiply(n, intensity * gamma * (d * d) / 2.0, out=out),
+                     detuning, out=out)
 
 
 def fluorescence_sweep(scenario: SharpLineScenario, omega_0_grid) -> Spectrum:
     """Rate as a function of incident frequency, with the n column attached."""
-    def kernel(w):
-        n = _n_factor(scenario.rep, w / scenario.omega_eg)
-        return _rate_kernel(scenario.intensity, scenario.gamma,
-                            scenario.dipole_proj, n, w - scenario.omega_eg), n
+    def kernel(w, out, scratch):
+        (rate, n), (x, tmp, _) = out, scratch
+        _n_factor(scenario.rep, np.divide(w, scenario.omega_eg, out=x), n, tmp)
+        _rate_kernel(scenario, n, np.subtract(w, scenario.omega_eg, out=x), rate)
 
     meta = {
         "representation": scenario.rep.name,
@@ -95,7 +103,7 @@ def fluorescence_sweep(scenario: SharpLineScenario, omega_0_grid) -> Spectrum:
         "dipole_proj": scenario.dipole_proj,
         "kind": "fluorescence",
     }
-    return _sweep(omega_0_grid, "omega_0 grid", kernel, meta, with_n_factor=True)
+    return _sweep(omega_0_grid, "omega_0 grid", kernel, meta, 2, with_n_factor=True)
 
 
 # -- stimulated decay of a metastable state ----------------------------------
@@ -114,17 +122,22 @@ def lamb_n_factor(rep: GaugeRepresentation, omega_0, omega: float, omega_prime: 
     omega_0 = _check_real(omega_0, "omega_0", "positive")
     _check_scalar(omega, "omega")
     _check_scalar(omega_prime, "omega_prime")
-    out = _lamb_n_factor(rep, omega_0, omega, omega_prime)
-    return out if np.ndim(out) else float(out)
+    out, *scratch = _scratch(omega_0.shape, 4)
+    _lamb_n_factor(rep, omega_0, omega, omega_prime, out, scratch)
+    return out if out.ndim else float(out)
 
 
-def _lamb_n_factor(rep: GaugeRepresentation, omega_0, omega, omega_prime):
-    """:func:`lamb_n_factor` at drive frequencies already checked."""
-    emitted = omega + omega_prime - omega_0
-    if np.any(emitted <= 0.0):
+def _lamb_n_factor(rep: GaugeRepresentation, omega_0, omega, omega_prime,
+                   out, scratch):
+    """:func:`lamb_n_factor` at checked drive frequencies, into ``out``."""
+    x, m, tmp, *_, closed = scratch
+    np.subtract(omega + omega_prime, omega_0, out=x)  # the emitted frequency
+    if np.less_equal(x, 0.0, out=closed).any():
         raise DomainError("emitted frequency omega + omega' - omega_0 must be positive")
-    x_0 = omega_0 / omega
-    return _numerator(rep, emitted / omega_prime) * (_mixing(rep, x_0) / x_0) ** 2
+    _numerator(rep, np.divide(x, omega_prime, out=x), out, m)
+    m_0 = _mixing(rep, np.divide(omega_0, omega, out=x), m, tmp)  # at x = x_0
+    np.divide(m_0, x, out=m_0)
+    return np.multiply(out, np.multiply(m_0, m_0, out=m_0), out=out)
 
 
 @dataclass(frozen=True)
@@ -153,10 +166,11 @@ class LambLineScenario:
 
 def lamb_rate_sweep(scenario: LambLineScenario, omega_0_grid) -> Spectrum:
     """Rate as a function of drive frequency, with the n' column attached."""
-    def kernel(w):
-        n = _lamb_n_factor(scenario.rep, w, scenario.omega, scenario.omega_prime)
-        return _rate_kernel(scenario.intensity, scenario.gamma,
-                            scenario.dipole_proj, n, w - scenario.omega), n
+    def kernel(w, out, scratch):
+        rate, n = out
+        _lamb_n_factor(scenario.rep, w, scenario.omega, scenario.omega_prime, n,
+                       scratch)
+        _rate_kernel(scenario, n, np.subtract(w, scenario.omega, out=scratch[0]), rate)
 
     meta = {
         "representation": scenario.rep.name,
@@ -167,7 +181,7 @@ def lamb_rate_sweep(scenario: LambLineScenario, omega_0_grid) -> Spectrum:
         "omega_prime": scenario.omega_prime,
         "kind": "lamb-line",
     }
-    return _sweep(omega_0_grid, "omega_0 grid", kernel, meta, with_n_factor=True)
+    return _sweep(omega_0_grid, "omega_0 grid", kernel, meta, 3, with_n_factor=True)
 
 
 def lamb_hydrogen_preset(rep: GaugeRepresentation) -> LambLineScenario:

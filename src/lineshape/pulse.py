@@ -50,11 +50,12 @@ from .representations import GaugeRepresentation, coupling_pair
 from .spectra import (
     _CELL,
     Spectrum,
+    _lorentzian,
     _numerator,
+    _scratch,
     _sweep,
     _table,
     _write_text,
-    lorentzian_density,
     numerator,
 )
 
@@ -140,31 +141,45 @@ def _expm1_over(eps):
     return 1j * np.exp(0.5j * eps) * np.sinc(eps / (2.0 * math.pi))
 
 
-def _kernel_parts(P, theta: float):
+def _kernel_parts(P, theta: float, scratch):
     """Real and imaginary parts of the pulse-window kernel K(P) of
     :func:`closed_form_amplitude`, branch-free through P = +/- theta.
+    ``P`` is overwritten.  ``scratch`` holds six float buffers and a bool
+    one; the parts are returned in its first two floats.
     With t = tan(h/2), sin h = 2t/(1 + t^2) and cos h = (1 - t^2)/(1 + t^2):
     numpy vectorises float64 tan, not sin or cos (scalar libm calls).  No
     double is near enough to an odd multiple of pi/2 for t*t to overflow.
     Against 80 digits the relative error is at most 1e-14: 5.3e-15 at theta
     = 3.2, near pi, where sin(theta)/theta - s cos(phi) cancels."""
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    q = np.abs(P)
-    h = 0.5 * (q - theta)
-    t = np.tan(0.5 * h)
-    u = 1.0 / (1.0 + t * t)
-    sin_h, cos_h = 2.0 * t * u, (1.0 - t * t) * u
-    s = np.divide(sin_h, h, out=np.ones_like(h), where=h != 0.0)
-    inv = 1.0 / (theta + q)
-    k_re = s * (sin_h * cos_t + cos_h * sin_t) * inv
-    k_im = (sin_t / theta - s * (cos_h * cos_t - sin_h * sin_t)) * inv
-    return k_re, k_im * np.sign(P)  # K(-P) = conj K(P); Im K(0) = 0
+    cos_h, k_im, q, h, sin_h, s, *_, nonzero = scratch
+    np.absolute(P, out=q)
+    np.sign(P, out=P)  # K(-P) = conj K(P); Im K(0) = 0
+    np.multiply(np.subtract(q, theta, out=h), 0.5, out=h)
+    t = np.tan(np.multiply(h, 0.5, out=sin_h), out=sin_h)
+    tt = np.multiply(t, t, out=cos_h)
+    u = np.divide(1.0, np.add(tt, 1.0, out=s), out=s)
+    np.multiply(np.multiply(t, 2.0, out=sin_h), u, out=sin_h)
+    np.multiply(np.subtract(1.0, tt, out=cos_h), u, out=cos_h)
+    s.fill(1.0)
+    np.divide(sin_h, h, out=s, where=np.not_equal(h, 0.0, out=nonzero))
+    inv = np.divide(1.0, np.add(q, theta, out=q), out=q)  # 1/(theta + q)
+    np.subtract(np.multiply(cos_h, cos_t, out=k_im), np.multiply(sin_h, sin_t, out=h),
+                out=k_im)
+    np.multiply(cos_h, sin_t, out=h)
+    k_re = np.add(np.multiply(sin_h, cos_t, out=cos_h), h, out=cos_h)  # cos_h spent
+    np.multiply(np.multiply(k_re, s, out=k_re), inv, out=k_re)
+    np.subtract(sin_t / theta, np.multiply(k_im, s, out=k_im), out=k_im)
+    np.multiply(np.multiply(k_im, inv, out=k_im), P, out=k_im)
+    return k_re, k_im
 
 
-def _amplitude_parts(delta_k, config: PulseConfig, drive, gamma: float):
+def _amplitude_parts(delta_k, config: PulseConfig, drive, gamma: float, scratch):
     """Real and imaginary parts of the reduced emission amplitude at the
     mode detunings ``delta_k``, for a ``gamma`` already checked and the
-    constants ``drive`` of :func:`_drive`.
+    constants ``drive`` of :func:`_drive`.  ``scratch`` holds seven float
+    buffers and a bool one; the parts are returned in two of its floats,
+    and its first float is free again.
 
     The tail 1/(i delta_k + Gamma/2), the kernel and its complex prefactor
     are combined in real arithmetic.  Every step is elementwise, so any
@@ -176,11 +191,18 @@ def _amplitude_parts(delta_k, config: PulseConfig, drive, gamma: float):
     scale = -0.5 * config.rabi * u_l * T**2
     z_re = scale * math.sin(0.5 * delta_l * T)
     z_im = scale * math.cos(0.5 * delta_l * T)
-    k_re, k_im = _kernel_parts(T * delta_k - 0.5 * delta_l * T, 0.5 * mu * T)
+    d, *rest = scratch
+    P = np.subtract(np.multiply(delta_k, T, out=d), 0.5 * delta_l * T, out=d)
+    k_re, k_im = _kernel_parts(P, 0.5 * mu * T, rest)
+    tmp, re, im = rest[2:5]  # free again once K is made
 
-    d = delta_k * delta_k + 0.25 * gamma * gamma
-    re = 0.5 * gamma / d + z_re * k_re - z_im * k_im
-    im = z_re * k_im + z_im * k_re - delta_k / d
+    d = np.add(np.multiply(delta_k, delta_k, out=d), 0.25 * gamma * gamma, out=d)
+    np.divide(0.5 * gamma, d, out=re)
+    re += np.multiply(k_re, z_re, out=tmp)
+    re -= np.multiply(k_im, z_im, out=tmp)
+    np.multiply(k_im, z_re, out=im)
+    im += np.multiply(k_re, z_im, out=tmp)
+    im -= np.divide(delta_k, d, out=tmp)
     return re, im
 
 
@@ -214,7 +236,9 @@ def closed_form_amplitude(omega_k, config: PulseConfig,
     _check_scalar(omega_0, "omega_0")
     omega_k = _check_real(omega_k, "omega_k")
     drive = _drive(config, rep, omega_0)
-    re, im = _amplitude_parts(omega_0 - omega_k, config, drive, gamma)
+    delta_k, *scratch = _scratch(omega_k.shape, 8)
+    re, im = _amplitude_parts(np.subtract(omega_0, omega_k, out=delta_k), config,
+                              drive, gamma, scratch)
     out = re + 1j * im
     return out if np.ndim(out) else complex(out)
 
@@ -490,14 +514,21 @@ def pulse_spectrum(
     _check_scalar(omega_0, "omega_0")
     drive = _drive(config, rep, omega_0)
     if include_laser:
-        def kernel(w):
-            re, im = _amplitude_parts(omega_0 - w, config, drive, gamma)
-            return _numerator(rep, w / omega_0) * (
-                gamma / (2.0 * math.pi)) * (re * re + im * im)
+        def kernel(w, out, scratch):
+            x, *rest = scratch
+            re, im = _amplitude_parts(np.subtract(omega_0, w, out=x), config,
+                                      drive, gamma, rest)
+            _numerator(rep, np.divide(w, omega_0, out=x), out, rest[0])
+            out *= gamma / (2.0 * math.pi)
+            out *= np.add(np.multiply(re, re, out=re), np.multiply(im, im, out=im),
+                          out=re)
+        buffers = 8
     else:
-        def kernel(w):
-            return _numerator(rep, w / omega_0) * lorentzian_density(
-                w - omega_0, gamma)
+        def kernel(w, out, scratch):
+            x, tmp, _ = scratch
+            _numerator(rep, np.divide(w, omega_0, out=x), out, tmp)
+            out *= _lorentzian(np.subtract(w, omega_0, out=x), gamma, x)
+        buffers = 2
     meta = {
         "representation": rep.name,
         "gamma": gamma,
@@ -507,7 +538,7 @@ def pulse_spectrum(
         "include_laser": include_laser,
         "kind": "pulse",
     }
-    spectrum = _sweep(grid, "spectrum grid", kernel, meta)
+    spectrum = _sweep(grid, "spectrum grid", kernel, meta, buffers)
     if _zero_locus_on_grid(config, drive, omega_0, spectrum.grid):
         meta["denominator_zero_on_grid"] = True
     return spectrum
@@ -538,5 +569,5 @@ def lorentzian_reference_spectrum(omega_0: float, gamma: float, grid) -> Spectru
         "omega_eg": omega_0,
         "kind": "reference",
     }
-    return _sweep(grid, "spectrum grid",
-                  lambda w: lorentzian_density(w - omega_0, gamma), meta)
+    return _sweep(grid, "spectrum grid", lambda w, out, _: _lorentzian(
+        np.subtract(w, omega_0, out=out), gamma, out), meta, 0)

@@ -170,15 +170,16 @@ def mixing(rep: GaugeRepresentation, omega_k, omega_0: float):
     """
     omega_k = _check_real(omega_k, "mode frequency", "positive")
     _check_scalar(omega_0, "transition frequency")
-    out = _mixing(rep, omega_k / omega_0)
+    x, out, tmp = (np.empty_like(omega_k) for _ in range(3))
+    _mixing(rep, np.divide(omega_k, omega_0, out=x), out, tmp)
     return out if out.ndim else float(out)
 
 
-def _mixing(rep: GaugeRepresentation, x):
-    """:func:`mixing` at a frequency ratio x = omega_k/omega_0 already
-    checked to be finite and positive."""
+def _mixing(rep: GaugeRepresentation, x, out, tmp):
+    """:func:`mixing` at a checked ratio x = omega_k/omega_0, into ``out``;
+    ``tmp`` is scratch."""
     alpha = _constant_alpha(rep)
     if alpha is None:
         # The symmetric kind in exact form: 1 - alpha cancels for x << 1.
-        return 2.0 * x / (1.0 + x)
-    return (1.0 - alpha) + alpha * x
+        return np.divide(np.multiply(x, 2.0, out=out), np.add(x, 1.0, out=tmp), out=out)
+    return np.add(np.multiply(x, alpha, out=out), 1.0 - alpha, out=out)

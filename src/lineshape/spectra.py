@@ -19,6 +19,10 @@ by mode.
 Every spectrum on a frequency grid is built by one blocked sweep: after
 the grid checks, its kernel is evaluated ``_BLOCK`` points at a time, on
 up to two CPUs, and each block of values is checked while it is in cache.
+A kernel writes each block into the output with ufunc ``out=``, its
+intermediates into a scratch arena that each thread allocates once per
+sweep.  Its in-place helpers (``_numerator``, ...) are the only copy of
+each formula; the public point functions call them on fresh buffers.
 No bit of any output depends on the block size or on the number of CPUs.
 """
 
@@ -71,13 +75,21 @@ def numerator(rep: GaugeRepresentation, omega_k, omega_eg: float):
     """
     omega_k = _check_real(omega_k, "omega_k", "positive")
     _check_scalar(omega_eg, "omega_eg")
-    out = _numerator(rep, omega_k / omega_eg)
-    return out if np.ndim(out) else float(out)
+    x, out, tmp, _ = _scratch(omega_k.shape, 3)
+    _numerator(rep, np.divide(omega_k, omega_eg, out=x), out, tmp)
+    return out if out.ndim else float(out)
 
 
-def _numerator(rep: GaugeRepresentation, x):
-    """:func:`numerator` at a frequency ratio x already checked."""
-    return x * _mixing(rep, x) ** 2
+def _numerator(rep: GaugeRepresentation, x, out, tmp):
+    """:func:`numerator` at a checked ratio x, into ``out``; ``tmp`` is scratch."""
+    m = _mixing(rep, x, out, tmp)
+    return np.multiply(x, np.multiply(m, m, out=m), out=m)
+
+
+def _scratch(shape, floats: int) -> list:
+    """``floats`` float64 buffers and a bool one, each of ``shape``: the
+    scratch of the in-place helpers (``_numerator``, ...)."""
+    return [*(np.empty(shape) for _ in range(floats)), np.empty(shape, bool)]
 
 
 # -- decay rates -------------------------------------------------------------
@@ -147,14 +159,18 @@ def gamma_offshell(
 
 def _require_cutoff(model: AtomModel, cutoff: float):
     _check_scalar(cutoff, "cutoff")
-    w_max = max(
-        (abs(a.energy - b.energy) for a in model.levels for b in model.levels),
-        default=0.0,
-    )
+    gaps = [abs(a.energy - b.energy) for a in model.levels for b in model.levels]
+    w_max = max(gaps, default=0.0)
     if cutoff <= w_max:
         raise ConfigurationError(
             f"cutoff {cutoff} must exceed every transition frequency ({w_max})"
         )
+    # lamb_shift's error against its closed form: 7e-10 at 1e8, 2.4e-8 at 1e9.
+    w_min = min((gap for gap in gaps if gap > 0.0), default=math.inf)
+    if cutoff > 1e8 * w_min:
+        raise ConfigurationError(
+            f"cutoff {cutoff} is more than 1e+08 times the smallest transition "
+            f"frequency ({w_min}): the level-shift quadrature cannot resolve it")
 
 
 def delta_offshell(
@@ -272,7 +288,9 @@ def lamb_shift(model: AtomModel, state: str, cutoff: float, n: int = 4096) -> fl
     The per-transition kernel integrates to omega_ns^3 |r_ns|^2 / (6 pi^2)
     times log|(omega_ns + cutoff)/omega_ns|, so the value grows
     logarithmically with the cutoff; callers should echo the cutoff next to
-    the number.
+    the number.  Its quadrature resolves the log up to a cutoff of 1e8
+    times the smallest transition frequency; a larger one raises
+    ``ConfigurationError``, a bound the closed forms of ROADMAP item 2 lift.
     """
     _require_cutoff(model, cutoff)
     total = 0.0
@@ -342,42 +360,52 @@ class Spectrum:
                 raise DomainError("n_factor column must match the grid length")
 
 
-# Grid points per block of a spectrum sweep (256 KiB per float64
-# temporary).  On two threads of a 2-vCPU Xeon a detuned 1e6-point pulse
-# spectrum took 40.8, 34.2, 32.5 and 47.2 ms at 16384 to 131072 points.
-# Every point is computed on its own, so no bit of any output depends on
-# this size.
-_BLOCK = 32768
+# Grid points per block of a spectrum sweep (512 KiB per float64 buffer;
+# the pulse kernel's arena holds eight per thread).  On two threads of a
+# 2-vCPU Xeon (median of 15, in one process) a detuned 1e6-point pulse
+# spectrum took 36.2, 26.3, 25.4 and 32.0 ms at 16384 to 131072 points,
+# and lineshape_S 11.0, 9.1, 8.1 and 8.5 ms.  Every point is computed on
+# its own, so no bit of any output depends on this size.
+_BLOCK = 65536
 
 
-def _check_blocks(grid, values, kernel=None, n_factor=None) -> None:
+def _check_blocks(grid, values, kernel=None, n_factor=None, buffers=0) -> None:
     """Check a spectrum ``_BLOCK`` points at a time.
 
     The grid must be strictly increasing, each block reaching back one
     point for the pair across its edge.  Then each block of ``values``,
     filled first by ``kernel`` if given (with ``n_factor``, if that is
     given), must be finite and non-negative.  Overflow or an undefined
-    result fails that test, so numpy's warnings are silenced.  Given two
+    result fails that test, so numpy's warnings are silenced.
+    ``kernel(w, out, scratch)`` writes the block at grid points ``w`` into
+    ``out`` (``values[i:j]``, or the pair with ``n_factor[i:j]``) by ufunc
+    ``out=``, with the block's cut of its thread's arena: ``_scratch`` of
+    ``buffers`` floats, min(``_BLOCK``, grid size) points each, allocated
+    once per sweep.  The grid check reuses the bool one.  Given two
     CPUs, a helper thread fills the blocks past the middle (numpy releases
     the GIL in its loops); each thread stops at its first failing block,
     and the lowest one raises.  No bit of any output depends on the block
     size or on the number of threads.
     """
+    size = min(_BLOCK, grid.size)
+    arena = _scratch(size, buffers)
+    order = arena[-1]
     starts = range(0, grid.size, _BLOCK)
     for i in starts:
-        if np.any(np.diff(grid[max(i - 1, 0):i + _BLOCK]) <= 0.0):
+        lo, hi = max(i - 1, 0), min(i + _BLOCK, grid.size)
+        down = np.less_equal(grid[lo + 1:hi], grid[lo:hi - 1], out=order[:hi - lo - 1])
+        if down.any():
             raise DomainError("grid must be strictly increasing")
     errors = [None] * len(starts)
 
-    def fill(first, stop):
+    def fill(first, stop, arena):
         with np.errstate(all="ignore"):  # not inherited by a new thread
             for b in range(first, stop):
-                i, j = starts[b], starts[b] + _BLOCK
+                i, j = starts[b], min(starts[b] + _BLOCK, grid.size)
+                out = values[i:j] if n_factor is None else (values[i:j], n_factor[i:j])
                 try:
-                    if n_factor is not None:
-                        values[i:j], n_factor[i:j] = kernel(grid[i:j])
-                    elif kernel is not None:
-                        values[i:j] = kernel(grid[i:j])
+                    if kernel is not None:
+                        kernel(grid[i:j], out, [buffer[:j - i] for buffer in arena])
                     if not (values[i:j].min() >= 0.0 and values[i:j].max() < math.inf):
                         raise DomainError(
                             "spectral density must be finite and non-negative")
@@ -390,10 +418,11 @@ def _check_blocks(grid, values, kernel=None, n_factor=None) -> None:
     split, helper = len(starts), None
     if min(cpus, len(starts)) >= 2:
         split = (grid.size + _BLOCK) // (2 * _BLOCK)  # the edge nearest the middle
-        helper = threading.Thread(target=fill, args=(split, len(starts)))
+        helper = threading.Thread(  # its arena is allocated on its own thread
+            target=lambda: fill(split, len(starts), _scratch(size, buffers)))
         helper.start()
     try:
-        fill(0, split)
+        fill(0, split, arena)
     finally:
         if helper is not None:
             helper.join()
@@ -402,19 +431,20 @@ def _check_blocks(grid, values, kernel=None, n_factor=None) -> None:
             raise exc
 
 
-def _sweep(grid, name: str, kernel, metadata: dict,
+def _sweep(grid, name: str, kernel, metadata: dict, buffers: int,
            with_n_factor: bool = False) -> Spectrum:
     """Spectrum of ``kernel`` on a finite, positive, strictly increasing
     1-d ``grid`` (called ``name`` in errors), evaluated and checked in
-    blocks.  ``kernel`` maps a block of grid points to the values there,
-    or to values and n-factors ``with_n_factor``.
+    blocks.  ``kernel(w, out, scratch)`` writes a block of values, or of
+    values and n-factors ``with_n_factor``, with ``buffers`` float
+    scratch buffers (see :func:`_check_blocks`).
     """
     if np.ndim(grid) != 1:
         raise DomainError(f"{name} must be a 1-d array")
     grid = _check_real(grid, name, "positive")
     values = np.empty_like(grid)
     n = np.empty_like(grid) if with_n_factor else None
-    _check_blocks(grid, values, kernel, n)
+    _check_blocks(grid, values, kernel, n, buffers)
     spectrum = object.__new__(Spectrum)  # __post_init__ would check again
     spectrum.grid, spectrum.values = grid, values
     spectrum.metadata, spectrum.n_factor = metadata, n
@@ -424,21 +454,32 @@ def _sweep(grid, name: str, kernel, metadata: dict,
 def lorentzian_density(delta, gamma: float):
     """(gamma / 2 pi) / (delta**2 + gamma**2 / 4); shared by all spectra."""
     delta = np.asarray(delta, dtype=float)
-    return (gamma / (2.0 * math.pi)) / (delta**2 + gamma * gamma / 4.0)
+    out = _lorentzian(delta, gamma, np.empty_like(delta))
+    return out if out.ndim else out[()]
+
+
+def _lorentzian(delta, gamma: float, out):
+    """:func:`lorentzian_density` written into ``out``, which may be ``delta``."""
+    np.add(np.multiply(delta, delta, out=out), gamma * gamma / 4.0, out=out)
+    return np.divide(gamma / (2.0 * math.pi), out, out=out)
 
 
 def lineshape_S(params: LineshapeParams, grid) -> Spectrum:
     """Emission lineshape S(omega_k) on the given frequency grid."""
+    rep, omega_eg, gamma = params.rep, params.omega_eg, params.gamma
 
-    def kernel(w):
-        num = _numerator(params.rep, w / params.omega_eg)
-        delta = w - params.omega_eg - params.lamb_shift
+    def kernel(w, out, scratch):
+        delta, tmp, _ = scratch
+        _numerator(rep, np.divide(w, omega_eg, out=delta), out, tmp)
+        np.subtract(np.subtract(w, omega_eg, out=delta), params.lamb_shift, out=delta)
         if params.variable_width:
-            gamma_w = params.gamma * num
-            return num * (params.gamma / (2.0 * math.pi)) / (
-                delta**2 + gamma_w**2 / 4.0
-            )
-        return num * lorentzian_density(delta, params.gamma)
+            width = np.multiply(out, gamma, out=tmp)
+            np.divide(np.multiply(width, width, out=width), 4.0, out=width)
+            np.add(np.multiply(delta, delta, out=delta), width, out=delta)
+            out *= gamma / (2.0 * math.pi)
+            np.divide(out, delta, out=out)
+        else:
+            np.multiply(out, _lorentzian(delta, gamma, delta), out=out)
 
     meta = {
         "representation": params.rep.name,
@@ -449,7 +490,7 @@ def lineshape_S(params: LineshapeParams, grid) -> Spectrum:
     }
     if params.variable_width:
         meta["variable_width"] = True
-    return _sweep(grid, "grid", kernel, meta)
+    return _sweep(grid, "grid", kernel, meta, 2)
 
 
 # -- serialization -----------------------------------------------------------

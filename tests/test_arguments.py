@@ -59,9 +59,11 @@ ENERGY = dict(levels=(Level("g", 0.0), Level("e", 1.0)), dipoles={})
 HUGE = 10**400  # an int too large for a float
 HOT = build_two_level(1e200, 1.0)  # its rate's w**3 overflows a float
 LADDER = build_oscillator(1.0, 1.0, 5)
+FAST = build_two_level(1e150, 1e-200)  # resolves cutoffs up to 1e158
 NAMES = {id(HUGE): "10**400", id(HOT): "build_two_level(1e200, 1.0)"}
 
-# (callable, good keyword arguments, argument to spoil, bad value)
+# (callable, good keyword arguments, argument to spoil, bad value[, the
+# error it raises, DomainError if not given])
 ROWS = [
     (SharpLineScenario, SHARP, "intensity", "1"),
     (SharpLineScenario, SHARP, "intensity", True),
@@ -88,14 +90,22 @@ ROWS = [
     (total_shift, dict(CUTOFF, rep=COULOMB), "cutoff", math.nan),
     (total_shift, dict(CUTOFF, rep=COULOMB), "cutoff", math.inf),
     (total_shift, dict(CUTOFF, rep=COULOMB), "cutoff", "1000"),
-    # A cutoff past ~1e154 overflows the quadrature: NaN, never returned.
-    (lamb_shift, CUTOFF, "cutoff", 1e201),
+    # A cutoff above 1e8 times the smallest transition frequency is past
+    # what the shift quadrature resolves.
+    (lamb_shift, CUTOFF, "cutoff", 1.0000001e8, ConfigurationError),
+    (lamb_shift, CUTOFF, "cutoff", 1e201, ConfigurationError),
     (total_shift, dict(model=LADDER, state="1", rep=COULOMB, cutoff=1000.0),
-     "cutoff", 1e300),
+     "cutoff", 1e9, ConfigurationError),
+    (total_shift, dict(model=LADDER, state="1", rep=COULOMB, cutoff=1000.0),
+     "cutoff", 1e300, ConfigurationError),
     (total_shift, dict(model=LADDER, state="1", rep=POINCARE, cutoff=1000.0),
-     "cutoff", 1e300),
+     "cutoff", 1e300, ConfigurationError),
     (delta_offshell, dict(omega=1.0, model=ATOM, rep=COULOMB, cutoff=1000.0),
-     "cutoff", 1e300),
+     "cutoff", 1e9, ConfigurationError),
+    (delta_offshell, dict(omega=1.0, model=ATOM, rep=COULOMB, cutoff=1000.0),
+     "cutoff", 1e300, ConfigurationError),
+    # A cutoff past ~1e154 overflows the quadrature: NaN, never returned.
+    (lamb_shift, dict(model=FAST, state="e", cutoff=1e151), "cutoff", 1e157),
     (coupling_pair, dict(rep=COULOMB, omega_k=0.5, omega_0=1.0),
      "omega_0", "1"),
     (coupling_pair, dict(rep=COULOMB, omega_k=0.5, omega_0=1.0),
@@ -126,23 +136,24 @@ ROWS = [
     (Spectrum, dict(grid=[1.0, 2.0], values=[1.0, 1.0]), "grid", ["1", "2"]),
     (integrate_dynamics, dict(config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1),
      "gamma", HUGE),
-    (build_oscillator, dict(omega=1.0, mass=1.0, n_levels=4), "n_levels", 3.5),
+    (build_oscillator, dict(omega=1.0, mass=1.0, n_levels=4), "n_levels", 3.5,
+     ConfigurationError),
     # mass * omega underflows to 0.
     (build_oscillator, dict(omega=1e-200, mass=1.0, n_levels=3), "mass", 1e-200),
 ]
 
 
 def _row_id(row):
-    call, good, name, bad = row
+    call, good, name, bad = row[:4]
     text = NAMES.get(id(bad), repr(bad))
     route = "" if good.get("rep", COULOMB) == COULOMB else f"-{good['rep']}"
     return f"{getattr(call, '__qualname__', call)}{route}-{name}={text}"
 
 
-@pytest.mark.parametrize("call, good, name, bad", ROWS,
+@pytest.mark.parametrize("call, good, name, bad, error",
+                         [(*row, DomainError)[:5] for row in ROWS],
                          ids=[_row_id(row) for row in ROWS])
-def test_bad_argument_raises_a_library_error(call, good, name, bad):
-    error = ConfigurationError if name == "n_levels" else DomainError
+def test_bad_argument_raises_a_library_error(call, good, name, bad, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         call(**good)  # the row's other arguments are valid

@@ -359,12 +359,12 @@ class TestCutoffDomain:
 
     MESSAGE = "error: cutoff must be finite and positive\n"
 
-    def _assert_rejected(self, argv, capsys):
+    def _assert_rejected(self, argv, capsys, message=MESSAGE):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(argv) == 3
         assert caught == []
-        assert capsys.readouterr().err == self.MESSAGE
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
     def test_verify_flag(self, value, tmp_path, capsys):
@@ -376,6 +376,18 @@ class TestCutoffDomain:
         self._assert_rejected(
             ["lineshape", "--gamma", "0.1", "--lamb-shift", "auto",
              "--cutoff=-1", "--out-dir", str(tmp_path)], capsys)
+
+    def test_cutoff_past_what_the_shift_quadrature_resolves(self, tmp_path, capsys):
+        # 1e8 times the smallest transition frequency, 1, is the largest.
+        argv = ["lineshape", "--gamma", "0.1", "--lamb-shift", "auto",
+                "--out-dir", str(tmp_path)]
+        assert main([*argv, "--cutoff", "1e8"]) == 0
+        capsys.readouterr()
+        self._assert_rejected(
+            [*argv, "--cutoff", "1e9"], capsys,
+            "error: cutoff 1000000000.0 is more than 1e+08 times the smallest "
+            "transition frequency (1.0): the level-shift quadrature cannot "
+            "resolve it\n")
 
     @pytest.mark.parametrize("mode, text", [
         ("verify", "mode: verify\n\nverify:\n  cutoff: -1\n"),

@@ -30,7 +30,7 @@ from lineshape.pulse import (
     _zero_locus_on_grid,
 )
 from lineshape.representations import coupling_pair
-from lineshape.spectra import _BLOCK, numerator
+from lineshape.spectra import _BLOCK, _scratch, numerator
 from lineshape.verify import _resonant_amplitude, check_ode_oracle
 
 from helpers import SWEEPS, assert_blocks_are_seamless
@@ -190,6 +190,11 @@ class TestClosedForm:
         assert jumps.max() < 5e-3
 
 
+def kernel_parts(P, theta):
+    """``_kernel_parts`` into fresh buffers, leaving ``P`` as it was."""
+    return _kernel_parts(np.array(P, dtype=float), theta, _scratch(np.shape(P), 6))
+
+
 class TestBranchFreeKernel:
     DETUNED = PulseConfig(rabi=1.0, omega_l=0.9)
 
@@ -214,8 +219,8 @@ class TestBranchFreeKernel:
     @pytest.mark.parametrize("theta", [0.3, math.pi / 2, 5.0])
     def test_kernel_is_conjugate_symmetric(self, theta):
         P = np.concatenate((np.linspace(0.0, 20.0, 4001), [theta]))
-        re_p, im_p = _kernel_parts(P, theta)
-        re_m, im_m = _kernel_parts(-P, theta)
+        re_p, im_p = kernel_parts(P, theta)
+        re_m, im_m = kernel_parts(-P, theta)
         np.testing.assert_allclose(re_m, re_p, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(im_m, -im_p, rtol=1e-15, atol=0.0)
 
@@ -223,7 +228,7 @@ class TestBranchFreeKernel:
         # Resonant pi-pulse: theta = pi/2 and P = pi delta_k, so omega_k =
         # omega_0 -/+ rabi/2 gives P = +/- theta exactly (h == 0).
         theta = math.pi / 2
-        re, im = _kernel_parts(np.array([theta, -theta]), theta)
+        re, im = kernel_parts(np.array([theta, -theta]), theta)
         assert np.all(np.isfinite(re)) and np.all(np.isfinite(im))
         for d0 in (0.5, -0.5):
             tail = 1.0 / (1j * d0 + GAMMA / 2.0)
@@ -249,7 +254,7 @@ class TestBranchFreeKernel:
             [0.0, theta, -theta], theta + np.array([1e-6, -1e-6]),
             -theta + np.array([1e-6, -1e-6]),
         ))
-        re, im = _kernel_parts(P, theta)
+        re, im = kernel_parts(P, theta)
         with mpmath.workdps(80):
             th = mpmath.mpf(theta)
             worst = 0.0
