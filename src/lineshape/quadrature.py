@@ -1,11 +1,14 @@
 """Deterministic quadrature, including principal-value pole integrals.
 
-The level-shift sums need integrals of the form
+An oracle, not a route: the level shifts of ``lineshape.spectra`` are
+closed forms.  The ``level_shift_closed_forms`` check of
+``lineshape.verify`` (which imports this module only when it runs), the
+tests and the benchmark integrate
 
     PV int_lo^hi g(t) / (pole - t) dt
 
-with g smooth.  The pole is handled with a symmetric window around it:
-on [pole - h, pole + h] the pair-cancelled integrand
+with g smooth here.  The pole is handled with a symmetric window around
+it: on [pole - h, pole + h] the pair-cancelled integrand
 (g(pole - u) - g(pole + u))/u is smooth (it tends to -2 g'(pole) as
 u -> 0), so ordinary quadrature applies; the leftover piece is regular.
 Nodes are log-graded toward the pole, the default count is 4096, and

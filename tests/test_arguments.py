@@ -6,7 +6,8 @@ scalar belongs, a non-finite or an out-of-range number, or an int too
 large for a float.  The call must then raise DomainError
 (ConfigurationError for an oscillator's level count) with numpy warnings
 raised as errors, never a numpy traceback, a silent NaN or a silent
-coercion, and before it allocates 1 MiB.
+coercion, and before it allocates 1 MiB.  A second table holds cutoffs
+that were once rejected and that the closed-form shifts now evaluate.
 """
 
 import math
@@ -46,6 +47,8 @@ from lineshape import (
     total_shift,
 )
 
+from helpers import mp_delta_offshell, mp_lamb_shift, mp_total_shift
+
 ATOM = build_two_level(1.0, 1.0)
 DRIVE = PulseConfig(rabi=1.0, omega_l=1.0)
 SHARP = dict(intensity=1.0, omega_0=1.0, omega_eg=1.0, gamma=0.1,
@@ -59,7 +62,7 @@ ENERGY = dict(levels=(Level("g", 0.0), Level("e", 1.0)), dipoles={})
 HUGE = 10**400  # an int too large for a float
 HOT = build_two_level(1e200, 1.0)  # its rate's w**3 overflows a float
 LADDER = build_oscillator(1.0, 1.0, 5)
-FAST = build_two_level(1e150, 1e-200)  # resolves cutoffs up to 1e158
+FAST = build_two_level(1e150, 1e-200)
 NAMES = {id(HUGE): "10**400", id(HOT): "build_two_level(1e200, 1.0)"}
 
 # (callable, good keyword arguments, argument to spoil, bad value[, the
@@ -90,22 +93,11 @@ ROWS = [
     (total_shift, dict(CUTOFF, rep=COULOMB), "cutoff", math.nan),
     (total_shift, dict(CUTOFF, rep=COULOMB), "cutoff", math.inf),
     (total_shift, dict(CUTOFF, rep=COULOMB), "cutoff", "1000"),
-    # A cutoff above 1e8 times the smallest transition frequency is past
-    # what the shift quadrature resolves.
-    (lamb_shift, CUTOFF, "cutoff", 1.0000001e8, ConfigurationError),
-    (lamb_shift, CUTOFF, "cutoff", 1e201, ConfigurationError),
+    # The diagonal term's cutoff**2 overflows.
     (total_shift, dict(model=LADDER, state="1", rep=COULOMB, cutoff=1000.0),
-     "cutoff", 1e9, ConfigurationError),
-    (total_shift, dict(model=LADDER, state="1", rep=COULOMB, cutoff=1000.0),
-     "cutoff", 1e300, ConfigurationError),
+     "cutoff", 1e300),
     (total_shift, dict(model=LADDER, state="1", rep=POINCARE, cutoff=1000.0),
-     "cutoff", 1e300, ConfigurationError),
-    (delta_offshell, dict(omega=1.0, model=ATOM, rep=COULOMB, cutoff=1000.0),
-     "cutoff", 1e9, ConfigurationError),
-    (delta_offshell, dict(omega=1.0, model=ATOM, rep=COULOMB, cutoff=1000.0),
-     "cutoff", 1e300, ConfigurationError),
-    # A cutoff past ~1e154 overflows the quadrature: NaN, never returned.
-    (lamb_shift, dict(model=FAST, state="e", cutoff=1e151), "cutoff", 1e157),
+     "cutoff", 1e300),
     (coupling_pair, dict(rep=COULOMB, omega_k=0.5, omega_0=1.0),
      "omega_0", "1"),
     (coupling_pair, dict(rep=COULOMB, omega_k=0.5, omega_0=1.0),
@@ -165,3 +157,32 @@ def test_bad_argument_raises_a_library_error(call, good, name, bad, error):
         finally:
             tracemalloc.stop()
     assert peak < 2**20  # rejected before anything sized by it is allocated
+
+
+# Cutoffs once rejected, past 1e8 times the smallest transition frequency
+# (the reach of the quadrature the closed forms replaced) or past its
+# overflow near 1e154: (callable, good keyword arguments, cutoff, its
+# 40-digit mpmath oracle, which takes the same arguments).
+LARGE_CUTOFFS = [
+    (lamb_shift, CUTOFF, 1.0000001e8, mp_lamb_shift),
+    (lamb_shift, CUTOFF, 1e201, mp_lamb_shift),
+    (total_shift, dict(model=LADDER, state="1", rep=COULOMB, cutoff=1000.0), 1e9,
+     mp_total_shift),
+    (delta_offshell, dict(omega=1.0, model=ATOM, rep=COULOMB, cutoff=1000.0), 1e9,
+     mp_delta_offshell),
+    (delta_offshell, dict(omega=1.0, model=ATOM, rep=COULOMB, cutoff=1000.0), 1e300,
+     mp_delta_offshell),
+    (lamb_shift, dict(model=FAST, state="e", cutoff=1e151), 1e157, mp_lamb_shift),
+]
+
+
+@pytest.mark.parametrize("call, good, cutoff, oracle", LARGE_CUTOFFS,
+                         ids=[_row_id((call, good, "cutoff", cutoff))
+                              for call, good, cutoff, _ in LARGE_CUTOFFS])
+def test_large_cutoff_gives_the_closed_form(call, good, cutoff, oracle):
+    args = {**good, "cutoff": cutoff}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = call(**args)
+    want = float(oracle(**args))
+    assert abs(got - want) <= 1e-13 * abs(want)

@@ -14,6 +14,8 @@ from lineshape.spectra import read_spectrum_csv
 from lineshape.errors import ConfigurationError
 from lineshape.scenario import PARAMS
 
+from helpers import mp_lamb_shift
+
 PRESET_DIR = Path(lineshape.__path__[0]) / "presets"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -377,17 +379,22 @@ class TestCutoffDomain:
             ["lineshape", "--gamma", "0.1", "--lamb-shift", "auto",
              "--cutoff=-1", "--out-dir", str(tmp_path)], capsys)
 
-    def test_cutoff_past_what_the_shift_quadrature_resolves(self, tmp_path, capsys):
-        # 1e8 times the smallest transition frequency, 1, is the largest.
-        argv = ["lineshape", "--gamma", "0.1", "--lamb-shift", "auto",
-                "--out-dir", str(tmp_path)]
-        assert main([*argv, "--cutoff", "1e8"]) == 0
-        capsys.readouterr()
-        self._assert_rejected(
-            [*argv, "--cutoff", "1e9"], capsys,
-            "error: cutoff 1000000000.0 is more than 1e+08 times the smallest "
-            "transition frequency (1.0): the level-shift quadrature cannot "
-            "resolve it\n")
+    @pytest.mark.parametrize("cutoff", ["1e9", "1e20", "1e300"])
+    def test_cutoff_past_the_old_quadrature_bound_gives_the_closed_form(
+            self, cutoff, tmp_path, capsys):
+        # The shift quadrature resolved cutoffs up to 1e8 times the smallest
+        # transition frequency, 1, and rejected larger ones; the closed
+        # form takes any cutoff.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["lineshape", "--gamma", "0.1", "--lamb-shift", "auto",
+                         "--cutoff", cutoff, "--reps", "coulomb",
+                         "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        spec = read_spectrum_csv(tmp_path / "lineshape_coulomb.csv")
+        want = float(mp_lamb_shift(lineshape.build_two_level(1.0, 1.0), "e",
+                                   float(cutoff)))
+        assert abs(spec.metadata["lamb_shift"] - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("mode, text", [
         ("verify", "mode: verify\n\nverify:\n  cutoff: -1\n"),

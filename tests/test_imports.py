@@ -136,3 +136,19 @@ def test_cli_runs_start_no_thread_and_no_pool(tmp_path):
     result = json.loads(run_python(THREAD_CHILD, json.dumps(argvs)))
     assert result == {"codes": [0] * len(argvs), "started": 0, "threads": 1,
                       "futures": False}
+
+
+def test_level_shifts_leave_the_quadrature_unloaded():
+    # The shifts are closed forms; only the verify check that compares them
+    # with the quadrature loads it, when it runs.
+    code = """
+import sys
+from lineshape import POINCARE, build_two_level
+from lineshape.spectra import delta_offshell, lamb_shift, total_shift
+atom = build_two_level(1.0, 1.0)
+lamb_shift(atom, "e", 1e3)
+total_shift(atom, "e", POINCARE, 1e3)
+delta_offshell(1.3, atom, POINCARE, 1e3)
+print("lineshape.quadrature" in sys.modules)
+"""
+    assert run_python(code) == "False"

@@ -43,7 +43,7 @@ from lineshape import (
     write_spectrum_csv,
 )
 from lineshape import spectra
-from lineshape.spectra import _BLOCK, lorentzian_density
+from lineshape.spectra import _BLOCK, _lorentzian
 from lineshape.verify import _NUMERATOR_TABLE, _built_numerator
 
 from helpers import SWEEPS, charged_oscillator
@@ -532,6 +532,12 @@ class TestTwoWorkers:
         assert threading.active_count() == before
 
 
+def lorentzian(delta, gamma):
+    """The sweeps' in-place Lorentzian on a fresh buffer, scalar or array."""
+    delta = np.asarray(delta, dtype=float)
+    return _lorentzian(delta, gamma, np.empty_like(delta))
+
+
 class TestOneRoute:
     """The public point functions and the sweeps share one in-place route
     per formula: scalars, 0-d, 1-d and 2-d inputs give the bits of the
@@ -560,8 +566,8 @@ class TestOneRoute:
         num = f(lambda w: numerator(rep, w, 1.0))
         m = f(lambda w: mixing(rep, w, 1.0))
         assert num.tobytes() == (grid * (m * m)).tobytes()
-        lorentz = f(lambda w: lorentzian_density(w - 1.0, 0.1))
-        shifted = f(lambda w: lorentzian_density(w - 1.0 - 0.01, 0.1))
+        lorentz = f(lambda w: lorentzian(w - 1.0, 0.1))
+        shifted = f(lambda w: lorentzian(w - 1.0 - 0.01, 0.1))
         spec = lineshape_S(LineshapeParams(rep, 1.0, 0.1, 0.01), grid)
         assert spec.values.tobytes() == (num * shifted).tobytes()
         spec = pulse_spectrum(self.DRIVE, rep, 1.0, 0.1, grid, include_laser=False)
