@@ -57,7 +57,6 @@ from .spectra import (  # noqa: F401
     numerator,
     read_spectrum_csv,
     total_shift,
-    total_shift_integrand,
     write_spectrum_csv,
 )
 from .verify import (  # noqa: F401

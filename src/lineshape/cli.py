@@ -285,7 +285,6 @@ def _run_pulse(scn: Scenario, out_dir: str) -> list:
 
 
 def _run_verify(out_dir: str, cutoff: float) -> int:
-    _check_scalar(cutoff, "cutoff")
     report = run_all_checks(cutoff=cutoff)
     print(report.table())
     os.makedirs(out_dir, exist_ok=True)

@@ -65,6 +65,16 @@ def _resampled(spectra: list[Spectrum]):
     return base, curves
 
 
+def _xml(text: str) -> str:
+    """``text`` as SVG character data: ``&``, ``<`` and ``>`` escaped."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _quoted(text: str) -> str:
+    """``text`` as a gnuplot single-quoted string, each ``'`` doubled."""
+    return "'" + text.replace("'", "''") + "'"
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     span = hi - lo
     if span <= 0:
@@ -118,13 +128,13 @@ def emit_svg(spectra: list[Spectrum], style: PlotStyle) -> str:
     if style.title:
         parts.append(
             f'<text x="{_CANVAS_W / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{style.title}</text>'
+            f'font-family="sans-serif" font-size="16">{_xml(style.title)}</text>'
         )
     if style.subtitle:
         parts.append(
             f'<text x="{_CANVAS_W / 2:.1f}" y="44" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11" fill="#555">'
-            f'{style.subtitle}</text>'
+            f'{_xml(style.subtitle)}</text>'
         )
 
     # Frame and ticks.
@@ -157,13 +167,13 @@ def emit_svg(spectra: list[Spectrum], style: PlotStyle) -> str:
     parts.append(
         f'<text x="{(x0 + x1) / 2:.1f}" y="{_CANVAS_H - 18:.1f}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-        f'{style.xlabel}</text>'
+        f'{_xml(style.xlabel)}</text>'
     )
     ylabel = f"ln({style.ylabel})" if style.log_scale else style.ylabel
     parts.append(
         f'<text x="22" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 22 {(y0 + y1) / 2:.1f})">{ylabel}</text>'
+        f'transform="rotate(-90 22 {(y0 + y1) / 2:.1f})">{_xml(ylabel)}</text>'
     )
 
     # Curves.
@@ -189,7 +199,7 @@ def emit_svg(spectra: list[Spectrum], style: PlotStyle) -> str:
             )
             parts.append(
                 f'<text x="{lx + 32:.1f}" y="{yy + 4:.1f}" '
-                f'font-family="sans-serif" font-size="12">{name}</text>'
+                f'font-family="sans-serif" font-size="12">{_xml(name)}</text>'
             )
 
     parts.append("</svg>")
@@ -208,14 +218,15 @@ def emit_gnuplot(spectra: list[Spectrum], style: PlotStyle,
     for idx, (name, _) in enumerate(curves):
         col = idx + 2
         using = f"1:(log(${col}))" if style.log_scale else f"1:{col}"
-        plots.append(f"'{dat_name}' using {using} with lines title '{name}'")
+        plots.append(f"{_quoted(dat_name)} using {using} with lines title "
+                     + _quoted(name))
     ylabel = f"ln({style.ylabel})" if style.log_scale else style.ylabel
     script = "\n".join(
         [
             "set terminal svg size 880,560",
-            f"set title '{style.title}'",
-            f"set xlabel '{style.xlabel}'",
-            f"set ylabel '{ylabel}'",
+            f"set title {_quoted(style.title)}",
+            f"set xlabel {_quoted(style.xlabel)}",
+            f"set ylabel {_quoted(ylabel)}",
             "set key top right",
             "plot " + ", \\\n     ".join(plots),
             "",

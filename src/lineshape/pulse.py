@@ -493,52 +493,38 @@ def integrate_dynamics(
 # -- spectra -----------------------------------------------------------------
 
 
-def pulse_spectrum(
-    config: PulseConfig,
-    rep: GaugeRepresentation,
-    omega_0: float,
-    gamma: float,
-    grid,
-    *,
-    include_laser: bool = True,
-) -> Spectrum:
+def pulse_spectrum(config: PulseConfig, rep: GaugeRepresentation, omega_0: float,
+                   gamma: float, grid) -> Spectrum:
     """Emission spectrum after the pulse.
 
     S(w) = numerator(rep, w, omega_0) * (Gamma/2pi) * |beta(w)|^2 with beta
     the reduced amplitude of :func:`closed_form_amplitude`, evaluated and
-    checked by the blocked sweep of :mod:`lineshape.spectra`.  With
-    ``include_laser=False`` the pulse-window term is dropped and the
-    spectrum reduces, bit for bit, to the plain emission lineshape.
+    checked by the blocked sweep of :mod:`lineshape.spectra`.  Without the
+    pulse-window term, beta is the Lorentzian tail alone and S is the plain
+    emission lineshape :func:`~lineshape.spectra.lineshape_S`.
     """
     _check_scalar(gamma, "gamma")
     _check_scalar(omega_0, "omega_0")
     drive = _drive(config, rep, omega_0)
-    if include_laser:
-        def kernel(w, out, scratch):
-            x, *rest = scratch
-            re, im = _amplitude_parts(np.subtract(omega_0, w, out=x), config,
-                                      drive, gamma, rest)
-            _numerator(rep, np.divide(w, omega_0, out=x), out, rest[0])
-            out *= gamma / (2.0 * math.pi)
-            out *= np.add(np.multiply(re, re, out=re), np.multiply(im, im, out=im),
-                          out=re)
-        buffers = 8
-    else:
-        def kernel(w, out, scratch):
-            x, tmp, _ = scratch
-            _numerator(rep, np.divide(w, omega_0, out=x), out, tmp)
-            out *= _lorentzian(np.subtract(w, omega_0, out=x), gamma, x)
-        buffers = 2
+
+    def kernel(w, out, scratch):
+        x, *rest = scratch
+        re, im = _amplitude_parts(np.subtract(omega_0, w, out=x), config,
+                                  drive, gamma, rest)
+        _numerator(rep, np.divide(w, omega_0, out=x), out, rest[0])
+        out *= gamma / (2.0 * math.pi)
+        out *= np.add(np.multiply(re, re, out=re), np.multiply(im, im, out=im),
+                      out=re)
+
     meta = {
         "representation": rep.name,
         "gamma": gamma,
         "omega_eg": omega_0,
         "rabi": config.rabi,
         "delta_l": omega_0 - config.omega_l,
-        "include_laser": include_laser,
         "kind": "pulse",
     }
-    spectrum = _sweep(grid, "spectrum grid", kernel, meta, buffers)
+    spectrum = _sweep(grid, "spectrum grid", kernel, meta, 8)
     if _zero_locus_on_grid(config, drive, omega_0, spectrum.grid):
         meta["denominator_zero_on_grid"] = True
     return spectrum

@@ -62,18 +62,6 @@ class GaugeRepresentation:
             raise DomainError("custom_alpha is only meaningful for kind='custom'")
 
     @classmethod
-    def coulomb(cls) -> "GaugeRepresentation":
-        return cls("coulomb")
-
-    @classmethod
-    def poincare(cls) -> "GaugeRepresentation":
-        return cls("poincare")
-
-    @classmethod
-    def symmetric(cls) -> "GaugeRepresentation":
-        return cls("symmetric")
-
-    @classmethod
     def constant(cls, alpha: float) -> "GaugeRepresentation":
         return cls("custom", alpha)
 
@@ -109,9 +97,9 @@ class GaugeRepresentation:
         return self.name
 
 
-COULOMB = GaugeRepresentation.coulomb()
-POINCARE = GaugeRepresentation.poincare()
-SYMMETRIC = GaugeRepresentation.symmetric()
+COULOMB = GaugeRepresentation("coulomb")
+POINCARE = GaugeRepresentation("poincare")
+SYMMETRIC = GaugeRepresentation("symmetric")
 
 
 class CouplingPair(NamedTuple):

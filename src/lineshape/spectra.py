@@ -53,7 +53,6 @@ __all__ = [
     "gamma_offshell",
     "delta_offshell",
     "total_shift",
-    "total_shift_integrand",
     "lamb_shift",
     "lineshape_S",
     "write_spectrum_csv",
@@ -114,7 +113,8 @@ def gamma_onshell(
         raise DomainError("upper level must lie above lower level")
     if rep.kind == "coulomb":
         p = model.momentum(lower, upper)
-        rate = model.charge**2 * (p * p) * w / (3.0 * math.pi * model.mass**2)
+        e2, m2 = model.charge * model.charge, model.mass * model.mass
+        rate = e2 * (p * p) * w / (3.0 * math.pi * m2)
     else:
         d = model.dipole(lower, upper)
         u_on = coupling_pair(rep, w, w).u_minus
@@ -319,35 +319,6 @@ def delta_offshell(
             total += coeff * _pv(c, pole, cutoff)
     _check_scalar(total, "level shift", "finite")
     return total
-
-
-def total_shift_integrand(
-    model: AtomModel, state: str, rep: GaugeRepresentation, omega_modes,
-) -> np.ndarray:
-    """Per-mode-frequency integrand of the on-shell total level shift.
-
-    Includes the first-order diagonal term: the quadratic vector-potential
-    term on the Coulomb route, the squared-polarization term on the
-    Poincare route (folded into omega_ns/(omega_ns + w)).  Only these two
-    routes define the diagonal term; other representations are rejected.
-    """
-    w = _check_real(omega_modes, "mode frequency", "positive")
-    weight = w**2 / (3.0 * math.pi**2)
-    if rep.kind == "coulomb":
-        bracket = np.full_like(w, 0.5)
-        for tr in model.transitions_from(state):
-            p = model.momentum(tr.label, state)
-            bracket -= p * p / model.mass / (tr.omega + w)
-        return weight * model.charge**2 / (2.0 * model.mass * w) * bracket
-    if rep.kind == "poincare":
-        out = np.zeros_like(w)
-        for tr in model.transitions_from(state):
-            out += 0.5 * (tr.dipole * tr.dipole) * tr.omega / (tr.omega + w)
-        return weight * out
-    raise DomainError(
-        "the diagonal interaction term is defined only on the coulomb and "
-        "poincare routes"
-    )
 
 
 def total_shift(

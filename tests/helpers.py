@@ -70,10 +70,6 @@ SWEEPS = {
         "omega_0 grid"),
     "pulse": (
         lambda g: pulse_spectrum(_DETUNED, _REP, 1.0, 0.1, g), "spectrum grid"),
-    "pulse-without-laser": (
-        lambda g: pulse_spectrum(_DETUNED, _REP, 1.0, 0.1, g,
-                                 include_laser=False),
-        "spectrum grid"),
     "reference": (
         lambda g: lorentzian_reference_spectrum(1.0, 0.1, g), "spectrum grid"),
 }

@@ -47,7 +47,7 @@ PUBLIC_NAMES = [
     "lamb_n_factor", "lamb_rate_sweep", "lamb_shift", "lineshape_S",
     "lorentzian_reference_spectrum", "mixing", "n_factor",
     "numerator", "pulse_spectrum", "read_spectrum_csv", "run_all_checks",
-    "total_shift", "total_shift_integrand", "trk_sum", "write_spectrum_csv",
+    "total_shift", "trk_sum", "write_spectrum_csv",
 ]
 
 
@@ -95,12 +95,10 @@ PUBLIC_SIGNATURES = {
     "mixing": "(rep, omega_k, omega_0)",
     "n_factor": "(rep, omega_0, omega_eg)",
     "numerator": "(rep, omega_k, omega_eg)",
-    "pulse_spectrum": "(config, rep, omega_0, gamma, grid, *, "
-                      "include_laser=True)",
+    "pulse_spectrum": "(config, rep, omega_0, gamma, grid)",
     "read_spectrum_csv": "(path)",
     "run_all_checks": "(cutoff=1000.0)",
     "total_shift": "(model, state, rep, cutoff, n=4096)",
-    "total_shift_integrand": "(model, state, rep, omega_modes)",
     "trk_sum": "(model, state)",
     "write_spectrum_csv": "(spectrum, path)",
 }

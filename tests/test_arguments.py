@@ -44,6 +44,7 @@ from lineshape import (
     mixing,
     n_factor,
     numerator,
+    run_all_checks,
     total_shift,
 )
 
@@ -63,7 +64,11 @@ HUGE = 10**400  # an int too large for a float
 HOT = build_two_level(1e200, 1.0)  # its rate's w**3 overflows a float
 LADDER = build_oscillator(1.0, 1.0, 5)
 FAST = build_two_level(1e150, 1e-200)
-NAMES = {id(HUGE): "10**400", id(HOT): "build_two_level(1e200, 1.0)"}
+# e**2 overflows and the momentum d m w / e underflows to 0.
+CHARGED = AtomModel(levels=(Level("g", 0.0), Level("e", 1.0)),
+                    dipoles={("g", "e"): 1e-200, ("e", "g"): 1e-200}, charge=1e200)
+NAMES = {id(HUGE): "10**400", id(HOT): "build_two_level(1e200, 1.0)",
+         id(CHARGED): "AtomModel(charge=1e200, d=1e-200)"}
 
 # (callable, good keyword arguments, argument to spoil, bad value[, the
 # error it raises, DomainError if not given])
@@ -86,6 +91,8 @@ ROWS = [
     (build_two_level, dict(omega_eg=1.0, d_eg=1.0), "d_eg", "1"),
     (AtomModel, ENERGY, "levels", (Level("g", 0.0), Level("e", math.nan))),
     (gamma_onshell, dict(model=ATOM, upper="e", lower="g"), "model", HOT),
+    (gamma_onshell, dict(model=ATOM, upper="e", lower="g", rep=COULOMB), "model",
+     CHARGED),
     (gamma_offshell, dict(omega=2.0, model=ATOM, rep=COULOMB), "omega", 2e200),
     (lamb_shift, CUTOFF, "cutoff", math.nan),
     (lamb_shift, CUTOFF, "cutoff", math.inf),
@@ -132,6 +139,10 @@ ROWS = [
      ConfigurationError),
     # mass * omega underflows to 0.
     (build_oscillator, dict(omega=1e-200, mass=1.0, n_levels=3), "mass", 1e-200),
+    (run_all_checks, dict(cutoff=1000.0), "cutoff", -1.0),
+    (run_all_checks, dict(cutoff=1000.0), "cutoff", 0.0),
+    (run_all_checks, dict(cutoff=1000.0), "cutoff", True),
+    (run_all_checks, dict(cutoff=1000.0), "cutoff", "1000"),
 ]
 
 

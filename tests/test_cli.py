@@ -10,7 +10,7 @@ import pytest
 import lineshape
 from lineshape.cli import _flag, build_parser, main
 from lineshape.plotting import PlotStyle, emit_gnuplot, emit_svg
-from lineshape.spectra import read_spectrum_csv
+from lineshape.spectra import read_spectrum_csv, write_spectrum_csv
 from lineshape.errors import ConfigurationError
 from lineshape.scenario import PARAMS
 
@@ -641,6 +641,41 @@ class TestPlotting:
         out = tmp_path / "replot.svg"
         assert main(["plot", *csvs, "--out", str(out)]) == 0
         assert out.read_text().startswith("<svg")
+
+    # Text from outside the program: a title and a CSV's representation cell.
+    TITLE = "a<b & c's >"
+    NAME = "x' with lines; print 'injected' #"
+
+    def _replot(self, tmp_path, fmt, out):
+        spec = self._spectra()[0]
+        spec.metadata["representation"] = self.NAME
+        write_spectrum_csv(spec, tmp_path / "x.csv")
+        out = tmp_path / out
+        assert main(["plot", str(tmp_path / "x.csv"), "--plot", fmt, "--title",
+                     self.TITLE, "--out", str(out)]) == 0
+        return out
+
+    def test_svg_escapes_outside_text(self, tmp_path):
+        from xml.dom import minidom
+
+        doc = minidom.parse(str(self._replot(tmp_path, "svg", "p.svg")))
+        texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
+        assert texts[0] == self.TITLE
+        assert texts[-1] == self.NAME  # the legend
+        style = PlotStyle(title="&", subtitle="<s>", xlabel="x & y", ylabel="<")
+        doc = minidom.parseString(emit_svg(self._spectra(), style))
+        texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
+        assert texts[:2] == ["&", "<s>"] and {"x & y", "<"} <= set(texts)
+
+    def test_gnuplot_quotes_outside_text(self, tmp_path):
+        script = self._replot(tmp_path, "gnuplot", "it's.gp").read_text().splitlines()
+        assert "set title 'a<b & c''s >'" in script
+        assert ("plot 'it''s.dat' using 1:2 with lines title "
+                "'x'' with lines; print ''injected'' #'") in script
+        _, script = emit_gnuplot(self._spectra(), PlotStyle(xlabel="'", ylabel="''"),
+                                 "c.dat")
+        lines = script.splitlines()
+        assert "set xlabel ''''" in lines and "set ylabel ''''''" in lines
 
     def test_resampling_onto_first_grid(self):
         from lineshape import LineshapeParams, lineshape_S, COULOMB, POINCARE
