@@ -43,7 +43,6 @@ from .representations import (  # noqa: F401
     SYMMETRIC,
     GaugeRepresentation,
     coupling_pair,
-    mixing,
 )
 from .spectra import (  # noqa: F401
     DEFAULT_CUTOFF,

@@ -78,8 +78,6 @@ _MODE_HELP = {
 _FLAG_HELP = {
     "--lamb-shift": "line displacement, or 'auto' to compute it from a "
                     "two-level model at the given cutoff",
-    "--variable-width": "use the frequency-dependent width "
-                        "Gamma * numerator(omega_k) (experimental)",
     "--include-reference": "add the bare Lorentzian as a reference curve",
     "--preset": "named defaults: lamb-hydrogen",
     "--trajectory": "also dump the pulse-window amplitude trajectory",
@@ -235,11 +233,7 @@ def _run_lineshape(scn: Scenario) -> list:
         shift = lamb_shift(build_two_level(p["omega_eg"], 1.0), "e", p["cutoff"])
     spectra = []
     for rep in scn.representations:
-        params = LineshapeParams(
-            rep=rep, omega_eg=p["omega_eg"], gamma=p["gamma"], lamb_shift=shift,
-            variable_width=p["variable_width"],
-        )
-        spec = lineshape_S(params, grid)
+        spec = lineshape_S(LineshapeParams(rep, p["omega_eg"], p["gamma"], shift), grid)
         spec.metadata["cutoff"] = p["cutoff"]
         spectra.append(spec)
     return spectra

@@ -4,9 +4,9 @@ The scattering rate for a sharp incident line carries a representation-
 dependent frequency factor n(omega_0, omega_eg), normalized to 1 on
 resonance; the stimulated microwave transition followed by a fast cascade
 carries the analogous factor n'(omega_0, omega, omega').  Both are built
-from the representation's mixing factor m = u_minus sqrt(x)
-(:func:`~lineshape.representations.mixing`): off-shell width times squared
-absorption coupling times the flux factor, which is m**4 / x for n.  The
+from the representation's mixing factor m = u_minus sqrt(x) = (1 - alpha)
++ alpha x: off-shell width times squared absorption coupling times the
+flux factor, which is m**4 / x for n.  The
 source paper's closed-form tables are special cases, kept in
 :mod:`lineshape.verify` as oracles.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _check_real, _check_scalar
-from .representations import GaugeRepresentation, _mixing
+from .representations import GaugeRepresentation, _check_rep, _mixing
 from .spectra import Spectrum, _numerator, _scratch, _sweep
 
 __all__ = [
@@ -70,6 +70,7 @@ class SharpLineScenario:
     rep: GaugeRepresentation
 
     def __post_init__(self):
+        _check_rep(self.rep)
         _check_scalar(self.intensity, "intensity", "non-negative")
         _check_scalar(self.omega_0, "omega_0")
         _check_scalar(self.omega_eg, "omega_eg")
@@ -157,6 +158,7 @@ class LambLineScenario:
     rep: GaugeRepresentation
 
     def __post_init__(self):
+        _check_rep(self.rep)
         _check_scalar(self.intensity, "intensity", "non-negative")
         _check_scalar(self.omega, "omega")
         _check_scalar(self.omega_prime, "omega_prime")

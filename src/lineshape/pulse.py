@@ -407,18 +407,22 @@ def integrate_dynamics(
 
     The drive is the rectangular pi-pulse of ``config`` on [-pi/Omega, 0],
     so the t >= 0 continuation starts where it ends.  ``gamma`` and
-    ``omega_0`` must be finite and positive and the mode grid a finite 1-d
-    array.  The ODE settings are fixed: each phase is sampled at 401
-    times, and the in-package DOP853 pair (Hairer, Norsett & Wanner, Sec.
-    II.4-II.6) steps the pulse window with ``rtol`` 1e-11 and ``atol``
-    1e-13, as in scipy's ``solve_ivp``: each step's error estimate over
-    ``atol + rtol * |y|`` has an RMS over components below 1.  The
+    ``omega_0`` must be finite and positive, the mode grid a finite 1-d
+    array and each flag a bool.  The ODE settings are fixed: each phase is
+    sampled at 401 times, and the in-package DOP853 pair (Hairer, Norsett &
+    Wanner, Sec. II.4-II.6) steps the pulse window with ``rtol`` 1e-11 and
+    ``atol`` 1e-13, as in scipy's ``solve_ivp``: each step's error estimate
+    over ``atol + rtol * |y|`` has an RMS over components below 1.  The
     post-pulse phase is exact to rounding.
 
     Modes enter only through their detunings unless back-reaction is on.
     """
     _check_scalar(gamma, "gamma")
     _check_scalar(omega_0, "omega_0")
+    for name, flag in (("rwa", rwa),
+                       ("include_field_during_pulse", include_field_during_pulse)):
+        if not isinstance(flag, bool):
+            raise DomainError(f"{name} must be True or False, got {flag!r}")
     from ._ode import _dop853  # here: other runs skip compiling the tableau
     mode_grid = np.asarray(mode_grid, dtype=float)
     if mode_grid.ndim != 1 or not np.all(np.isfinite(mode_grid)):

@@ -11,10 +11,10 @@ dimensionless mixing function alpha:
 * alpha = const in [0, 1] -- any fixed mixture.
 
 Every other module consumes the resulting pair of coupling functions
-``u_plus`` / ``u_minus``, or the mixing factor ``u_minus sqrt(omega_k /
-omega_0)`` from which every representation factor of the lineshape and the
-rates is built.  All functions are pure and accept scalars or
-numpy arrays for the mode frequency.
+``u_plus`` / ``u_minus``, or the in-place mixing factor ``u_minus
+sqrt(omega_k / omega_0)`` from which every representation factor of the
+lineshape and the rates is built.  All functions are pure and accept
+scalars or numpy arrays for the mode frequency.
 
 Units: hbar = c = epsilon_0 = 1 throughout; frequencies are expressed in
 units of a reference transition frequency (1.0 by default).
@@ -35,7 +35,6 @@ __all__ = [
     "POINCARE",
     "SYMMETRIC",
     "coupling_pair",
-    "mixing",
 ]
 
 
@@ -109,8 +108,15 @@ class CouplingPair(NamedTuple):
     u_minus: np.ndarray | float
 
 
+def _check_rep(rep) -> None:
+    """Reject a ``rep`` that is not a GaugeRepresentation."""
+    if not isinstance(rep, GaugeRepresentation):
+        raise DomainError(f"representation must be a GaugeRepresentation, got {rep!r}")
+
+
 def _constant_alpha(rep: GaugeRepresentation) -> float | None:
     """The fixed mixing constant, or None for the symmetric kind."""
+    _check_rep(rep)
     return {"coulomb": 0.0, "poincare": 1.0, "symmetric": None}.get(
         rep.kind, rep.custom_alpha)
 
@@ -128,6 +134,7 @@ def coupling_pair(rep: GaugeRepresentation, omega_k, omega_0: float) -> Coupling
     hold to the last bit, and u_minus in the simplified form
     2 sqrt(omega_0 omega_k) / (omega_k + omega_0).
     """
+    _check_rep(rep)
     omega_k = _check_real(omega_k, "mode frequency", "positive")
     _check_scalar(omega_0, "transition frequency")
     if rep.kind == "symmetric":
@@ -147,25 +154,11 @@ def coupling_pair(rep: GaugeRepresentation, omega_k, omega_0: float) -> Coupling
     return CouplingPair(u_plus, u_minus)
 
 
-def mixing(rep: GaugeRepresentation, omega_k, omega_0: float):
-    """Mixing factor m = u_minus sqrt(x) = (1 - alpha) + alpha x, x = omega_k/omega_0.
-
-    It equals 1 on shell in every representation and is the single source of
-    each representation factor: the lineshape numerator is x m**2, the
-    fluorescence factor m**4 / x.
-
-    Scalar in, scalar out; array in, array out.
-    """
-    omega_k = _check_real(omega_k, "mode frequency", "positive")
-    _check_scalar(omega_0, "transition frequency")
-    x, out, tmp = (np.empty_like(omega_k) for _ in range(3))
-    _mixing(rep, np.divide(omega_k, omega_0, out=x), out, tmp)
-    return out if out.ndim else float(out)
-
-
 def _mixing(rep: GaugeRepresentation, x, out, tmp):
-    """:func:`mixing` at a checked ratio x = omega_k/omega_0, into ``out``;
-    ``tmp`` is scratch."""
+    """Mixing factor m = u_minus sqrt(x) = (1 - alpha) + alpha x at a checked
+    ratio x = omega_k/omega_0, into ``out`` (``tmp`` is scratch): 1 on shell
+    in every representation, and the one source of each representation
+    factor (the lineshape numerator x m**2, the fluorescence factor m**4 / x)."""
     alpha = _constant_alpha(rep)
     if alpha is None:
         # The symmetric kind in exact form: 1 - alpha cancels for x << 1.

@@ -84,7 +84,6 @@ PARAMS = {
         "omega_eg": Param("number", 1.0),
         "lamb_shift": Param("shift", 0.0),
         "cutoff": Param("number", DEFAULT_CUTOFF),
-        "variable_width": Param("flag", False),
         **_grid(0.05, 3.0, 296),
     },
     "fluorescence": {

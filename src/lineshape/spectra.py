@@ -28,6 +28,7 @@ No bit of any output depends on the block size or on the number of CPUs.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import threading
@@ -38,8 +39,8 @@ import numpy as np
 from .atoms import AtomModel
 from .errors import ConfigurationError, DomainError, _check_real, _check_scalar
 from .representations import (
-    POINCARE,
     GaugeRepresentation,
+    _check_rep,
     _constant_alpha,
     _mixing,
     coupling_pair,
@@ -72,8 +73,8 @@ def numerator(rep: GaugeRepresentation, omega_k, omega_eg: float):
     """Frequency dependence of the lineshape numerator, normalized on shell.
 
     Mode density times squared rotating coupling over its on-shell value:
-    x m**2 with x = omega_k/omega_eg and m the representation's
-    :func:`~lineshape.representations.mixing` factor.  That is x (Coulomb),
+    x m**2 with x = omega_k/omega_eg and m = u_minus sqrt(x) = (1 - alpha)
+    + alpha x the representation's mixing factor.  That is x (Coulomb),
     x**3 (Poincare) and 4 x**3 / (1 + x)**2 (symmetric).
     """
     omega_k = _check_real(omega_k, "omega_k", "positive")
@@ -98,27 +99,15 @@ def _scratch(shape, floats: int) -> list:
 # -- decay rates -------------------------------------------------------------
 
 
-def gamma_onshell(
-    model: AtomModel, upper: str, lower: str,
-    rep: GaugeRepresentation = POINCARE,
-) -> float:
-    """Golden-rule decay rate of the transition upper -> lower.
-
-    The value w**3 |d|**2 / (3 pi) is representation independent; ``rep``
-    selects the evaluation route (momentum elements for Coulomb, dipole
-    elements otherwise) so the equivalence can be checked numerically.
-    """
+def gamma_onshell(model: AtomModel, upper: str, lower: str) -> float:
+    """Golden-rule decay rate w**3 |d|**2 / (3 pi) of upper -> lower, by the
+    dipole route.  It is the same in every representation: :mod:`~lineshape.verify`
+    checks it against the momentum route and each on-shell coupling."""
     w = model.omega(upper, lower)
     if w <= 0.0:
         raise DomainError("upper level must lie above lower level")
-    if rep.kind == "coulomb":
-        p = model.momentum(lower, upper)
-        e2, m2 = model.charge * model.charge, model.mass * model.mass
-        rate = e2 * (p * p) * w / (3.0 * math.pi * m2)
-    else:
-        d = model.dipole(lower, upper)
-        u_on = coupling_pair(rep, w, w).u_minus
-        rate = (w * w * w) * (d * d) * (u_on * u_on) / (3.0 * math.pi)
+    d = model.dipole(lower, upper)
+    rate = (w * w * w) * (d * d) / (3.0 * math.pi)
     _check_scalar(rate, "decay rate", "finite")
     return rate
 
@@ -142,6 +131,7 @@ def gamma_offshell(
     golden-rule rate scaled by the representation's off-shell weight.
     Returns 0 below all thresholds.
     """
+    _check_rep(rep)
     _check_scalar(omega, "omega", "finite")
     if state is None:
         state = model.top
@@ -332,6 +322,7 @@ def total_shift(
     and Poincare routes, a two-level model does not.  In closed form;
     ``n`` is unused, as in :func:`delta_offshell`.
     """
+    _check_rep(rep)
     _require_cutoff(model, cutoff)
     e2 = model.charge * model.charge
     if rep.kind == "coulomb":
@@ -391,19 +382,16 @@ def lamb_shift(model: AtomModel, state: str, cutoff: float, n: int = 4096) -> fl
 class LineshapeParams:
     """Inputs of the emission lineshape.
 
-    ``lamb_shift`` may be zero to suppress the line displacement.  With
-    ``variable_width`` (experimental) the Lorentzian denominator uses the
-    frequency-dependent width Gamma * numerator(omega_k) instead of the
-    constant on-shell value the plotted curves use.
+    ``lamb_shift`` may be zero to suppress the line displacement.
     """
 
     rep: GaugeRepresentation
     omega_eg: float
     gamma: float
     lamb_shift: float = 0.0
-    variable_width: bool = False
 
     def __post_init__(self):
+        _check_rep(self.rep)
         _check_scalar(self.omega_eg, "omega_eg")
         _check_scalar(self.gamma, "gamma")
         _check_scalar(self.lamb_shift, "lamb_shift", "finite")
@@ -544,14 +532,7 @@ def lineshape_S(params: LineshapeParams, grid) -> Spectrum:
         delta, tmp, _ = scratch
         _numerator(rep, np.divide(w, omega_eg, out=delta), out, tmp)
         np.subtract(np.subtract(w, omega_eg, out=delta), params.lamb_shift, out=delta)
-        if params.variable_width:
-            width = np.multiply(out, gamma, out=tmp)
-            np.divide(np.multiply(width, width, out=width), 4.0, out=width)
-            np.add(np.multiply(delta, delta, out=delta), width, out=delta)
-            out *= gamma / (2.0 * math.pi)
-            np.divide(out, delta, out=out)
-        else:
-            np.multiply(out, _lorentzian(delta, gamma, delta), out=out)
+        np.multiply(out, _lorentzian(delta, gamma, delta), out=out)
 
     meta = {
         "representation": params.rep.name,
@@ -560,8 +541,6 @@ def lineshape_S(params: LineshapeParams, grid) -> Spectrum:
         "lamb_shift": params.lamb_shift,
         "kind": "lineshape",
     }
-    if params.variable_width:
-        meta["variable_width"] = True
     return _sweep(grid, "grid", kernel, meta, 2)
 
 
@@ -573,27 +552,40 @@ _CELL = "%.17g"  # 17 significant digits: every float reads back bit for bit
 def read_spectrum_csv(path) -> Spectrum:
     """Read back a spectrum written by :func:`write_spectrum_csv`, its numbers
     by ``np.loadtxt``.  Blank lines are skipped; a header alone gives an
-    empty spectrum."""
+    empty spectrum.  What the writer never writes is rejected: another
+    header, a row with more cells than it, or a row whose representation or
+    constants differ from the first row's."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = iter(handle.readline, "")
         header = next((ln for ln in lines if ln.strip()), "").strip().split(",")
-        if header == [""]:
-            raise ConfigurationError(f"{path}: empty spectrum file")
-        if header[: len(CSV_COLUMNS)] != list(CSV_COLUMNS):
-            raise ConfigurationError(f"{path}: unexpected CSV header")
-        has_n = len(header) > len(CSV_COLUMNS) and header[-1] == "n_factor"
-        columns = [0, 1, 3, 4, 5, 6] + [7] * has_n  # all but the representation
-        start = handle.tell()
-        first = next((ln for ln in lines if ln.strip()), "")
-        handle.seek(start)
-        try:
-            rep = first.strip().split(",")[2] if first else ""
-            table = (np.loadtxt(handle, delimiter=",", usecols=columns, comments=None,
-                                ndmin=2, unpack=True) if first else np.empty((7, 0)))
-        except (ValueError, IndexError) as exc:
-            raise ConfigurationError(f"{path}: malformed spectrum row") from exc
-    constants = table[2:6, 0].tolist() if first else [0.0] * 4
-    meta = dict(zip(("representation", *CSV_COLUMNS[3:]), [rep, *constants]))
+        body = handle.read()
+    if header == [""]:
+        raise ConfigurationError(f"{path}: empty spectrum file")
+    has_n = header == [*CSV_COLUMNS, "n_factor"]
+    if header != list(CSV_COLUMNS) and not has_n:
+        raise ConfigurationError(f"{path}: unexpected CSV header")
+    keys = ("representation", *CSV_COLUMNS[3:])
+    if not body.strip():
+        return Spectrum([], [], dict(zip(keys, ("", 0.0, 0.0, 0.0, 0.0))),
+                        [] if has_n else None)
+    try:  # every column but the representation
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2,
+                           usecols=[0, 1, 3, 4, 5, 6] + [7] * has_n, unpack=True)
+    except (ValueError, IndexError) as exc:
+        raise ConfigurationError(f"{path}: malformed spectrum row") from exc
+    # loadtxt found every column in each row, so as many commas as the header
+    # has per row leave no extra cell; a row's 2nd and 3rd bound its representation.
+    raw = np.frombuffer(body.encode(), np.uint8)
+    commas = np.flatnonzero(raw == ord(","))
+    if commas.size != table[0].size * (len(header) - 1):
+        raise ConfigurationError(f"{path}: a row has more cells than the header")
+    start, end = commas.reshape(table[0].size, -1)[:, 1:3].T + ((1,), (0,))
+    rep, bits = raw[start[0]:end[0]], table[2:6].view(np.uint64)  # so nan == nan
+    if (np.any(end - start != rep.size) or np.any(bits != bits[:, :1])
+            or np.any(raw[start[:, None] + np.arange(rep.size)] != rep)):
+        raise ConfigurationError(f"{path}: rows differ in representation, gamma, "
+                                 "omega_eg, lamb_shift or cutoff")
+    meta = dict(zip(keys, [rep.tobytes().decode(), *table[2:6, 0].tolist()]))
     return Spectrum(table[0], table[1], meta, table[6] if has_n else None)
 
 

@@ -57,9 +57,6 @@ _DETUNED = PulseConfig(rabi=1.0, omega_l=0.9)
 SWEEPS = {
     "lineshape": (
         lambda g: lineshape_S(LineshapeParams(_REP, 1.0, 0.1, 0.01), g), "grid"),
-    "lineshape-variable-width": (
-        lambda g: lineshape_S(
-            LineshapeParams(_REP, 1.0, 0.1, variable_width=True), g), "grid"),
     "fluorescence": (
         lambda g: fluorescence_sweep(
             SharpLineScenario(1.0, 1.0, 1.0, 0.1, 1.0, _REP), g),

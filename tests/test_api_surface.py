@@ -45,7 +45,7 @@ PUBLIC_NAMES = [
     "excited_amplitude_during_pulse", "fluorescence_sweep", "gamma_offshell",
     "gamma_onshell", "integrate_dynamics", "lamb_hydrogen_preset",
     "lamb_n_factor", "lamb_rate_sweep", "lamb_shift", "lineshape_S",
-    "lorentzian_reference_spectrum", "mixing", "n_factor",
+    "lorentzian_reference_spectrum", "n_factor",
     "numerator", "pulse_spectrum", "read_spectrum_csv", "run_all_checks",
     "total_shift", "trk_sum", "write_spectrum_csv",
 ]
@@ -63,8 +63,7 @@ PUBLIC_SIGNATURES = {
     "LambLineScenario": "(intensity, omega, omega_prime, gamma, dipole_proj, "
                         "rep)",
     "Level": "(label, energy)",
-    "LineshapeParams": "(rep, omega_eg, gamma, lamb_shift=0.0, "
-                       "variable_width=False)",
+    "LineshapeParams": "(rep, omega_eg, gamma, lamb_shift=0.0)",
     "PulseConfig": "(rabi, omega_l)",
     "PulseTrajectory": "(times, b_g, b_e, mode_grid, beta_pulse_end, "
                        "beta_final, rwa, include_field_during_pulse, "
@@ -82,8 +81,7 @@ PUBLIC_SIGNATURES = {
     "excited_amplitude_during_pulse": "(t, config, rep, omega_0)",
     "fluorescence_sweep": "(scenario, omega_0_grid)",
     "gamma_offshell": "(omega, model, rep, state=None)",
-    "gamma_onshell": "(model, upper, lower, "
-                     "rep=GaugeRepresentation(kind='poincare', custom_alpha=None))",
+    "gamma_onshell": "(model, upper, lower)",
     "integrate_dynamics": "(config, rep, omega_0, gamma, mode_grid=(), *, "
                           "rwa=True, include_field_during_pulse=False)",
     "lamb_hydrogen_preset": "(rep)",
@@ -92,7 +90,6 @@ PUBLIC_SIGNATURES = {
     "lamb_shift": "(model, state, cutoff, n=4096)",
     "lineshape_S": "(params, grid)",
     "lorentzian_reference_spectrum": "(omega_0, gamma, grid)",
-    "mixing": "(rep, omega_k, omega_0)",
     "n_factor": "(rep, omega_0, omega_eg)",
     "numerator": "(rep, omega_k, omega_eg)",
     "pulse_spectrum": "(config, rep, omega_0, gamma, grid)",

@@ -1,13 +1,15 @@
-"""One table of bad numeric arguments to the public library.
+"""One table of bad arguments to the public library.
 
 Each row names a public callable, arguments it accepts, and one argument
 to replace by a bad value: a numeric string, a bool, an array where a
-scalar belongs, a non-finite or an out-of-range number, or an int too
-large for a float.  The call must then raise DomainError
-(ConfigurationError for an oscillator's level count) with numpy warnings
-raised as errors, never a numpy traceback, a silent NaN or a silent
-coercion, and before it allocates 1 MiB.  A second table holds cutoffs
-that were once rejected and that the closed-form shifts now evaluate.
+scalar belongs, a non-finite or an out-of-range number, an int too large
+for a float, anything but a Python bool where a flag belongs, or anything
+but a GaugeRepresentation where a representation belongs.  The call must
+then raise DomainError (ConfigurationError for an oscillator's level
+count) with numpy warnings raised as errors, never a numpy traceback, a
+silent NaN or a silent coercion, and before it allocates 1 MiB.  A
+second table holds cutoffs that were once rejected and that the
+closed-form shifts now evaluate.
 """
 
 import math
@@ -41,9 +43,9 @@ from lineshape import (
     integrate_dynamics,
     lamb_shift,
     lineshape_S,
-    mixing,
     n_factor,
     numerator,
+    pulse_spectrum,
     run_all_checks,
     total_shift,
 )
@@ -58,6 +60,7 @@ LAMB = dict(intensity=1.0, omega=1.0, omega_prime=4.0, gamma=0.6,
             dipole_proj=1.0, rep=COULOMB)
 PARAMS = dict(rep=COULOMB, omega_eg=1.0, gamma=0.1, lamb_shift=0.0)
 PULSE = dict(rabi=1.0, omega_l=1.0)
+DYNAMICS = dict(config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1)
 CUTOFF = dict(model=ATOM, state="e", cutoff=1000.0)
 ENERGY = dict(levels=(Level("g", 0.0), Level("e", 1.0)), dipoles={})
 HUGE = 10**400  # an int too large for a float
@@ -91,8 +94,6 @@ ROWS = [
     (build_two_level, dict(omega_eg=1.0, d_eg=1.0), "d_eg", "1"),
     (AtomModel, ENERGY, "levels", (Level("g", 0.0), Level("e", math.nan))),
     (gamma_onshell, dict(model=ATOM, upper="e", lower="g"), "model", HOT),
-    (gamma_onshell, dict(model=ATOM, upper="e", lower="g", rep=COULOMB), "model",
-     CHARGED),
     (gamma_offshell, dict(omega=2.0, model=ATOM, rep=COULOMB), "omega", 2e200),
     (lamb_shift, CUTOFF, "cutoff", math.nan),
     (lamb_shift, CUTOFF, "cutoff", math.inf),
@@ -100,6 +101,7 @@ ROWS = [
     (total_shift, dict(CUTOFF, rep=COULOMB), "cutoff", math.nan),
     (total_shift, dict(CUTOFF, rep=COULOMB), "cutoff", math.inf),
     (total_shift, dict(CUTOFF, rep=COULOMB), "cutoff", "1000"),
+    (total_shift, dict(CUTOFF, rep=COULOMB), "model", CHARGED),
     # The diagonal term's cutoff**2 overflows.
     (total_shift, dict(model=LADDER, state="1", rep=COULOMB, cutoff=1000.0),
      "cutoff", 1e300),
@@ -109,8 +111,6 @@ ROWS = [
      "omega_0", "1"),
     (coupling_pair, dict(rep=COULOMB, omega_k=0.5, omega_0=1.0),
      "omega_0", True),
-    (mixing, dict(rep=COULOMB, omega_k=0.5, omega_0=1.0),
-     "omega_0", np.array([1.0, 2.0])),
     (numerator, dict(rep=COULOMB, omega_k=1.0, omega_eg=1.0), "omega_k", "1"),
     (n_factor, dict(rep=COULOMB, omega_0=1.0, omega_eg=1.0), "omega_0", True),
     (lineshape_S, dict(params=LineshapeParams(COULOMB, 1.0, 0.1),
@@ -133,8 +133,22 @@ ROWS = [
     (excited_amplitude_during_pulse,
      dict(t=-1.0, config=DRIVE, rep=COULOMB, omega_0=1.0), "t", "-1"),
     (Spectrum, dict(grid=[1.0, 2.0], values=[1.0, 1.0]), "grid", ["1", "2"]),
-    (integrate_dynamics, dict(config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1),
-     "gamma", HUGE),
+    (integrate_dynamics, DYNAMICS, "gamma", HUGE),
+    (integrate_dynamics, DYNAMICS, "rwa", "false"),
+    (integrate_dynamics, DYNAMICS, "rwa", np.array([True, False])),
+    (integrate_dynamics, DYNAMICS, "include_field_during_pulse", "yes"),
+    # A representation that is not a GaugeRepresentation.
+    (LineshapeParams, PARAMS, "rep", "coulomb"),
+    (SharpLineScenario, SHARP, "rep", "coulomb"),
+    (LambLineScenario, LAMB, "rep", "coulomb"),
+    (numerator, dict(rep=COULOMB, omega_k=1.0, omega_eg=1.0), "rep", "coulomb"),
+    (coupling_pair, dict(rep=COULOMB, omega_k=0.5, omega_0=1.0), "rep", "coulomb"),
+    (total_shift, dict(CUTOFF, rep=COULOMB), "rep", "coulomb"),
+    (pulse_spectrum, dict(config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1,
+                          grid=[0.5, 1.0, 1.5]), "rep", "coulomb"),
+    (delta_offshell, dict(omega=1.0, model=ATOM, rep=COULOMB, cutoff=1000.0),
+     "rep", None),
+    (gamma_offshell, dict(omega=-0.5, model=ATOM, rep=COULOMB), "rep", "coulomb"),
     (build_oscillator, dict(omega=1.0, mass=1.0, n_levels=4), "n_levels", 3.5,
      ConfigurationError),
     # mass * omega underflows to 0.

@@ -128,15 +128,6 @@ class TestSubcommands:
         spec = read_spectrum_csv(tmp_path / "pulse_symmetric.csv")
         assert spec.metadata["gamma"] == 0.1
 
-    def test_lineshape_scenario_variable_width(self, tmp_path):
-        scn = tmp_path / "vw.scn"
-        scn.write_text(
-            "mode: lineshape\nrepresentations: poincare\n\nlineshape:\n"
-            "  gamma: 0.1\n  variable_width: true\n"
-            "  grid_min: 0.5\n  grid_max: 1.5\n  grid_points: 11\n"
-        )
-        assert main(["lineshape", str(scn), "--out-dir", str(tmp_path)]) == 0
-
 
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path):
@@ -185,12 +176,22 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text(header + "1.0,not_a_number,x,0,0,0,0\n")
         assert main(["plot", str(bad), "--out", str(tmp_path / "p.svg")]) == 3
-        # A short row, a row that is not a comment and a bad constant cell.
+        # A short row, a row that is not a comment, a bad constant cell, an
+        # extra cell, and a representation or constant unlike the first row's.
         for row in ("1.0,0.5\n", "#2.0,0.5,x,0.1,1,0,1000\n",
-                    "2.0,0.5,x,0.1,one,0,1000\n"):
+                    "2.0,0.5,x,0.1,one,0,1000\n", "2.0,0.5,x,0.1,1,0,1000,7\n",
+                    "2.0,0.5,y,0.1,1,0,1000\n", "2.0,0.5,x,0.2,1,0,1000\n",
+                    "2.0,0.5,x,0.1,2,0,1000\n", "2.0,0.5,x,0.1,1,0.5,1000\n",
+                    "2.0,0.5,x,0.1,1,0,100\n"):
             bad.write_text(header + first + row + last)
             assert main(["plot", str(bad), "--out",
                          str(tmp_path / "p.svg")]) == 3, row
+        # Columns past the schema's other than one n_factor, a cell each.
+        for extra in (",n_factr", ",n_factor,n_factor"):
+            ones = ",1" * extra.count(",")
+            bad.write_text(f"{header[:-1]}{extra}\n{first[:-1]}{ones}\n")
+            assert main(["plot", str(bad), "--out",
+                         str(tmp_path / "p.svg")]) == 3, extra
         bad.write_text(header + first + "\n" + last)  # a blank line is skipped
         assert main(["plot", str(bad), "--out", str(tmp_path / "p.svg")]) == 0
 
@@ -296,7 +297,6 @@ BAD_VALUES = [
     ("lineshape", "grid_points", "10.9"),
     ("lineshape", "grid_min", "low"),
     ("lineshape", "grid_max", "three"),
-    ("lineshape", "variable_width", "1"),
     ("lineshape", "lamb_shift", "abc"),
     ("lineshape", "cutoff", "true"),
     ("lineshape", "plot", "png"),
@@ -541,17 +541,13 @@ class TestParameterTable:
         params = _metadata(tmp_path / "f", "lineshape")
         assert params["grid_points"] == 296 and params["cutoff"] == 1000.0
 
-    def test_variable_width_flag_matches_file_key(self, tmp_path):
+    def test_variable_width_is_no_longer_a_parameter(self, tmp_path):
         scn = tmp_path / "vw.scn"
-        scn.write_text(LINESHAPE_SCN.replace("coulomb", "poincare")
-                       + "  variable_width: true\n")
-        assert main(["lineshape", str(scn), "--out-dir", str(tmp_path / "f")]) == 0
-        assert main(["lineshape", "--gamma", "0.1", "--reps", "poincare",
-                     "--grid", "0.5,1.5,11", "--variable-width",
-                     "--out-dir", str(tmp_path / "i")]) == 0
-        name = "lineshape_poincare.csv"
-        assert ((tmp_path / "f" / name).read_bytes()
-                == (tmp_path / "i" / name).read_bytes())
+        scn.write_text(LINESHAPE_SCN + "  variable_width: true\n")
+        assert main(["lineshape", str(scn), "--out-dir", str(tmp_path)]) == 2
+        assert main(["lineshape", "--gamma", "0.1", "--variable-width",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("preset", PRESETS, ids=lambda p: p.stem)

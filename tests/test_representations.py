@@ -8,12 +8,17 @@ from lineshape import (
     DomainError,
     GaugeRepresentation,
     coupling_pair,
-    mixing,
 )
-from lineshape.representations import _constant_alpha
+from lineshape.representations import _constant_alpha, _mixing
 
 ALPHA_03 = GaugeRepresentation.constant(0.3)
 ALL_REPS = (COULOMB, POINCARE, SYMMETRIC, ALPHA_03)
+
+
+def mixing(rep, omega_k, omega_0):
+    """The in-place mixing factor at omega_k/omega_0, on fresh buffers."""
+    x = np.divide(omega_k, omega_0)
+    return _mixing(rep, x, np.empty_like(x), np.empty_like(x))
 
 
 class TestAlpha:
@@ -43,9 +48,9 @@ class TestAlpha:
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(DomainError):
-            mixing(COULOMB, 0.0, 1.0)
+            coupling_pair(COULOMB, 0.0, 1.0)
         with pytest.raises(DomainError):
-            mixing(COULOMB, 1.0, -2.0)
+            coupling_pair(COULOMB, 1.0, -2.0)
 
     def test_rejects_alpha_outside_unit_interval(self):
         with pytest.raises(DomainError):
@@ -125,14 +130,6 @@ class TestMixing:
     def test_is_one_on_shell(self, rep):
         for w in (1e-6, 0.7, 1.0, 3.2, 1e3):
             assert mixing(rep, w, w) == pytest.approx(1.0, abs=1e-15)
-
-    def test_scalar_in_scalar_out(self):
-        assert isinstance(mixing(ALPHA_03, 2.0, 1.0), float)
-        assert mixing(ALPHA_03, 2.0, 1.0) == pytest.approx(1.3, rel=1e-15)
-
-    def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(DomainError):
-            mixing(SYMMETRIC, np.array([1.0, 0.0]), 1.0)
 
 
 class TestParsing:
