@@ -11,6 +11,10 @@ same key in a file is, with the same error message and exit code.
 Outputs are written atomically and are byte-identical across runs;
 timestamps appear only in the metadata file.
 
+Each runner imports the modules of its own mode, and plotting is imported
+only when a plot is written: without a bytecode cache a cold run compiles
+every module it imports.
+
 Exit codes: 0 success, 2 parse error, 3 domain/configuration error,
 4 verification failure.
 """
@@ -26,26 +30,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .atoms import build_two_level
 from .errors import (
     ConfigurationError,
     DomainError,
     ScenarioError,
     VerificationFailure,
     _check_scalar,
-)
-from .fluorescence import (
-    LambLineScenario,
-    SharpLineScenario,
-    fluorescence_sweep,
-    lamb_rate_sweep,
-)
-from .plotting import PlotStyle, emit_gnuplot, emit_svg
-from .pulse import (
-    PulseConfig,
-    integrate_dynamics,
-    lorentzian_reference_spectrum,
-    pulse_spectrum,
 )
 from .scenario import (
     PARAMS,
@@ -62,7 +52,6 @@ from .spectra import (
     read_spectrum_csv,
     write_spectrum_csv,
 )
-from .verify import run_all_checks
 
 PARSE_ERROR, DOMAIN_ERROR, VERIFY_ERROR = 2, 3, 4
 
@@ -144,8 +133,12 @@ def _safe_name(rep_name: str) -> str:
     return rep_name.replace(":", "-")
 
 
-def _write_plot(spectra, style: PlotStyle, fmt: str, path: str) -> None:
-    """Write an SVG, or a gnuplot script with its .dat file beside it."""
+def _write_plot(spectra, fmt: str, path: str, **style) -> None:
+    """Write an SVG, or a gnuplot script with its .dat file beside it;
+    ``style`` holds the :class:`PlotStyle` fields other than the labels."""
+    from .plotting import PlotStyle, emit_gnuplot, emit_svg
+
+    style = PlotStyle(xlabel="omega / omega_ref", ylabel="S", **style)
     if fmt == "svg":
         _write_text(path, emit_svg(spectra, style))
         return
@@ -181,15 +174,13 @@ def _write_outputs(spectra, out_dir, prefix, plot, log_scale, params) -> None:
     if plot:
         first = spectra[0].metadata
         keys = ("gamma", "omega_eg", "rabi", "delta_l", "omega_prime")
-        style = PlotStyle(
+        ext = "svg" if plot == "svg" else "gp"
+        _write_plot(
+            spectra, plot, os.path.join(out_dir, f"{prefix}.{ext}"),
             title=prefix.replace("_", " "),
             subtitle=", ".join(f"{k}={first[k]:g}" for k in keys if k in first),
-            xlabel="omega / omega_ref",
-            ylabel="S",
             log_scale=log_scale,
         )
-        ext = "svg" if plot == "svg" else "gp"
-        _write_plot(spectra, style, plot, os.path.join(out_dir, f"{prefix}.{ext}"))
 
 
 def _parse_grid_flag(text: str) -> dict:
@@ -230,6 +221,8 @@ def _run_lineshape(scn: Scenario) -> list:
     _check_scalar(p["cutoff"], "cutoff")
     shift = p["lamb_shift"]
     if shift == "auto":
+        from .atoms import build_two_level
+
         shift = lamb_shift(build_two_level(p["omega_eg"], 1.0), "e", p["cutoff"])
     spectra = []
     for rep in scn.representations:
@@ -240,6 +233,8 @@ def _run_lineshape(scn: Scenario) -> list:
 
 
 def _run_fluorescence(scn: Scenario) -> list:
+    from .fluorescence import SharpLineScenario, fluorescence_sweep
+
     p, grid = scn.params, scn.grid()
     fields = {k: p[k] for k in ("intensity", "omega_eg", "gamma", "dipole_proj")}
     scenarios = [SharpLineScenario(omega_0=float(grid[0]), rep=rep, **fields)
@@ -248,6 +243,8 @@ def _run_fluorescence(scn: Scenario) -> list:
 
 
 def _run_lamb_line(scn: Scenario) -> list:
+    from .fluorescence import LambLineScenario, lamb_rate_sweep
+
     p, grid = scn.params, scn.grid()
     keys = ("intensity", "omega", "omega_prime", "gamma", "dipole_proj")
     scenarios = [LambLineScenario(rep=rep, **{k: p[k] for k in keys})
@@ -256,6 +253,13 @@ def _run_lamb_line(scn: Scenario) -> list:
 
 
 def _run_pulse(scn: Scenario, out_dir: str) -> list:
+    from .pulse import (
+        PulseConfig,
+        integrate_dynamics,
+        lorentzian_reference_spectrum,
+        pulse_spectrum,
+    )
+
     p = scn.params
     grid = scn.grid()
     omega_0, gamma = p["omega_0"], p["gamma"]
@@ -279,6 +283,8 @@ def _run_pulse(scn: Scenario, out_dir: str) -> list:
 
 
 def _run_verify(out_dir: str, cutoff: float) -> int:
+    from .verify import run_all_checks
+
     report = run_all_checks(cutoff=cutoff)
     print(report.table())
     os.makedirs(out_dir, exist_ok=True)
@@ -291,9 +297,8 @@ def _run_verify(out_dir: str, cutoff: float) -> int:
 
 def _run_plot(args) -> int:
     spectra = [read_spectrum_csv(path) for path in args.csv]
-    style = PlotStyle(title=args.title, xlabel="omega / omega_ref",
-                      ylabel="S", log_scale=args.log_scale)
-    _write_plot(spectra, style, args.plot, args.out)
+    _write_plot(spectra, args.plot, args.out, title=args.title,
+                log_scale=args.log_scale)
     return 0
 
 

@@ -424,9 +424,12 @@ def integrate_dynamics(
         if not isinstance(flag, bool):
             raise DomainError(f"{name} must be True or False, got {flag!r}")
     from ._ode import _dop853  # here: other runs skip compiling the tableau
-    mode_grid = np.asarray(mode_grid, dtype=float)
-    if mode_grid.ndim != 1 or not np.all(np.isfinite(mode_grid)):
+    if np.ndim(mode_grid) != 1:
         raise DomainError("mode grid must be a finite 1-d array")
+    try:
+        mode_grid = _check_real(mode_grid, "mode grid")
+    except DomainError as exc:  # every fault of the grid names the one rule
+        raise DomainError(f"mode grid must be a finite 1-d array ({exc})") from None
     delta_modes = omega_0 - mode_grid
     u_plus, u_minus = coupling_pair(rep, config.omega_l, omega_0)
     nmodes = len(mode_grid)

@@ -37,7 +37,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ScenarioError
-from .fluorescence import lamb_hydrogen_preset
 from .representations import COULOMB, GaugeRepresentation
 from .spectra import DEFAULT_CUTOFF
 
@@ -120,6 +119,8 @@ PARAMS = {
 
 def _lamb_hydrogen() -> dict:
     """The defaults the lamb-hydrogen preset lays over the table's."""
+    from .fluorescence import lamb_hydrogen_preset  # only this preset needs it
+
     values = dict(vars(lamb_hydrogen_preset(COULOMB)))
     del values["rep"]
     return dict(values, grid_min=0.05, grid_max=4.0, grid_points=201)

@@ -33,10 +33,10 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .atoms import AtomModel
 from .errors import ConfigurationError, DomainError, _check_real, _check_scalar
 from .representations import (
     GaugeRepresentation,
@@ -45,6 +45,9 @@ from .representations import (
     _mixing,
     coupling_pair,
 )
+
+if TYPE_CHECKING:  # an annotation only; lineshape runs need not load atoms
+    from .atoms import AtomModel
 
 __all__ = [
     "LineshapeParams",
@@ -595,9 +598,13 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
     ``lamb_shift`` or ``cutoff`` (pulse, fluorescence and Lamb-line
     spectra: none entered the result) is written as 0 and DEFAULT_CUTOFF."""
     meta = spectrum.metadata
+    rep = str(meta.get("representation", ""))
+    if any(char in rep for char in ",\n\r"):
+        raise DomainError(f"representation {rep!r} cannot be a CSV cell: "
+                          "it holds a comma or a line break")
     extra = [] if spectrum.n_factor is None else [spectrum.n_factor]
     fixed = {"gamma": 0.0, "omega_eg": 0.0, "lamb_shift": 0.0, "cutoff": DEFAULT_CUTOFF}
-    cells = [_CELL, _CELL, str(meta.get("representation", "")).replace("%", "%%"),
+    cells = [_CELL, _CELL, rep.replace("%", "%%"),
              *(_CELL % float(meta.get(key, value)) for key, value in fixed.items()),
              *[_CELL] * len(extra)]
     header = ",".join(CSV_COLUMNS + ("n_factor",) * len(extra))

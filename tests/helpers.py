@@ -1,10 +1,15 @@
 """Helpers shared by the test modules."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 
+import lineshape
 from lineshape import (
     REQUIRED_CHECKS,
     AtomModel,
@@ -23,6 +28,22 @@ from lineshape import (
     pulse_spectrum,
 )
 from lineshape.spectra import _BLOCK
+
+SRC_DIR = str(Path(lineshape.__path__[0]).parent)
+
+
+def run_python(code: str, *args: str) -> str:
+    """Last line a fresh interpreter prints running ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC_DIR, *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 def charged_oscillator(omega, mass, n_levels, charge) -> AtomModel:

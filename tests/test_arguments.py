@@ -137,6 +137,10 @@ ROWS = [
     (integrate_dynamics, DYNAMICS, "rwa", "false"),
     (integrate_dynamics, DYNAMICS, "rwa", np.array([True, False])),
     (integrate_dynamics, DYNAMICS, "include_field_during_pulse", "yes"),
+    (integrate_dynamics, DYNAMICS, "mode_grid", ["0.9", "1.1"]),
+    (integrate_dynamics, DYNAMICS, "mode_grid", [True, False]),
+    (integrate_dynamics, DYNAMICS, "mode_grid", [0.9 + 0j, 1.1]),
+    (integrate_dynamics, DYNAMICS, "mode_grid", np.array([0.9, 1.1], object)),
     # A representation that is not a GaugeRepresentation.
     (LineshapeParams, PARAMS, "rep", "coulomb"),
     (SharpLineScenario, SHARP, "rep", "coulomb"),

@@ -232,7 +232,7 @@ class TestExitCodes:
             assert np.all(np.isfinite(spectrum.values))
 
     def test_verification_failure_is_4(self, tmp_path, monkeypatch, capsys):
-        from lineshape import cli as cli_mod
+        from lineshape import verify
         from lineshape.verify import CheckResult, VerificationReport
 
         def broken(cutoff=1000.0):
@@ -242,7 +242,8 @@ class TestExitCodes:
                 environment={},
             )
 
-        monkeypatch.setattr(cli_mod, "run_all_checks", broken)
+        # The verify runner imports run_all_checks from its module per run.
+        monkeypatch.setattr(verify, "run_all_checks", broken)
         assert main(["verify", "--out-dir", str(tmp_path)]) == 4
 
 

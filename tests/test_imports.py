@@ -1,26 +1,31 @@
-"""No run of the package loads scipy, and no CLI run starts a thread.
+"""Each CLI run loads only the modules it uses: no run of the package
+loads scipy, and no CLI run starts a thread.
 
+``import lineshape`` is lazy, and each subcommand imports its own mode's
+modules, plotting only when a plot is written: without a bytecode cache a
+cold run compiles every module it imports.  One fresh interpreter per
+subcommand reports the exact set of ``lineshape.*`` modules it loaded.
 The package needs numpy alone: the ODE oracle behind ``lineshape verify``
-and pulse trajectories is an in-package DOP853.  Each case runs in a fresh
-interpreter and reports whether ``scipy`` reached ``sys.modules``, so a
-scipy import added anywhere in the package fails here.  The spectra of
-the shipped presets and of ``verify`` fit in one block of the sweep, so
+and pulse trajectories is an in-package DOP853.  Each scipy case runs in a
+fresh interpreter and reports whether ``scipy`` reached ``sys.modules``,
+so a scipy import added anywhere in the package fails here.  The spectra
+of the shipped presets and of ``verify`` fit in one block of the sweep, so
 their runs start no thread and load no thread pool.  No timing is
 asserted.
 """
 
 import json
-import os
-import subprocess
-import sys
+import pkgutil
 from pathlib import Path
 
 import pytest
 
 import lineshape
+from lineshape import Spectrum, write_spectrum_csv
+
+from helpers import run_python
 
 PRESET_DIR = Path(lineshape.__path__[0]) / "presets"
-SRC_DIR = str(Path(lineshape.__path__[0]).parent)
 
 CHILD = """
 import json, sys
@@ -33,20 +38,6 @@ print(json.dumps({"codes": codes, "scipy": loaded}))
 """
 
 
-def run_python(code: str, *args: str) -> str:
-    """Last line a fresh interpreter prints running ``code``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [SRC_DIR, *filter(None, [env.get("PYTHONPATH")])]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
-
-
 def run_child(argvs, block_scipy=False) -> dict:
     return json.loads(run_python(CHILD, json.dumps(argvs),
                                  "block" if block_scipy else "load"))
@@ -55,6 +46,79 @@ def run_child(argvs, block_scipy=False) -> dict:
 def presets_of(mode: str) -> list[Path]:
     return [path for path in sorted(PRESET_DIR.glob("*.scn"))
             if f"mode: {mode}\n" in path.read_text()]
+
+
+MODULES_CHILD = """
+import json, sys
+from lineshape.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "modules": sorted(
+    name[len("lineshape."):] for name in sys.modules
+    if name.startswith("lineshape."))}))
+"""
+
+# What a preset run loads: each shipped preset asks for an SVG plot.
+PRESET_RUN = ["cli", "errors", "plotting", "representations", "scenario",
+              "spectra"]
+
+
+def loaded_modules(argvs) -> list[str]:
+    """The ``lineshape.*`` modules a fresh interpreter loads running the
+    CLI on each of ``argvs``, every run of which must succeed."""
+    result = json.loads(run_python(MODULES_CHILD, json.dumps(argvs)))
+    assert result["codes"] == [0] * len(argvs)
+    return result["modules"]
+
+
+def test_a_bare_import_loads_no_submodule_and_not_numpy():
+    code = """
+import json, sys
+import lineshape
+before = sorted(m for m in sys.modules if m.startswith(("lineshape", "numpy")))
+# Each submodule is still an attribute of the package, loaded on first use.
+after = [getattr(lineshape, name).__name__ for name in json.loads(sys.argv[1])]
+print(json.dumps([before, after]))
+"""
+    names = sorted(info.name for info in pkgutil.iter_modules(lineshape.__path__))
+    assert json.loads(run_python(code, json.dumps(names))) == [
+        ["lineshape"], [f"lineshape.{name}" for name in names]]
+
+
+@pytest.mark.parametrize("mode, extra", [
+    ("lineshape", []),
+    ("fluorescence", ["fluorescence"]),
+    ("lamb-line", ["fluorescence"]),
+    ("pulse", ["pulse"]),
+])
+def test_a_preset_run_loads_only_its_modes_modules(mode, extra, tmp_path):
+    argvs = [[mode, str(path), "--out-dir", str(tmp_path)]
+             for path in presets_of(mode)]
+    assert loaded_modules(argvs) == sorted(PRESET_RUN + extra)
+
+
+def test_a_plot_run_loads_the_preset_runs_modules(tmp_path):
+    write_spectrum_csv(Spectrum([1.0, 2.0], [1.0, 0.5],
+                                {"representation": "coulomb"}),
+                       tmp_path / "x.csv")
+    argv = ["plot", str(tmp_path / "x.csv"), "--out", str(tmp_path / "x.svg")]
+    assert loaded_modules([argv]) == PRESET_RUN
+
+
+def test_a_verify_run_loads_every_module_but_plotting(tmp_path):
+    every = {info.name for info in pkgutil.iter_modules(lineshape.__path__)}
+    assert loaded_modules([["verify", "--out-dir", str(tmp_path)]]) == sorted(
+        every - {"plotting"})
+
+
+def test_atoms_and_the_ode_load_only_when_a_run_needs_them(tmp_path):
+    # Neither run asks for a plot, so plotting stays out too.
+    base = ["cli", "errors", "representations", "scenario", "spectra"]
+    auto = ["lineshape", "--gamma", "0.1", "--lamb-shift", "auto",
+            "--out-dir", str(tmp_path)]
+    assert loaded_modules([auto]) == sorted(base + ["atoms"])
+    scn = write_trajectory_scenario(tmp_path)
+    trajectory = ["pulse", str(scn), "--out-dir", str(tmp_path)]
+    assert loaded_modules([trajectory]) == sorted(base + ["_ode", "pulse"])
 
 
 def test_importing_the_package_and_cli_leaves_scipy_out():

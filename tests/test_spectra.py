@@ -359,6 +359,15 @@ class TestSpectrumObject:
             assert getattr(back, column).tobytes() == getattr(spec, column).tobytes()
         assert back.metadata["representation"] == "5%s%%"
 
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+    def test_unreadable_representation_cell_is_refused(self, name, tmp_path):
+        # A comma or line break would split the cell; read_spectrum_csv
+        # would then reject the file as malformed.
+        spec = Spectrum([1.0, 2.0], [1.0, 1.0], {"representation": name})
+        with pytest.raises(DomainError):
+            write_spectrum_csv(spec, tmp_path / "spec.csv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_partial_file_on_success(self, tmp_path):
         grid = np.linspace(0.5, 1.5, 7)
         spec = lineshape_S(LineshapeParams(COULOMB, 1.0, 0.1), grid)
