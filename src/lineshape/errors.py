@@ -60,14 +60,20 @@ def _check_scalar(value, name: str, rule: str = "positive") -> None:
         raise _fail(name, rule)
 
 
+def _as_real(value, name: str) -> np.ndarray:
+    """``value`` as a float array, if its dtype is real; its elements are
+    not looked at."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def _check_real(value, name: str, rule: str = "finite") -> np.ndarray:
     """``value`` as a float array whose elements obey ``rule`` (by default
     finite, of either sign), decided by whole-array min and max, which
     build no boolean temporary."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise DomainError(f"{name} must hold real numbers, got dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
+    arr = _as_real(value, name)
     if arr.size and not (_RULES[rule](arr.min()) and _RULES[rule](arr.max())):
         raise _fail(name, rule)
     return arr

@@ -123,18 +123,27 @@ def lamb_n_factor(rep: GaugeRepresentation, omega_0, omega: float, omega_prime: 
     omega_0 = _check_real(omega_0, "omega_0", "positive")
     _check_scalar(omega, "omega")
     _check_scalar(omega_prime, "omega_prime")
+    if omega_0.size:
+        _check_emitted(omega, omega_prime, omega_0.max())
     out, *scratch = _scratch(omega_0.shape, 4)
     _lamb_n_factor(rep, omega_0, omega, omega_prime, out, scratch)
     return out if out.ndim else float(out)
 
 
+def _check_emitted(omega, omega_prime, omega_0_max) -> None:
+    """Reject drive frequencies whose largest, ``omega_0_max``, closes the
+    emission channel: the emitted frequency omega + omega' - omega_0 is
+    least there, rounding included."""
+    if not (omega + omega_prime) - omega_0_max > 0.0:
+        raise DomainError("emitted frequency omega + omega' - omega_0 must be positive")
+
+
 def _lamb_n_factor(rep: GaugeRepresentation, omega_0, omega, omega_prime,
                    out, scratch):
-    """:func:`lamb_n_factor` at checked drive frequencies, into ``out``."""
-    x, m, tmp, *_, closed = scratch
+    """:func:`lamb_n_factor` at checked drive frequencies (see
+    :func:`_check_emitted`), into ``out``."""
+    x, m, tmp, *_ = scratch
     np.subtract(omega + omega_prime, omega_0, out=x)  # the emitted frequency
-    if np.less_equal(x, 0.0, out=closed).any():
-        raise DomainError("emitted frequency omega + omega' - omega_0 must be positive")
     _numerator(rep, np.divide(x, omega_prime, out=x), out, m)
     m_0 = _mixing(rep, np.divide(omega_0, omega, out=x), m, tmp)  # at x = x_0
     np.divide(m_0, x, out=m_0)
@@ -170,6 +179,8 @@ def lamb_rate_sweep(scenario: LambLineScenario, omega_0_grid) -> Spectrum:
     """Rate as a function of drive frequency, with the n' column attached."""
     def kernel(w, out, scratch):
         rate, n = out
+        # The grid is increasing, so its last point is the block's largest.
+        _check_emitted(scenario.omega, scenario.omega_prime, w[-1])
         _lamb_n_factor(scenario.rep, w, scenario.omega, scenario.omega_prime, n,
                        scratch)
         _rate_kernel(scenario, n, np.subtract(w, scenario.omega, out=scratch[0]), rate)

@@ -16,9 +16,11 @@ along that same axis, which makes the axis sum rule value 1/(2 m) exactly
 the condition for the Coulomb- and Poincare-route shifts to coincide mode
 by mode.
 
-Every spectrum on a frequency grid is built by one blocked sweep: after
-the grid checks, its kernel is evaluated ``_BLOCK`` points at a time, on
-up to two CPUs, and each block of values is checked while it is in cache.
+Every spectrum on a frequency grid is built by one blocked sweep: its
+grid is checked and its kernel evaluated ``_BLOCK`` points at a time, on
+up to two CPUs.  Each CPU checks the grid of its own blocks in one pass,
+no kernel runs until the whole grid has passed, and each block of values
+is checked while it is in cache.
 A kernel writes each block into the output with ufunc ``out=``, its
 intermediates into a scratch arena that each thread allocates once per
 sweep.  Its in-place helpers (``_numerator``, ...) are the only copy of
@@ -37,7 +39,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, _check_real, _check_scalar
+from .errors import (
+    _RULES,
+    ConfigurationError,
+    DomainError,
+    _as_real,
+    _check_real,
+    _check_scalar,
+    _fail,
+)
 from .representations import (
     GaugeRepresentation,
     _check_rep,
@@ -418,11 +428,16 @@ class Spectrum:
     n_factor: np.ndarray | None = None
 
     def __post_init__(self):
-        self.grid = _check_real(self.grid, "grid")
-        self.values = _check_real(self.values, "spectral density", "non-negative")
-        if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
-            raise DomainError("grid and values must be 1-d arrays of equal length")
-        _check_blocks(self.grid, self.values)
+        try:  # the elements are checked by the blocked pass
+            self.grid = _as_real(self.grid, "grid")
+            self.values = _as_real(self.values, "spectral density")
+            if self.grid.ndim != 1 or self.grid.shape != self.values.shape:
+                raise DomainError("grid and values must be 1-d arrays of equal length")
+            _check_blocks(self.grid, self.values)
+        except DomainError:  # a bad grid is reported first, then bad values
+            _check_real(self.grid, "grid")
+            _check_real(self.values, "spectral density", "non-negative")
+            raise
         if self.n_factor is not None:
             self.n_factor = _check_real(self.n_factor, "n_factor")
             if self.n_factor.shape != self.grid.shape:
@@ -438,34 +453,49 @@ class Spectrum:
 _BLOCK = 65536
 
 
-def _check_blocks(grid, values, kernel=None, n_factor=None, buffers=0) -> None:
-    """Check a spectrum ``_BLOCK`` points at a time.
+def _check_blocks(grid, values, kernel=None, n_factor=None, buffers=0,
+                  name="grid", rule="finite") -> None:
+    """Check a spectrum on a 1-d float ``grid`` ``_BLOCK`` points at a time.
 
-    The grid must be strictly increasing, each block reaching back one
-    point for the pair across its edge.  Then each block of ``values``,
-    filled first by ``kernel`` if given (with ``n_factor``, if that is
-    given), must be finite and non-negative.  Overflow or an undefined
-    result fails that test, so numpy's warnings are silenced.
+    The grid (called ``name`` in errors) must obey ``rule`` (see
+    :mod:`~lineshape.errors`) and be strictly increasing, and both are
+    decided in one pass: each block tests that every point exceeds the one
+    before it, reaching back one point for the pair across its edge, which
+    a nan fails; an increasing grid obeys the rule if its first and last
+    points do.  Only a grid that has passed as a whole gets its blocks of
+    ``values`` filled by ``kernel`` (with ``n_factor``, if that is given)
+    and checked to be finite and non-negative; overflow or an undefined
+    result fails that test, so numpy's warnings are silenced.  A grid that
+    fails is rejected as whole-grid checks reject it: a point breaking
+    ``rule`` before a pair out of order.
+
     ``kernel(w, out, scratch)`` writes the block at grid points ``w`` into
     ``out`` (``values[i:j]``, or the pair with ``n_factor[i:j]``) by ufunc
     ``out=``, with the block's cut of its thread's arena: ``_scratch`` of
     ``buffers`` floats, min(``_BLOCK``, grid size) points each, allocated
-    once per sweep.  The grid check reuses the bool one.  Given two
-    CPUs, a helper thread fills the blocks past the middle (numpy releases
-    the GIL in its loops); each thread stops at its first failing block,
+    once per sweep.  The grid check uses the bool one.  Given two CPUs, a
+    helper thread takes the blocks past the middle (numpy releases the GIL
+    in its loops).  Each thread allocates its arena and checks the grid of
+    its blocks, then the two meet before either calls ``kernel``; a thread
+    that fails before they meet releases the other, and its error is
+    raised after the join.  Each thread stops at its first failing block,
     and the lowest one raises.  No bit of any output depends on the block
     size or on the number of threads.
     """
+    if grid.size and not (_RULES[rule](grid[0]) and _RULES[rule](grid[-1])):
+        raise _fail(name, rule)
     size = min(_BLOCK, grid.size)
     arena = _scratch(size, buffers)
-    order = arena[-1]
     starts = range(0, grid.size, _BLOCK)
-    for i in starts:
-        lo, hi = max(i - 1, 0), min(i + _BLOCK, grid.size)
-        down = np.less_equal(grid[lo + 1:hi], grid[lo:hi - 1], out=order[:hi - lo - 1])
-        if down.any():
-            raise DomainError("grid must be strictly increasing")
     errors = [None] * len(starts)
+
+    def increasing(first, stop, order) -> bool:
+        for b in range(first, stop):
+            lo, hi = max(starts[b] - 1, 0), min(starts[b] + _BLOCK, grid.size)
+            if not np.greater(grid[lo + 1:hi], grid[lo:hi - 1],
+                              out=order[:hi - lo - 1]).all():
+                return False
+        return True
 
     def fill(first, stop, arena):
         with np.errstate(all="ignore"):  # not inherited by a new thread
@@ -484,36 +514,61 @@ def _check_blocks(grid, values, kernel=None, n_factor=None, buffers=0) -> None:
 
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    split, helper = len(starts), None
+    halves, meet = [(0, len(starts))], None  # one thread: no helper, no meeting
     if min(cpus, len(starts)) >= 2:
         split = (grid.size + _BLOCK) // (2 * _BLOCK)  # the edge nearest the middle
-        helper = threading.Thread(  # its arena is allocated on its own thread
-            target=lambda: fill(split, len(starts), _scratch(size, buffers)))
+        halves, meet = [(0, split), (split, len(starts))], threading.Barrier(2)
+    passed, crashed = [False] * len(halves), [None] * len(halves)
+
+    def half(k, arena):
+        try:
+            if arena is None:  # the helper's, allocated on its own thread
+                arena = _scratch(size, buffers)
+            passed[k] = increasing(*halves[k], arena[-1])
+            if meet is not None:
+                meet.wait()
+            if all(passed):
+                fill(*halves[k], arena)
+        except threading.BrokenBarrierError:
+            pass  # the other thread failed before the meeting
+        except BaseException as exc:  # raised on the calling thread, after the join
+            crashed[k] = exc
+            if meet is not None:
+                meet.abort()
+
+    helper = None
+    if meet is not None:
+        helper = threading.Thread(target=half, args=(1, None))
         helper.start()
     try:
-        fill(0, split, arena)
+        half(0, arena)
     finally:
         if helper is not None:
             helper.join()
-    for exc in errors:
+    for exc in crashed + errors:
         if exc is not None:
             raise exc
+    if not all(passed):
+        # Rejected as whole-grid checks reject it.  If every point obeys
+        # the rule, none is nan, so a failed pair is out of order.
+        _check_real(grid, name, rule)
+        raise DomainError("grid must be strictly increasing")
 
 
 def _sweep(grid, name: str, kernel, metadata: dict, buffers: int,
            with_n_factor: bool = False) -> Spectrum:
     """Spectrum of ``kernel`` on a finite, positive, strictly increasing
-    1-d ``grid`` (called ``name`` in errors), evaluated and checked in
+    1-d ``grid`` (called ``name`` in errors), checked and evaluated in
     blocks.  ``kernel(w, out, scratch)`` writes a block of values, or of
     values and n-factors ``with_n_factor``, with ``buffers`` float
     scratch buffers (see :func:`_check_blocks`).
     """
     if np.ndim(grid) != 1:
         raise DomainError(f"{name} must be a 1-d array")
-    grid = _check_real(grid, name, "positive")
+    grid = _as_real(grid, name)
     values = np.empty_like(grid)
     n = np.empty_like(grid) if with_n_factor else None
-    _check_blocks(grid, values, kernel, n, buffers)
+    _check_blocks(grid, values, kernel, n, buffers, name, "positive")
     spectrum = object.__new__(Spectrum)  # __post_init__ would check again
     spectrum.grid, spectrum.values = grid, values
     spectrum.metadata, spectrum.n_factor = metadata, n

@@ -69,6 +69,7 @@ REQUIRED_CHECKS = (
     "pulse_pi_inversion",
     "pulse_resonant_reduction",
     "pulse_unitarity",
+    "reference_lorentzian_closed_forms",
     "resonant_coupling_unity",
     "table_fluorescence_factor",
     "table_lineshape_numerator",
@@ -646,6 +647,34 @@ def check_ode_oracle(omega_0=1.0, rabi=1.0, gamma=0.1) -> list[CheckResult]:
     ]
 
 
+def check_reference_lorentzian(omega_0=1.0, gamma=0.125) -> list[CheckResult]:
+    # Binary fractions: omega_0 and omega_0 -/+ gamma/2 are the grid points
+    # 448, 512 and 576 exactly, so their detunings carry no rounding.
+    grid = np.linspace(0.5, 1.5, 1025)
+    values = lorentzian_reference_spectrum(omega_0, gamma, grid).values
+    peak = 2.0 / (math.pi * gamma)
+    point_residual = float(np.max(np.abs(
+        values[[448, 512, 576]] / np.array([0.5 * peak, peak, 0.5 * peak]) - 1.0)))
+    lo, hi = grid[0], grid[-1]
+    area = (math.atan(2.0 * (hi - omega_0) / gamma)
+            - math.atan(2.0 * (lo - omega_0) / gamma)) / math.pi
+    # (hi - lo) h^2/12 max|L''|, with |L''| largest at the peak: 16/(pi gamma^3).
+    h = grid[1] - grid[0]
+    bound = (hi - lo) * (h * h) / 12.0 * 16.0 / (math.pi * gamma * gamma * gamma)
+    area_excess = max(0.0, abs(float(np.trapezoid(values, grid)) - area) - bound) / area
+    return [CheckResult.measure(
+        "reference_lorentzian_closed_forms",
+        "reference Lorentzian vs literal formulas: the peak 2/(pi Gamma) at "
+        "omega_0, half of it at omega_0 -/+ Gamma/2 (relative error), and the "
+        "trapezoid area vs the arctan integral (relative excess over the "
+        "trapezoid error bound)",
+        max(point_residual, area_excess),
+        1e-12,
+        "the reference curve is the unit-area Lorentzian of full width Gamma "
+        "at half maximum",
+    )]
+
+
 def run_all_checks(cutoff: float = 1000.0) -> VerificationReport:
     """Run the full invariance suite and assemble the report."""
     _check_scalar(cutoff, "cutoff")
@@ -655,6 +684,7 @@ def run_all_checks(cutoff: float = 1000.0) -> VerificationReport:
     checks += check_level_shifts()
     checks += check_table_consistency()
     checks += check_ode_oracle()
+    checks += check_reference_lorentzian()
     env = {
         "cutoff": cutoff,
         "package_version": _version,

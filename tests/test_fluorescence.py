@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from lineshape import (
     lamb_rate_sweep,
     n_factor,
 )
+from lineshape import fluorescence
 from lineshape.spectra import _BLOCK
 from lineshape.verify import (
     _FLUORESCENCE_TABLE,
@@ -130,6 +132,11 @@ class TestLambLine:
         with pytest.raises(DomainError):
             lamb_n_factor(POINCARE, 11.0, 1.0, 10.0)
 
+    @pytest.mark.parametrize("omega_0", [[11.0, 2.0], [[2.0, 3.0], [11.0, 2.0]]])
+    def test_rejects_a_channel_closed_anywhere_in_an_array(self, omega_0):
+        with pytest.raises(DomainError, match="^emitted frequency"):
+            lamb_n_factor(POINCARE, omega_0, 1.0, 10.0)
+
     def test_sweep_rejects_a_channel_closed_only_in_its_last_block(self):
         s = LambLineScenario(intensity=1.0, omega=1.0, omega_prime=4.0,
                              gamma=0.6, dipole_proj=1.0, rep=POINCARE)
@@ -138,6 +145,28 @@ class TestLambLine:
         with pytest.raises(DomainError, match="^emitted frequency omega "
                            r"\+ omega' - omega_0 must be positive$"):
             lamb_rate_sweep(s, grid)
+
+    @pytest.mark.parametrize("first, filled", [
+        (_BLOCK - 1, []), (_BLOCK, [0]), (2 * _BLOCK + 2, [0, 1])])
+    def test_sweep_fails_the_block_where_the_channel_closes(self, first, filled,
+                                                             monkeypatch):
+        # Each block tests its largest drive frequency alone.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        s = LambLineScenario(intensity=1.0, omega=1.0, omega_prime=4.0,
+                             gamma=0.6, dipole_proj=1.0, rep=POINCARE)
+        grid = np.linspace(0.02, 3.0, 2 * _BLOCK + 3)
+        grid[first:] = np.linspace(5.0, 6.0, grid.size - first)  # emitted 1 + 4 - 5 = 0
+        blocks, kernel = [], fluorescence._lamb_n_factor
+
+        def recording(rep, w, *args):
+            blocks.append(int(np.searchsorted(grid, w[0])) // _BLOCK)
+            return kernel(rep, w, *args)
+
+        monkeypatch.setattr(fluorescence, "_lamb_n_factor", recording)
+        with pytest.raises(DomainError, match="^emitted frequency omega "
+                           r"\+ omega' - omega_0 must be positive$"):
+            lamb_rate_sweep(s, grid)
+        assert blocks == filled
 
     @pytest.mark.parametrize("rep", (COULOMB, POINCARE, SYMMETRIC),
                              ids=lambda r: r.name)

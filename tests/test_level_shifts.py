@@ -11,7 +11,6 @@ frequency.
 """
 
 import pytest
-import sympy
 
 from lineshape import (
     COULOMB,
@@ -107,6 +106,8 @@ def test_delta_offshell_with_an_upward_channel(rep):
 
 
 def test_symmetric_partial_fractions():
+    import sympy  # here, so that collecting the suite does not import it (0.3 s)
+
     w, a, p = sympy.symbols("w a p")
     big_p = p + a
     h = a**2 * (3 * p + 2 * a) / big_p**2

@@ -10,6 +10,7 @@ from lineshape import (
     coupling_pair,
 )
 from lineshape.representations import _constant_alpha, _mixing
+from lineshape.spectra import _BLOCK
 
 ALPHA_03 = GaugeRepresentation.constant(0.3)
 ALL_REPS = (COULOMB, POINCARE, SYMMETRIC, ALPHA_03)
@@ -106,6 +107,21 @@ class TestCouplingPair:
             b = coupling_pair(GaugeRepresentation.constant(alpha), wk, 1.0)
             assert np.array_equal(a.u_plus, b.u_plus)
             assert np.array_equal(a.u_minus, b.u_minus)
+
+    @pytest.mark.parametrize("rep", (COULOMB, POINCARE, ALPHA_03), ids=lambda r: r.name)
+    def test_constant_alpha_bits_of_the_out_of_place_arithmetic(self, rep):
+        wk, alpha = np.linspace(0.02, 3.0, 2 * _BLOCK + 3), _constant_alpha(rep)
+        down = np.sqrt(1.3 / wk) * (1.0 - alpha)
+        up = np.sqrt(wk / 1.3) * alpha
+        pair = coupling_pair(rep, wk, 1.3)
+        assert pair.u_plus.tobytes() == (down - up).tobytes()
+        assert pair.u_minus.tobytes() == (down + up).tobytes()
+        for i in (0, _BLOCK, 2 * _BLOCK + 2):
+            for point in (float(wk[i]), np.float64(wk[i]), np.array(wk[i])):
+                got = coupling_pair(rep, point, 1.3)
+                assert type(got.u_plus) is float and type(got.u_minus) is float
+                assert np.float64(got.u_plus).tobytes() == (down - up)[i].tobytes()
+                assert np.float64(got.u_minus).tobytes() == (down + up)[i].tobytes()
 
     def test_vectorized_matches_pointwise(self):
         # The data-parallel contract: array evaluation is elementwise

@@ -426,6 +426,22 @@ class TestBlockedSweep:
                                match="spectral density must be finite and non-negative"):
                 Spectrum(grid=self.GRID, values=values)
 
+    @pytest.mark.parametrize("grid, values, message", [
+        ([math.nan, 1.0], [-1.0, 1.0], "grid must be finite"),
+        ([math.nan, 1.0], ["a", "b"], "grid must be finite"),
+        ([[math.nan, 1.0]], [1.0], "grid must be finite"),
+        ([1.0, math.inf], [1.0, 1.0], "grid must be finite"),
+        ([2.0, 1.0], [-1.0, 1.0], "spectral density must be finite and non-negative"),
+        ([2.0, 1.0], [1.0, math.inf], "spectral density must be finite and non-negative"),
+        ([2.0, 1.0], [1.0], "grid and values must be 1-d arrays of equal length"),
+        ([2.0, 1.0], [1.0, 1.0], "grid must be strictly increasing"),
+    ])
+    def test_spectrum_object_reports_its_first_failing_rule(self, grid, values, message):
+        # In the order: grid finite, values finite and non-negative, equal
+        # shapes, grid increasing.
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            Spectrum(grid=grid, values=values)
+
 
 def _cpus(monkeypatch, count):
     """Let the sweeps see ``count`` CPUs, whatever the machine has."""
@@ -506,6 +522,73 @@ class TestTwoWorkers:
             spectra._sweep(grid, "grid", lambda w, out, scratch: calls.append(w),
                            {}, 0)
         assert calls == []
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_a_point_the_helper_checks_is_rejected_before_any_kernel_call(
+            self, bad, monkeypatch):
+        # Inside the blocks past the middle, away from the grid's ends.
+        _cpus(monkeypatch, 2)
+        grid = self.GRID.copy()
+        grid[2 * _BLOCK + 5] = bad
+        calls = []
+        with pytest.raises(DomainError, match="^grid must be finite and positive$"):
+            spectra._sweep(grid, "grid", lambda w, out, scratch: calls.append(w),
+                           {}, 0)
+        assert calls == []
+
+    @pytest.mark.parametrize("index", [0, _BLOCK - 1, _BLOCK, _BLOCK + 1, -1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                                     "repeat"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_bad_grid_point_is_rejected_by_its_first_rule_before_any_kernel(
+            self, cpus, bad, index, monkeypatch):
+        # A point that is not finite and positive is reported before a
+        # pair out of order, wherever it lies.
+        _cpus(monkeypatch, cpus)
+        calls = []
+        monkeypatch.setattr(spectra, "_numerator", lambda *args: calls.append(args))
+        grid = self.GRID.copy()
+        grid[index] = grid[index - 1] if bad == "repeat" else bad
+        message = ("grid must be strictly increasing" if bad == "repeat"
+                   else "grid must be finite and positive")
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            lineshape_S(LineshapeParams(COULOMB, 1.0, 0.1), grid)
+        assert calls == []
+
+    @pytest.mark.parametrize("sweep", SWEEPS)
+    def test_a_valid_grid_gets_no_whole_grid_scan(self, sweep, monkeypatch):
+        # Its rules are decided in the blocked pass, on both threads.
+        _cpus(monkeypatch, 2)
+        check_real, calls = spectra._check_real, []
+        monkeypatch.setattr(spectra, "_check_real",
+                            lambda *args: calls.append(args) or check_real(*args))
+        SWEEPS[sweep][0](self.GRID)
+        assert calls == []
+
+    def test_a_helper_that_fails_before_the_meeting_cannot_hang(self, monkeypatch):
+        _cpus(monkeypatch, 2)
+        scratch, calls, raised = spectra._scratch, [], []
+
+        def failing(shape, floats):
+            if threading.current_thread() is not sweeper:
+                raise MemoryError("no arena for the helper")
+            return scratch(shape, floats)
+
+        def run():
+            try:
+                spectra._sweep(self.GRID, "grid",
+                               lambda w, out, scratch: calls.append(w), {}, 2)
+            except MemoryError as exc:
+                raised.append(str(exc))
+
+        monkeypatch.setattr(spectra, "_scratch", failing)
+        before = threading.active_count()
+        sweeper = threading.Thread(target=run, daemon=True)  # a hang fails, not blocks
+        sweeper.start()
+        sweeper.join(timeout=10)
+        assert not sweeper.is_alive()
+        assert raised == ["no arena for the helper"] and calls == []
+        assert threading.active_count() == before
 
     def test_overflow_on_the_helper_thread_raises_without_a_warning(
             self, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from lineshape import (
@@ -8,6 +9,8 @@ from lineshape import (
     VerificationReport,
     run_all_checks,
 )
+from lineshape import pulse
+from lineshape.verify import check_reference_lorentzian
 
 from helpers import missing_checks, report_from_json
 
@@ -83,3 +86,13 @@ def test_measure_helper_sets_pass_flag():
 def test_environment_echoes_parameters(report):
     assert report.environment["cutoff"] == 1000.0
     assert "package_version" in report.environment
+
+
+def test_reference_lorentzian_check_catches_a_scaled_density(monkeypatch):
+    # Every other check that reaches the Lorentzian compares two routes
+    # through the same helper, so this one alone sees it scaled.
+    assert check_reference_lorentzian()[0].passed
+    lorentzian = pulse._lorentzian
+    monkeypatch.setattr(pulse, "_lorentzian", lambda delta, gamma, out: np.multiply(
+        lorentzian(delta, gamma, out), 1.0 + 1e-6, out=out))
+    assert not check_reference_lorentzian()[0].passed
