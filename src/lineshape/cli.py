@@ -148,7 +148,7 @@ def _write_plot(spectra, fmt: str, path: str, **style) -> None:
     _write_text(path, script)
 
 
-def _write_outputs(spectra, out_dir, prefix, plot, log_scale, params) -> None:
+def _write_outputs(spectra, out_dir, prefix, plot, log_scale, params, diagnostics) -> None:
     os.makedirs(out_dir, exist_ok=True)
     names = []
     for spec in spectra:
@@ -168,6 +168,8 @@ def _write_outputs(spectra, out_dir, prefix, plot, log_scale, params) -> None:
     }
     if params.get("lamb_shift") == "auto":
         meta["resolved"] = {"lamb_shift": spectra[0].metadata["lamb_shift"]}
+    if diagnostics:
+        meta["diagnostics"] = diagnostics
     _write_text(os.path.join(out_dir, f"{prefix}_metadata.json"),
                 json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
@@ -252,7 +254,7 @@ def _run_lamb_line(scn: Scenario) -> list:
     return [lamb_rate_sweep(scenario, grid) for scenario in scenarios]
 
 
-def _run_pulse(scn: Scenario, out_dir: str) -> list:
+def _run_pulse(scn: Scenario, out_dir: str, diagnostics: dict) -> list:
     from .pulse import (
         PulseConfig,
         integrate_dynamics,
@@ -279,6 +281,7 @@ def _run_pulse(scn: Scenario, out_dir: str) -> list:
         )
         os.makedirs(out_dir, exist_ok=True)
         traj.to_csv(os.path.join(out_dir, f"{scn.prefix}_trajectory.csv"))
+        diagnostics["ode"] = traj.ode_stats
     return spectra
 
 
@@ -316,6 +319,7 @@ def main(argv=None) -> int:
         scn = _scenario_from_args(args)
         if scn.mode == "verify":
             return _run_verify(args.out_dir, scn.params["cutoff"])
+        diagnostics = {}  # solver counts, filled by the runs that have them
         if scn.mode == "lineshape":
             spectra = _run_lineshape(scn)
         elif scn.mode == "fluorescence":
@@ -323,9 +327,9 @@ def main(argv=None) -> int:
         elif scn.mode == "lamb-line":
             spectra = _run_lamb_line(scn)
         else:
-            spectra = _run_pulse(scn, args.out_dir)
+            spectra = _run_pulse(scn, args.out_dir, diagnostics)
         _write_outputs(spectra, args.out_dir, scn.prefix, scn.plot,
-                       scn.log_scale, dict(scn.params, mode=scn.mode))
+                       scn.log_scale, dict(scn.params, mode=scn.mode), diagnostics)
         return 0
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,7 +46,9 @@ def n_factor(rep: GaugeRepresentation, omega_0, omega_eg: float):
     omega_0 = _check_real(omega_0, "omega_0", "positive")
     _check_scalar(omega_eg, "omega_eg")
     x, out, tmp, _ = _scratch(omega_0.shape, 3)
-    _n_factor(rep, np.divide(omega_0, omega_eg, out=x), out, tmp)
+    with np.errstate(all="ignore"):  # an overflow raises below
+        _n_factor(rep, np.divide(omega_0, omega_eg, out=x), out, tmp)
+    _check_real(out, "n_factor", "finite")
     return out if out.ndim else float(out)
 
 
@@ -81,8 +83,10 @@ class SharpLineScenario:
 def _rate_kernel(scenario, n, detuning, out):
     """Shared arithmetic of the damped scattering rates, written into
     ``out``; ``detuning`` is overwritten.  Scalars are squared by
-    multiplying: Python's ** raises OverflowError, not inf."""
-    intensity, gamma, d = scenario.intensity, scenario.gamma, scenario.dipole_proj
+    multiplying as floats: Python's ** and int products too large for a
+    float raise OverflowError, not inf."""
+    intensity, gamma, d = (float(v) for v in (scenario.intensity, scenario.gamma,
+                                              scenario.dipole_proj))
     np.add(np.multiply(detuning, detuning, out=detuning), gamma * gamma / 4.0,
            out=detuning)
     return np.divide(np.multiply(n, intensity * gamma * (d * d) / 2.0, out=out),
@@ -126,7 +130,9 @@ def lamb_n_factor(rep: GaugeRepresentation, omega_0, omega: float, omega_prime: 
     if omega_0.size:
         _check_emitted(omega, omega_prime, omega_0.max())
     out, *scratch = _scratch(omega_0.shape, 4)
-    _lamb_n_factor(rep, omega_0, omega, omega_prime, out, scratch)
+    with np.errstate(all="ignore"):  # an overflow raises below
+        _lamb_n_factor(rep, omega_0, omega, omega_prime, out, scratch)
+    _check_real(out, "lamb_n_factor", "finite")
     return out if out.ndim else float(out)
 
 
@@ -134,7 +140,7 @@ def _check_emitted(omega, omega_prime, omega_0_max) -> None:
     """Reject drive frequencies whose largest, ``omega_0_max``, closes the
     emission channel: the emitted frequency omega + omega' - omega_0 is
     least there, rounding included."""
-    if not (omega + omega_prime) - omega_0_max > 0.0:
+    if not (float(omega) + float(omega_prime)) - omega_0_max > 0.0:
         raise DomainError("emitted frequency omega + omega' - omega_0 must be positive")
 
 
@@ -143,7 +149,7 @@ def _lamb_n_factor(rep: GaugeRepresentation, omega_0, omega, omega_prime,
     """:func:`lamb_n_factor` at checked drive frequencies (see
     :func:`_check_emitted`), into ``out``."""
     x, m, tmp, *_ = scratch
-    np.subtract(omega + omega_prime, omega_0, out=x)  # the emitted frequency
+    np.subtract(float(omega) + float(omega_prime), omega_0, out=x)  # emitted
     _numerator(rep, np.divide(x, omega_prime, out=x), out, m)
     m_0 = _mixing(rep, np.divide(omega_0, omega, out=x), m, tmp)  # at x = x_0
     np.divide(m_0, x, out=m_0)

@@ -39,7 +39,6 @@ eigenvectors, in elementwise numpy.  The package needs numpy alone.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -248,7 +247,7 @@ def closed_form_amplitude(omega_k, config: PulseConfig,
 
 @dataclass
 class PulseTrajectory:
-    """Sampled amplitudes over the pulse window plus long-time mode output."""
+    """Pulse-window samples, long-time modes, and the stepper's ``ode_stats``."""
 
     times: np.ndarray
     b_g: np.ndarray
@@ -260,6 +259,7 @@ class PulseTrajectory:
     include_field_during_pulse: bool
     post_times: np.ndarray | None = None
     post_b_e: np.ndarray | None = None
+    ode_stats: dict | None = None
 
     def to_csv(self, path) -> None:
         """Dump the atomic amplitudes: t,re_bg0,im_bg0,re_be0,im_be0, one
@@ -364,6 +364,8 @@ def _field_free_decay(b_e0: complex, beta0: np.ndarray, delta: np.ndarray,
     No step divides by sqrt(w_k).  Returns b_e at ``times`` and y_k at
     ``times[-1]``.
     """
+    from ._ode import _phasor
+
     nu, detune = _secular_roots(delta, weights)
     ratio = weights / detune
     amp = (b_e0 + 1j * (ratio * beta0).sum(axis=1)) / (
@@ -373,7 +375,7 @@ def _field_free_decay(b_e0: complex, beta0: np.ndarray, delta: np.ndarray,
     b_e = np.empty(len(times), dtype=complex)
     block = 64  # keeps the samples x roots temporaries small
     for i in range(0, len(times), block):
-        phases = np.exp(1j * np.multiply.outer(times[i:i + block], nu))
+        phases = _phasor(np.multiply.outer(times[i:i + block], nu))
         b_e[i:i + block] = (phases * amp).sum(axis=1)
     horizon = times[-1]
     beta = beta0 - 1j * horizon * (
@@ -412,7 +414,9 @@ def integrate_dynamics(
     sampled at 401 times, and the in-package DOP853 pair (Hairer, Norsett &
     Wanner, Sec. II.4-II.6) steps the pulse window with ``rtol`` 1e-11 and
     ``atol`` 1e-13, as in scipy's ``solve_ivp``: each step's error estimate
-    over ``atol + rtol * |y|`` has an RMS over components below 1.  The
+    over ``atol + rtol * |y|`` has an RMS over atom and modes below 1.
+    :mod:`lineshape._ode` steps this one system (its nfev and step counts
+    go to ``ode_stats``); the modes are kept at the pulse's end only.  The
     post-pulse phase is exact to rounding.
 
     Modes enter only through their detunings unless back-reaction is on.
@@ -437,64 +441,34 @@ def integrate_dynamics(
     weights = (_mode_weights(mode_grid, rep, omega_0, gamma)
                if back_reaction else None)
 
-    # Constants of the right-hand side, hoisted out of its per-call path.
-    size = 2 + nmodes
-    rwa_drive = 0.5 * u_minus * config.rabi
-    half_rabi = 0.5 * config.rabi
-    i_delta_l = 1j * (omega_0 - config.omega_l)
-    i_omega_l = 1j * config.omega_l
-    i_omega_0 = 1j * omega_0
-    minus_i_delta = -1j * delta_modes
+    # The drive D(t) of the atom; without the RWA it keeps the u_plus path.
+    half_rabi, i_delta_l = 0.5 * config.rabi, 1j * (omega_0 - config.omega_l)
+    i_sum_l = 1j * (omega_0 + config.omega_l)
 
-    def rhs(t, y):
-        b_g, b_e = y[0], y[1]
-        dy = np.empty(size, dtype=complex)
-        if rwa:
-            drive = rwa_drive * cmath.exp(i_delta_l * t)
-            dy[0] = -1j * drive.conjugate() * b_e
-            dy[1] = -1j * drive * b_g
-        else:
-            phase_l = cmath.exp(i_omega_l * t)
-            up = (half_rabi * (u_plus * phase_l + u_minus / phase_l)
-                  * cmath.exp(i_omega_0 * t))
-            dy[0] = -1j * up.conjugate() * b_e
-            dy[1] = -1j * up * b_g
-        if nmodes:
-            osc = np.exp(minus_i_delta * t)
-            np.multiply(osc, b_e, out=dy[2:])
-            if back_reaction:
-                dy[1] -= np.vdot(osc, weights * y[2:])
-        return dy
+    def drive(t):
+        down = half_rabi * u_minus * np.exp(i_delta_l * t)
+        return down if rwa else down + half_rabi * u_plus * np.exp(i_sum_l * t)
 
-    y0 = np.zeros(size, dtype=complex)
+    y0 = np.zeros(2 + nmodes, dtype=complex)
     y0[0] = 1.0
     start = -config.duration
     t_eval = np.linspace(start, 0.0, _SAMPLES)
-    y, _ = _dop853(rhs, start, 0.0, y0, t_eval, _RTOL, _ATOL)
-
-    beta_end = y[2:, -1] if nmodes else np.zeros(0, dtype=complex)
+    atom, beta_end, ode_stats = _dop853(drive, delta_modes, weights, start, 0.0,
+                                        y0, t_eval, _RTOL, _ATOL)
     post_times = post_b_e = None
     if back_reaction:
         post_times = np.linspace(0.0, _HORIZON / gamma, _SAMPLES)
-        post_b_e, beta_final = _field_free_decay(
-            y[1, -1], beta_end, delta_modes, weights, post_times
-        )
+        post_b_e, beta_final = _field_free_decay(atom[1, -1], beta_end, delta_modes,
+                                                 weights, post_times)
     else:
         # Exponential-decay continuation for t >= 0, integrated analytically.
         beta_final = beta_end + 1.0 / (1j * delta_modes + 0.5 * gamma)
 
     return PulseTrajectory(
-        times=t_eval,
-        b_g=y[0],
-        b_e=y[1],
-        mode_grid=mode_grid,
-        beta_pulse_end=beta_end,
-        beta_final=beta_final,
-        rwa=rwa,
+        times=t_eval, b_g=atom[0], b_e=atom[1], mode_grid=mode_grid,
+        beta_pulse_end=beta_end, beta_final=beta_final, rwa=rwa,
         include_field_during_pulse=include_field_during_pulse,
-        post_times=post_times,
-        post_b_e=post_b_e,
-    )
+        post_times=post_times, post_b_e=post_b_e, ode_stats=ode_stats)
 
 
 # -- spectra -----------------------------------------------------------------

@@ -93,7 +93,9 @@ def numerator(rep: GaugeRepresentation, omega_k, omega_eg: float):
     omega_k = _check_real(omega_k, "omega_k", "positive")
     _check_scalar(omega_eg, "omega_eg")
     x, out, tmp, _ = _scratch(omega_k.shape, 3)
-    _numerator(rep, np.divide(omega_k, omega_eg, out=x), out, tmp)
+    with np.errstate(all="ignore"):  # an overflow raises below
+        _numerator(rep, np.divide(omega_k, omega_eg, out=x), out, tmp)
+    _check_real(out, "numerator", "finite")
     return out if out.ndim else float(out)
 
 
@@ -578,6 +580,7 @@ def _sweep(grid, name: str, kernel, metadata: dict, buffers: int,
 def _lorentzian(delta, gamma: float, out):
     """(gamma / 2 pi) / (delta**2 + gamma**2 / 4), the Lorentzian density
     shared by all spectra, written into ``out``, which may be ``delta``."""
+    gamma = float(gamma)  # an int gamma * gamma may not fit a float
     np.add(np.multiply(delta, delta, out=out), gamma * gamma / 4.0, out=out)
     return np.divide(gamma / (2.0 * math.pi), out, out=out)
 

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import mpmath
 import numpy as np
 
 import lineshape
@@ -107,13 +106,41 @@ def assert_blocks_are_seamless(call, grid):
         assert joined.tobytes() == getattr(whole, column).tobytes(), column
 
 
+# -- the pulse-window equations over all 2 + N components --------------------
+
+
+def full_rhs(drive, delta, weights):
+    """y' = f(t, y) for y = (b_g, b_e, y_1, ..., y_N), the system that
+    ``lineshape._ode._dop853`` steps with the same ``drive``, detunings and
+    weights (None: no back-reaction), one full vector per call: the
+    reference that ``solve_ivp`` integrates."""
+    delta = np.asarray(delta, dtype=float)
+
+    def rhs(t, y):
+        d = complex(drive(np.array([t]))[0])
+        osc = np.exp(-1j * delta * t)
+        dy = np.empty_like(y)
+        dy[0] = -1j * d.conjugate() * y[1]
+        dy[1] = -1j * d * y[0]
+        if weights is not None:
+            dy[1] -= np.vdot(osc, weights * y[2:])
+        dy[2:] = osc * y[1]
+        return dy
+
+    return rhs
+
+
 # -- 40-digit level shifts: mpmath quadrature of the unexpanded integrands --
+# mpmath is imported inside each helper, so that collecting the tests does
+# not pay for it.
 
 
 def _split(lo, hi, anchor):
     """Points of [lo, hi] every fourth decade of distance from ``anchor``
     (from 1e-20 of the span if it lies in [lo, hi]; at most 17 per side),
     so that tanh-sinh sees no scale it cannot resolve within one piece."""
+    import mpmath
+
     far = max(abs(lo - anchor), abs(hi - anchor))
     inside = lo <= anchor <= hi
     near = far * mpmath.mpf(10) ** -20 if inside else min(abs(lo - anchor), abs(hi - anchor))
@@ -132,6 +159,8 @@ def mp_pv(integrand, pole, cutoff):
     An interior pole gets a symmetric window, whose two sides are paired
     as (F(p - u) - F(p + u))/u; every piece is split at decades of
     distance from the pole and from 0."""
+    import mpmath
+
     with mpmath.workdps(40):
         p, cut = mpmath.mpf(pole), mpmath.mpf(cutoff)
         zero = mpmath.mpf(0)
@@ -161,6 +190,8 @@ def mp_pv(integrand, pole, cutoff):
 def _mp_coupling(rep, w0, downward):
     """u_minus (downward) or u_plus of ``rep`` as a function of the mode
     frequency, at the working precision."""
+    import mpmath
+
     if rep.kind == "symmetric":
         return (lambda w: 2 * mpmath.sqrt(w0 * w) / (w + w0)) if downward else (lambda w: 0)
     alpha = mpmath.mpf({"coulomb": 0, "poincare": 1}.get(rep.kind, rep.custom_alpha))
@@ -170,6 +201,8 @@ def _mp_coupling(rep, w0, downward):
 
 def mp_lamb_shift(model, state, cutoff):
     """:func:`lineshape.lamb_shift` at 40 digits."""
+    import mpmath
+
     with mpmath.workdps(40):
         total = mpmath.mpf(0)
         for tr in model.transitions_from(state):
@@ -182,6 +215,8 @@ def mp_lamb_shift(model, state, cutoff):
 
 def mp_total_shift(model, state, rep, cutoff):
     """:func:`lineshape.total_shift` at 40 digits, either route."""
+    import mpmath
+
     with mpmath.workdps(40):
         e2, mass, cut = (mpmath.mpf(model.charge) ** 2, mpmath.mpf(model.mass),
                          mpmath.mpf(cutoff))
@@ -200,6 +235,8 @@ def mp_total_shift(model, state, rep, cutoff):
 
 def mp_delta_offshell(omega, model, rep, cutoff, state=None):
     """:func:`lineshape.delta_offshell` at 40 digits, from w^2 u(w)^2."""
+    import mpmath
+
     with mpmath.workdps(40):
         total = mpmath.mpf(0)
         for tr in model.transitions_from(state or model.top):

@@ -69,7 +69,7 @@ PUBLIC_SIGNATURES = {
     "PulseConfig": "(rabi, omega_l)",
     "PulseTrajectory": "(times, b_g, b_e, mode_grid, beta_pulse_end, "
                        "beta_final, rwa, include_field_during_pulse, "
-                       "post_times=None, post_b_e=None)",
+                       "post_times=None, post_b_e=None, ode_stats=None)",
     "ScenarioError": "(message, line=None)",
     "SharpLineScenario": "(intensity, omega_0, omega_eg, gamma, dipole_proj, "
                          "rep)",

@@ -38,9 +38,12 @@ from lineshape import (
     coupling_pair,
     delta_offshell,
     excited_amplitude_during_pulse,
+    fluorescence_sweep,
     gamma_offshell,
     gamma_onshell,
     integrate_dynamics,
+    lamb_n_factor,
+    lamb_rate_sweep,
     lamb_shift,
     lineshape_S,
     n_factor,
@@ -70,8 +73,14 @@ FAST = build_two_level(1e150, 1e-200)
 # e**2 overflows and the momentum d m w / e underflows to 0.
 CHARGED = AtomModel(levels=(Level("g", 0.0), Level("e", 1.0)),
                     dipoles={("g", "e"): 1e-200, ("e", "g"): 1e-200}, charge=1e200)
+# Ints that fit a float but whose sum or square does not.
+BIG = 10**308
+BIG_LAMB = LambLineScenario(1.0, BIG, BIG, 0.6, 1.0, POINCARE)
+BIG_DIPOLE = SharpLineScenario(**dict(SHARP, dipole_proj=BIG))
 NAMES = {id(HUGE): "10**400", id(HOT): "build_two_level(1e200, 1.0)",
-         id(CHARGED): "AtomModel(charge=1e200, d=1e-200)"}
+         id(CHARGED): "AtomModel(charge=1e200, d=1e-200)", id(BIG): "10**308",
+         id(BIG_LAMB): "LambLineScenario(omega=omega_prime=10**308)",
+         id(BIG_DIPOLE): "SharpLineScenario(dipole_proj=10**308)"}
 
 # (callable, good keyword arguments, argument to spoil, bad value[, the
 # error it raises, DomainError if not given])
@@ -113,6 +122,18 @@ ROWS = [
      "omega_0", True),
     (numerator, dict(rep=COULOMB, omega_k=1.0, omega_eg=1.0), "omega_k", "1"),
     (n_factor, dict(rep=COULOMB, omega_0=1.0, omega_eg=1.0), "omega_0", True),
+    # A finite argument whose result is not finite: an int sum past the
+    # float range, or a float result that overflows.
+    (lamb_n_factor, dict(rep=POINCARE, omega_0=1.0, omega=1.0, omega_prime=BIG),
+     "omega", BIG),
+    (lamb_rate_sweep, dict(scenario=LambLineScenario(1.0, 1.0, BIG, 0.6, 1.0, POINCARE),
+                           omega_0_grid=[1.0, 2.0]), "scenario", BIG_LAMB),
+    (fluorescence_sweep, dict(scenario=SharpLineScenario(**SHARP), omega_0_grid=[1.0]),
+     "scenario", BIG_DIPOLE),
+    (lamb_n_factor, dict(rep=POINCARE, omega_0=1.0, omega=1.0, omega_prime=1e308),
+     "omega", 1e308),
+    (numerator, dict(rep=POINCARE, omega_k=1.0, omega_eg=1e-100), "omega_k", 1e200),
+    (n_factor, dict(rep=POINCARE, omega_0=1.0, omega_eg=1e-50), "omega_0", 1e200),
     (lineshape_S, dict(params=LineshapeParams(COULOMB, 1.0, 0.1),
                        grid=[0.5, 1.0, 1.5]), "grid", ["0.5", "1.0", "1.5"]),
     (delta_offshell, dict(omega=1.0, model=ATOM, rep=COULOMB, cutoff=1000.0),
@@ -186,6 +207,25 @@ def test_bad_argument_raises_a_library_error(call, good, name, bad, error):
         finally:
             tracemalloc.stop()
     assert peak < 2**20  # rejected before anything sized by it is allocated
+
+
+def test_int_arguments_give_what_their_floats_give():
+    # Products of ints too large for a float are formed as floats.
+    def rates(**fields):
+        return [lamb_rate_sweep(LambLineScenario(**dict(LAMB, rep=POINCARE, **fields)),
+                                [1.0, 2.0]).values,
+                fluorescence_sweep(SharpLineScenario(**dict(SHARP, rep=POINCARE, **fields)),
+                                   [1.0, 2.0]).values]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ints, floats in (({"gamma": 10**300}, {"gamma": 1e300}),
+                             ({"intensity": 3, "gamma": 1}, {"intensity": 3.0, "gamma": 1.0})):
+            for got, want in zip(rates(**ints), rates(**floats)):
+                assert got.tobytes() == want.tobytes()
+        got, want = (lineshape_S(LineshapeParams(POINCARE, 1.0, gamma), [1.0, 2.0])
+                     for gamma in (10**300, 1e300))
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 # Cutoffs once rejected, past 1e8 times the smallest transition frequency

@@ -93,6 +93,17 @@ class TestSubcommands:
         assert (tmp_path / "pulse_lorentzian.csv").exists()
         traj = (tmp_path / "pulse_trajectory.csv").read_text().splitlines()
         assert traj[0] == "t,re_bg0,im_bg0,re_be0,im_be0"
+        # The stepper's counts go to the metadata, never to the CSV.
+        ode = json.loads((tmp_path / "pulse_metadata.json").read_text())[
+            "diagnostics"]["ode"]
+        assert sorted(ode) == ["accepted_steps", "nfev", "rejected_steps"]
+        assert ode["accepted_steps"] > 0 and ode["rejected_steps"] >= 0
+        assert ode["nfev"] >= 2 + 12 * (ode["accepted_steps"] + ode["rejected_steps"])
+        no_traj = tmp_path / "no_trajectory"
+        assert main(["pulse", "--rabi", "1.0", "--gamma", "0.01", "--delta-l", "0",
+                     "--reps", "symmetric", "--out-dir", str(no_traj)]) == 0
+        assert "diagnostics" not in json.loads(
+            (no_traj / "pulse_metadata.json").read_text())
 
     def test_fluorescence_and_lamb_line_run(self, tmp_path):
         assert main(["fluorescence", "--gamma", "0.1", "--reps", "coulomb",

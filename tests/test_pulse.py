@@ -1,7 +1,6 @@
 import math
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -33,7 +32,7 @@ from lineshape.representations import coupling_pair
 from lineshape.spectra import _BLOCK, _scratch, numerator
 from lineshape.verify import _resonant_amplitude, check_ode_oracle
 
-from helpers import SWEEPS, assert_blocks_are_seamless
+from helpers import SWEEPS, assert_blocks_are_seamless, full_rhs
 
 OMEGA0 = 1.0
 GAMMA = 0.1
@@ -255,6 +254,8 @@ class TestBranchFreeKernel:
             -theta + np.array([1e-6, -1e-6]),
         ))
         re, im = kernel_parts(P, theta)
+        import mpmath
+
         with mpmath.workdps(80):
             th = mpmath.mpf(theta)
             worst = 0.0
@@ -510,6 +511,12 @@ class TestDynamics:
         expect = math.exp(-gamma * traj.post_times[mid] / 2.0)
         assert abs(traj.post_b_e[mid]) == pytest.approx(expect, rel=0.2)
 
+    def test_trajectory_carries_the_step_counts(self):
+        traj = integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA,
+                                  np.linspace(0.5, 1.5, 81))
+        assert traj.ode_stats == {"nfev": 167, "accepted_steps": 11,
+                                  "rejected_steps": 0}
+
     def test_trajectory_csv_schema(self, tmp_path):
         traj = integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA)
         path = tmp_path / "traj.csv"
@@ -601,19 +608,26 @@ class TestExactDecay:
                                include_field_during_pulse=True)
 
 
-class CountedRhs:
-    """y' = f(t, y) that counts its calls and stops a runaway stepper."""
+class CountedDrive:
+    """A drive D(t) that counts the stepper's calls and stops a runaway
+    stepper.  The stepper asks once per step attempt, for all 16 stage
+    times, after two single-time calls for its first step; so the calls a
+    full right-hand side would take are at most 2 + 15 * (calls - 2)."""
 
-    LIMIT = 100_000
+    LIMIT = 10_000
 
     def __init__(self, f):
         self.f, self.calls = f, 0
 
-    def __call__(self, t, y):
+    def __call__(self, times):
         self.calls += 1
         if self.calls > self.LIMIT:
             raise AssertionError("the stepper did not stop")
-        return self.f(t, y)
+        return np.array([self.f(t) for t in times.tolist()], dtype=complex)
+
+    @property
+    def rhs_calls(self):
+        return 2 + 15 * (self.calls - 2)
 
 
 class TestStepperStops:
@@ -621,47 +635,44 @@ class TestStepperStops:
     number of right-hand-side calls, instead of looping."""
 
     Y0 = np.array([1.0 + 0.0j, 0.5j])
-    SAMPLES = np.linspace(0.0, 1.0, 11)
 
-    def _fails(self, f, match, t1=1.0, rtol=1e-10, atol=1e-12):
-        rhs = CountedRhs(f)
+    def _fails(self, f, match, t0=0.0, t1=1.0, rtol=1e-10, atol=1e-12):
+        drive = CountedDrive(f)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError, match=match):
-                _ode._dop853(rhs, 0.0, t1, self.Y0, self.SAMPLES * t1, rtol,
-                             atol)
-        return rhs.calls
+                _ode._dop853(drive, (), None, t0, t1, self.Y0,
+                             np.linspace(t0, t1, 11), rtol, atol)
+        return drive
 
     def test_rhs_turning_nan_partway(self):
-        def f(t, y):
-            return 1j * y * (math.nan if t > 0.5 else 1.0)
-
-        assert self._fails(f, "not finite") < 1000
+        drive = self._fails(lambda t: math.nan if t > 0.5 else 1.0, "not finite")
+        assert drive.rhs_calls < 1000
 
     def test_tolerance_below_rounding(self):
-        calls = self._fails(lambda t, y: 1j * y,
-                            "not finite|less than rounding", rtol=1e-300,
-                            atol=1e-300)
-        assert calls < 1000
+        drive = self._fails(lambda t: 1.0, "not finite|less than rounding",
+                            rtol=1e-300, atol=1e-300)
+        assert drive.rhs_calls < 1000
 
     @pytest.mark.parametrize("tol", [1e-23, 1e-30])
     def test_tolerance_below_rounding_does_not_crawl(self, tol):
         # Below rounding the error estimate is noise: without the check the
         # stepper crawls on with tiny steps that noise happens to accept.
-        calls = self._fails(lambda t, y: 1j * y, "less than rounding",
-                            rtol=tol, atol=tol)
-        assert calls < 1000
+        drive = self._fails(lambda t: 1.0, "less than rounding", rtol=tol,
+                            atol=tol)
+        assert drive.rhs_calls < 1000
 
     def test_step_size_underflow(self):
-        # y' = y^2, y(0) = 1 blows up at t = 1.
-        calls = self._fails(lambda t, y: y * y, "step size fell below",
-                            t1=2.0)
-        assert calls < 20_000
+        # D = 1/t: the Rabi phase, log|t|, diverges at t = 0, where t keeps
+        # its full precision, so the steps shrink until they underflow.
+        drive = self._fails(lambda t: 1.0 / t, "step size fell below",
+                            t0=-1.0, t1=1.0)
+        assert drive.rhs_calls < 20_000
 
     def test_step_count_is_capped(self, monkeypatch):
         monkeypatch.setattr(_ode, "_MAX_STEPS", 20)
-        calls = self._fails(lambda t, y: 1j * y, "after 20 steps", t1=100.0)
-        assert calls < 20 * 15 + 2
+        drive = self._fails(lambda t: 1.0, "after 20 steps", t1=100.0)
+        assert drive.calls == 2 + 20  # one attempt per step: none rejected
 
     def test_integrate_dynamics_raises_on_unmet_tolerance(self, monkeypatch):
         monkeypatch.setattr(pulse, "_RTOL", 1e-300)
@@ -670,9 +681,28 @@ class TestStepperStops:
             integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA)
 
 
+def _assert_matches_solve_ivp(args, result):
+    """``_ode._dop853(*args)`` gave ``result``: scipy's DOP853 on the full
+    right-hand side takes the same nfev and gives the same atom samples and
+    final modes, to 1e-10.  Returns the step counts."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    drive, delta, weights, t0, t1, y0, t_eval, rtol, atol = args
+    atom, modes, stats = result
+    ref = solve_ivp(full_rhs(drive, delta, weights), (t0, t1), y0,
+                    method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol)
+    assert ref.success
+    assert stats["nfev"] == ref.nfev
+    assert np.array_equal(ref.t, t_eval)
+    assert atom.shape == (2, len(t_eval)) and modes.shape == (len(y0) - 2,)
+    assert np.max(np.abs(atom - ref.y[:2])) <= 1e-10
+    assert np.max(np.abs(modes - ref.y[2:, -1]), initial=0.0) <= 1e-10
+    return stats
+
+
 class TestScipyCrossCheck:
     """The in-package DOP853 is scipy's: same tableau doubles, and on the
-    same right-hand side the same samples (to 1e-10) and the same nfev."""
+    same system, as one full right-hand side, the same samples (to 1e-10)
+    and the same nfev."""
 
     def test_tableau_is_scipy_bit_for_bit(self):
         coefficients = pytest.importorskip(
@@ -683,27 +713,25 @@ class TestScipyCrossCheck:
             assert ours.tobytes() == theirs.tobytes(), name
 
     def test_step_control_matches_solve_ivp_through_rejections(self):
-        # A burst in the frequency forces rejected steps, so the growth
-        # limit after a rejection is exercised too.
-        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        # A burst in the drive forces rejected steps, so the growth limit
+        # after a rejection is exercised too; three modes feed back.
+        def drive(t):
+            return 1.0 + 40.0 * np.exp(-((t - 0.5) / 0.03) ** 2)
 
-        def rhs(t, y):
-            w = 1.0 + 40.0 * math.exp(-((t - 0.5) / 0.03) ** 2)
-            return np.array([1j * w * y[0] - 0.1 * y[1], 0.5 * y[0]])
+        args = (drive, np.array([-2.0, 0.5, 3.0]), np.array([0.3, 0.1, 0.2]),
+                0.0, 1.0, np.array([1.0, 0.0, 0.1, 0.0, -0.2j]),
+                np.linspace(0.0, 1.0, 41), 1e-9, 1e-12)
+        stats = _assert_matches_solve_ivp(args, _ode._dop853(*args))
+        assert stats["rejected_steps"] >= 1
 
-        y0, t_eval = np.array([1.0 + 0.0j, 0.0j]), np.linspace(0.0, 1.0, 41)
-        samples, nfev = _ode._dop853(rhs, 0.0, 1.0, y0, t_eval, 1e-9, 1e-12)
-        ref = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", t_eval=t_eval,
-                        rtol=1e-9, atol=1e-12)
-        assert nfev == ref.nfev
-        assert np.max(np.abs(samples - ref.y)) <= 1e-10
+    # nfev of the benchmark's three integrations, pinned.
+    NFEV = {"check_ode_oracle": 677, "solvers_plain_81": 167, "81_modes": 182}
 
     @pytest.mark.parametrize("case", [
-        "check_ode_oracle", "solvers_plain_81", "no_rwa",
-        *sorted(BACK_REACTION_CASES),
+        "check_ode_oracle", "solvers_plain_81", "no_rwa", "decreasing_81",
+        *sorted(BACK_REACTION_CASES), "decreasing_240_modes",
     ])
     def test_matches_solve_ivp(self, case, monkeypatch):
-        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
         calls, dop853 = [], _ode._dop853
 
         def recorded(*args):
@@ -711,22 +739,35 @@ class TestScipyCrossCheck:
             return calls[-1][1]
 
         monkeypatch.setattr(_ode, "_dop853", recorded)
+        plain_81 = np.linspace(0.5, 1.5, 81)
         if case == "check_ode_oracle":
             check_ode_oracle()
         elif case == "solvers_plain_81":
-            integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA,
-                               np.linspace(0.5, 1.5, 81))
-        elif case == "no_rwa":
+            integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA, plain_81)
+        elif case == "decreasing_81":
+            integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA, plain_81[::-1])
+        elif case == "no_rwa":  # and no modes
             integrate_dynamics(RESONANT, COULOMB, OMEGA0, GAMMA, rwa=False)
+        elif case == "decreasing_240_modes":
+            _back_reaction("240_modes", BACK_REACTION_CASES["240_modes"][0][::-1])
         else:
             _back_reaction(case)
-        [((rhs, t0, t1, y0, t_eval, rtol, atol), (samples, nfev))] = calls
-        ref = solve_ivp(rhs, (t0, t1), y0, method="DOP853", t_eval=t_eval,
-                        rtol=rtol, atol=atol)
-        assert ref.success
-        assert nfev == ref.nfev
-        assert np.array_equal(ref.t, t_eval)
-        assert np.max(np.abs(samples - ref.y)) <= 1e-10
+        [(args, result)] = calls
+        stats = _assert_matches_solve_ivp(args, result)
+        assert stats["nfev"] == self.NFEV.get(case, stats["nfev"])
+        # 2 for the first step, 12 per attempt, 3 per step with samples.
+        dense = stats["nfev"] - 2 - 12 * (stats["accepted_steps"]
+                                          + stats["rejected_steps"])
+        assert dense % 3 == 0 and 0 < dense <= 3 * stats["accepted_steps"]
+
+    def test_phasor_is_exp_to_two_eps(self):
+        rng = np.random.default_rng(7)
+        x = np.concatenate((np.linspace(-1e3, 1e3, 400_001),
+                            rng.uniform(-1e3, 1e3, 100_000),
+                            np.pi * np.arange(-318, 319) / 2))
+        err = np.abs(_ode._phasor(x) - np.exp(1j * x))
+        assert err.max() <= 2.0 * np.finfo(float).eps
+        assert _ode._phasor(np.zeros((3, 2))).tobytes() == np.ones((3, 2), complex).tobytes()
 
 
 class TestPulseSpectrum:
