@@ -12,13 +12,17 @@ right-hand side, so the steps, ``nfev`` and samples are the same.  A step
 takes the drive and the phasors e^{-i delta_k t_s} at all 16 stage times in
 one call each; the mode stages are those phasors times the stage's b_e, so
 each mode sum is one small matrix product, and only the atom's two
-components run through the stages in turn.  The tableau (C, A with B =
-A[12] and dense stages 13-15, E5/E3, D) is copied from
+components run through the stages in turn.  Dense output is evaluated
+once per integration: a step that covers samples runs the atom's dense
+stages 13-15 and keeps its start, h, atom state and 16 atom stages, and
+after the last step one vectorised pass evaluates every sample.  The
+tableau (C, A with B = A[12] and dense stages 13-15, E5/E3, D) is copied from
 scipy/integrate/_ivp/dop853_coefficients.py (SciPy, BSD-3-Clause, Copyright
 (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers) as the shortest
 decimals of the same doubles.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -113,11 +117,14 @@ def _dop853(drive, delta, weights, t0: float, t1: float, y0: np.ndarray,
     t1, and the counts ``nfev`` (full right-hand sides that scipy would
     call), ``accepted_steps`` and ``rejected_steps``.  Never loops: raises
     ``ConfigurationError`` on a non-finite error estimate, on a rejected
-    step whose tolerance is below 100 eps |y|, on a step below 10 eps
-    max(|t0|, |t1|, t1 - t0), or after _MAX_STEPS.
+    step whose tolerance is below 100 eps |y|, on a rejected step whose
+    stage times t + c h round (by half an ulp of t) by more than rtol h, on
+    a step below 10 eps max(|t0|, |t1|, t1 - t0), or after _MAX_STEPS.
+    Shrinking h cannot pass such a step: once the stage times are that far
+    off, the error estimate measures their rounding, not the truncation.
     """
     n, minus_delta = y0.size, -np.asarray(delta, dtype=float)
-    out = np.empty((2, len(t_eval)), complex)
+    sample_times = t_eval.tolist()
     min_step = 10.0 * _EPS * max(abs(t0), abs(t1), t1 - t0)
 
     def derivative(t, y):  # the full right-hand side, for the first step
@@ -137,6 +144,8 @@ def _dop853(drive, delta, weights, t0: float, t1: float, y0: np.ndarray,
     h_abs = min(100 * h0, h1, t1 - t0)
     stats = {"nfev": 2, "accepted_steps": 0, "rejected_steps": 0}
     f, sample = f[:2].tolist(), 0
+    K = np.empty((13, n), complex)  # stages 0-12 of every component
+    dense, dense_k = [], []  # per sampled step: (t, h, b_g, b_e, samples), stages
 
     def fail(reason):
         return ConfigurationError(f"DOP853 failed at t = {float(t)!r}: {reason}")
@@ -158,7 +167,7 @@ def _dop853(drive, delta, weights, t0: float, t1: float, y0: np.ndarray,
 
     for _ in range(_MAX_STEPS):
         if t >= t1:
-            return out, y[2:], stats
+            return _dense_output(dense, dense_k, t_eval), y[2:], stats
         h_abs = max(h_abs, min_step)
         growth = MAX_FACTOR  # 1 once a step was rejected
         y_g, y_e = complex(y[0]), complex(y[1])
@@ -179,15 +188,15 @@ def _dop853(drive, delta, weights, t0: float, t1: float, y0: np.ndarray,
             k_g, k_e, b_e = [f[0]], [f[1]], [y_e]
             atom_new = stages(1, 13)
             stats["nfev"] += 12
-            # Stages 0-12 of every component, the modes' phase * b_e.
-            K = np.column_stack((k_g, k_e, phase[:13] * np.array(b_e)[:, None]))
+            K[:, 0], K[:, 1] = k_g, k_e  # the modes' stages are phase * b_e
+            np.multiply(phase[:13], np.array(b_e)[:, None], out=K[:, 2:])
             rows = _STEP_ROWS @ K
             y_new = y + h * rows[0]
             y_new[0], y_new[1] = atom_new  # the stage 12 f_new is taken at
             size = np.maximum(np.abs(y), np.abs(y_new))
             scale = atol + size * rtol
             ratio = (rows[1:] / scale).view(float)
-            err5, err3 = np.einsum("ij,ij->i", ratio, ratio)
+            err5, err3 = ratio[0] @ ratio[0], ratio[1] @ ratio[1]
             error = (0.0 if err5 == 0 and err3 == 0 else
                      h * err5 / math.sqrt((err5 + 0.01 * err3) * n))
             if not math.isfinite(error):
@@ -199,19 +208,33 @@ def _dop853(drive, delta, weights, t0: float, t1: float, y0: np.ndarray,
                 break
             if np.any(scale < 100.0 * _EPS * size):
                 raise fail("rtol and atol ask for less than rounding")
+            if 0.5 * math.ulp(max(abs(t), abs(t_new))) > rtol * h:
+                raise fail("the stage times t + c h round by more than rtol h")
             h_abs *= max(MIN_FACTOR, SAFETY * error ** _EXPONENT)
             growth = 1.0
             stats["rejected_steps"] += 1
 
-        end = int(np.searchsorted(t_eval, t_new, side="right"))
-        if end > sample:
+        end = bisect.bisect_right(sample_times, t_new)
+        if end > sample:  # the dense coefficients need stages 13-15
             stages(13, 16)
             stats["nfev"] += 3
-            x = (t_eval[sample:end] - t) / h
-            factors = np.where(np.arange(7) % 2, 1.0 - x[:, None], x[:, None])
-            coeffs = h * (_DENSE @ np.array([k_g, k_e]).T)
-            z = np.cumprod(factors, axis=1) @ coeffs.view(float)  # real GEMM
-            out[:, sample:end] = (z.view(complex) + y[:2]).T
+            dense.append((t, h, y_g, y_e, end - sample))
+            dense_k += k_g, k_e
             sample = end
         t, y, f = t_new, y_new, (k_g[12], k_e[12])
     raise fail(f"no end after {_MAX_STEPS} steps")
+
+
+def _dense_output(dense, dense_k, t_eval):
+    """The atom at ``t_eval`` (inside [t0, t1]) in one pass over every
+    sampled step: its record (t, h, b_g, b_e, number of samples) in
+    ``dense``, its 16 stages of b_g and of b_e in ``dense_k``, and _DENSE's
+    polynomial (see above)."""
+    starts, h, y_g, y_e, counts = (np.array(c) for c in zip(*dense))
+    step = np.repeat(np.arange(len(dense)), counts)
+    coeffs = (np.array(dense_k) @ _DENSE.T).reshape(len(dense), 2, 7)
+    coeffs *= h[:, None, None]
+    x = (t_eval - starts[step]) / h[step]
+    factors = np.where(np.arange(7) % 2, 1.0 - x[:, None], x[:, None])
+    z = np.einsum("ij,ikj->ki", np.cumprod(factors, axis=1), coeffs[step])
+    return z + np.array([y_g, y_e])[:, step]

@@ -14,10 +14,15 @@ u -> 0), so ordinary quadrature applies; the leftover piece is regular.
 Nodes are log-graded toward the pole, the default count is 4096, and
 convergence can be checked by doubling.  The first graded node lies
 1e-12 of the span inside its endpoint, and a rectangle adds the sliver
-between them.  Everything here is fixed-grid and reproducible bit for bit.
+between them.  The grading geomspace(1e-12, 1, n) is built once per node
+count and kept, read-only, in a table of the last eight counts, so a
+repeated call scales it instead of building it again.  Everything here is
+fixed-grid and reproducible bit for bit.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -47,12 +52,20 @@ def _odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
+@functools.lru_cache(maxsize=8)
+def _grading(n: int) -> np.ndarray:
+    """geomspace(1e-12, 1, n), built once per node count and read-only:
+    twelve decades of grading resolve the pair-cancelled integrand's
+    curvature near the pole without wasting nodes far away."""
+    t = np.geomspace(1e-12, 1.0, n)
+    t.flags.writeable = False
+    return t
+
+
 def _graded_nodes(a: float, b: float, n: int, toward: str) -> np.ndarray:
     """n nodes on [a, b], geometrically clustered toward one endpoint."""
     span = b - a
-    # Twelve decades of grading resolves the pair-cancelled integrand's
-    # curvature near the pole without wasting nodes far away.
-    t = np.geomspace(1e-12, 1.0, n)
+    t = _grading(n)
     if toward == "lo":
         nodes = a + span * t
         nodes[-1] = b

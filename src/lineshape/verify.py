@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__ as _version
-from .atoms import build_oscillator, build_two_level
+from .atoms import build_oscillator, build_two_level, trk_sum
 from .errors import DomainError, _check_scalar
 from .fluorescence import lamb_n_factor, n_factor
 from .pulse import (
@@ -30,6 +30,7 @@ from .pulse import (
     excited_amplitude_during_pulse,
     integrate_dynamics,
     lorentzian_reference_spectrum,
+    pulse_spectrum,
 )
 from .representations import (
     COULOMB,
@@ -68,6 +69,7 @@ REQUIRED_CHECKS = (
     "pulse_ode_oracle",
     "pulse_pi_inversion",
     "pulse_resonant_reduction",
+    "pulse_spectrum_assembly",
     "pulse_unitarity",
     "reference_lorentzian_closed_forms",
     "resonant_coupling_unity",
@@ -76,6 +78,7 @@ REQUIRED_CHECKS = (
     "table_stimulated_decay_factor",
     "total_shift_invariance_oscillator",
     "total_shift_two_level_expected_fail",
+    "trk_sum_oscillator",
 )
 
 
@@ -406,7 +409,23 @@ def check_total_shift_invariance(cutoffs=(100.0, 1000.0)) -> list[CheckResult]:
     p2 = _shift_integrand(two, "e", "poincare", modes)
     denom2 = np.maximum(np.abs(c2), np.abs(p2))
     two_level_residual = float(np.max(np.abs(c2 - p2) / denom2))
+    # The sum rule on every oscillator level with both neighbours (the top
+    # one lacks its upward term), and the two-level value -omega |r|^2.
+    half_over_mass = 0.5 / osc.mass
+    trk_residual = max(abs(trk_sum(osc, level.label) / half_over_mass - 1.0)
+                       for level in osc.levels if level.label != osc.top)
+    two_level_trk = -two.omega("e", "g") * (two.dipole("e", "g") / two.charge) ** 2
+    trk_residual = max(trk_residual, abs(trk_sum(two, "e") / two_level_trk - 1.0))
     return [
+        CheckResult.measure(
+            "trk_sum_oscillator",
+            "oscillator-strength sum on the oscillator levels below the top vs "
+            "1/(2m), and on the two-level excited state vs -omega |r|^2",
+            trk_residual,
+            1e-14,
+            "the oscillator ladder saturates the TRK sum rule, the condition "
+            "for total-shift invariance; the two-level atom leaves it negative",
+        ),
         CheckResult.measure(
             "total_shift_invariance_oscillator",
             "per-mode total-shift integrand, momentum route vs dipole route, "
@@ -565,6 +584,14 @@ def check_ode_oracle(omega_0=1.0, rabi=1.0, gamma=0.1) -> list[CheckResult]:
         detuned_residual = max(
             detuned_residual, float(np.max(np.abs(got - want) / np.abs(want)))
         )
+    # The last drive's spectrum on its increasing 1001 points, assembled
+    # from the numerator and the three-branch kernel's amplitude.
+    points, beta = wk[:1001], want[:1001]
+    assembled = numerator(drive_rep, points, omega_0) * (gamma / (2.0 * math.pi)) * (
+        beta.real**2 + beta.imag**2)
+    spectrum_residual = float(np.max(np.abs(
+        pulse_spectrum(drive, drive_rep, omega_0, gamma, points).values / assembled
+        - 1.0)))
 
     inversion_residual = abs(abs(traj.b_e[-1]) - 1.0)
     unitarity_residual = float(
@@ -611,6 +638,16 @@ def check_ode_oracle(omega_0=1.0, rabi=1.0, gamma=0.1) -> list[CheckResult]:
             1e-12,
             "the emission amplitude stays exact through the removable "
             "singularity locus for any laser detuning",
+        ),
+        CheckResult.measure(
+            "pulse_spectrum_assembly",
+            "pulse_spectrum for a detuned drive vs numerator * Gamma/2pi * "
+            "|beta|^2 with beta from the three-branch complex kernel, 1001 "
+            "points",
+            spectrum_residual,
+            1e-13,
+            "the emission spectrum after the pulse is the representation's "
+            "numerator times the squared reduced amplitude",
         ),
         CheckResult.measure(
             "pulse_pi_inversion",

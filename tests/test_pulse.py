@@ -669,6 +669,14 @@ class TestStepperStops:
                             t0=-1.0, t1=1.0)
         assert drive.rhs_calls < 20_000
 
+    def test_stage_times_rounding_coarser_than_the_step(self):
+        # D = 1/(1 - t): near t = 1 the steps shrink toward the rounding of
+        # t itself, so the stage times t + c h are off by more than rtol h
+        # and the error estimate turns to noise that some steps pass.
+        drive = self._fails(lambda t: 1.0 / (1.0 - t), "stage times t \\+ c h round",
+                            t1=2.0)
+        assert drive.calls < 2000
+
     def test_step_count_is_capped(self, monkeypatch):
         monkeypatch.setattr(_ode, "_MAX_STEPS", 20)
         drive = self._fails(lambda t: 1.0, "after 20 steps", t1=100.0)
@@ -684,7 +692,8 @@ class TestStepperStops:
 def _assert_matches_solve_ivp(args, result):
     """``_ode._dop853(*args)`` gave ``result``: scipy's DOP853 on the full
     right-hand side takes the same nfev and gives the same atom samples and
-    final modes, to 1e-10.  Returns the step counts."""
+    modes at t1 (when the last sample is t1), to 1e-10.  Returns the step
+    counts."""
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     drive, delta, weights, t0, t1, y0, t_eval, rtol, atol = args
     atom, modes, stats = result
@@ -695,7 +704,8 @@ def _assert_matches_solve_ivp(args, result):
     assert np.array_equal(ref.t, t_eval)
     assert atom.shape == (2, len(t_eval)) and modes.shape == (len(y0) - 2,)
     assert np.max(np.abs(atom - ref.y[:2])) <= 1e-10
-    assert np.max(np.abs(modes - ref.y[2:, -1]), initial=0.0) <= 1e-10
+    if t_eval[-1] == t1:
+        assert np.max(np.abs(modes - ref.y[2:, -1]), initial=0.0) <= 1e-10
     return stats
 
 
@@ -723,6 +733,32 @@ class TestScipyCrossCheck:
                 np.linspace(0.0, 1.0, 41), 1e-9, 1e-12)
         stats = _assert_matches_solve_ivp(args, _ode._dop853(*args))
         assert stats["rejected_steps"] >= 1
+
+    # A burst in the drive and three modes that feed back; the steps are
+    # scipy's, so its step ends place the samples.
+    @pytest.mark.parametrize("placement", ["inside_one_step", "on_step_ends",
+                                           "ends_only"])
+    def test_samples_anywhere_match_solve_ivp(self, placement):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+        def drive(t):
+            return 1.0 + 40.0 * np.exp(-((t - 0.5) / 0.03) ** 2)
+
+        args = [drive, np.array([-2.0, 0.5, 3.0]), np.array([0.3, 0.1, 0.2]),
+                0.0, 1.0, np.array([1.0, 0.0, 0.1, 0.0, -0.2j]), None, 1e-9, 1e-12]
+        ends = solve_ivp(full_rhs(*args[:3]), (0.0, 1.0), args[5], method="DOP853",
+                         rtol=1e-9, atol=1e-12).t
+        sampled_steps = {"inside_one_step": 1, "on_step_ends": len(ends) - 1,
+                         "ends_only": 2}[placement]
+        args[6] = {"inside_one_step": np.linspace(ends[5], ends[6], 9)[1:-1],
+                   "on_step_ends": ends, "ends_only": ends[[0, -1]]}[placement]
+        result = _ode._dop853(*args)
+        stats = _assert_matches_solve_ivp(args, result)
+        attempts = stats["accepted_steps"] + stats["rejected_steps"]
+        assert stats["nfev"] == 2 + 12 * attempts + 3 * sampled_steps
+        # The samples do not steer the steps: the modes at t1 keep every bit.
+        args[6] = np.array([1.0])
+        assert result[1].tobytes() == _ode._dop853(*args)[1].tobytes()
 
     # nfev of the benchmark's three integrations, pinned.
     NFEV = {"check_ode_oracle": 677, "solvers_plain_81": 167, "81_modes": 182}

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lineshape import quadrature
 from lineshape.quadrature import pv_quad, smooth_quad
 
 
@@ -84,3 +85,29 @@ def test_smooth_quad_graded_endpoint():
 def test_empty_interval_is_zero():
     assert pv_quad(lambda t: t, 0.5, 2.0, 2.0) == 0.0
     assert smooth_quad(lambda t: t, 2.0, 1.0, toward="lo") == 0.0
+
+
+@pytest.mark.parametrize("pole, lo, hi, n", [
+    (0.3, 0.0, 1.0, 4096),      # interior pole, regular remainder graded "lo"
+    (61.0, 0.0, 100.0, 1025),   # interior pole, remainder graded "hi"
+    (-4.0, 0.0, 100.0, 16385),  # exterior pole, smooth_quad alone
+])
+def test_stored_grading_keeps_every_bit(monkeypatch, pole, lo, hi, n):
+    # The node table is built once per count: a first call (empty table),
+    # a repeated call and a call on a fresh geomspace give the same bits.
+    quadrature._grading.cache_clear()
+    first = pv_quad(lambda t: t**3, pole, lo, hi, n)
+    again = pv_quad(lambda t: t**3, pole, lo, hi, n)
+    monkeypatch.setattr(quadrature, "_grading",
+                        lambda count: np.geomspace(1e-12, 1.0, count))
+    fresh = pv_quad(lambda t: t**3, pole, lo, hi, n)
+    assert first.hex() == again.hex() == fresh.hex()
+
+
+def test_stored_grading_is_read_only():
+    grading = quadrature._grading(4097)
+    assert grading is quadrature._grading(4097)
+    assert not grading.flags.writeable
+    with pytest.raises(ValueError):
+        grading[0] = 0.0
+    assert grading.tobytes() == np.geomspace(1e-12, 1.0, 4097).tobytes()

@@ -9,7 +9,7 @@ from lineshape import (
     VerificationReport,
     run_all_checks,
 )
-from lineshape import pulse
+from lineshape import pulse, verify
 from lineshape.verify import check_reference_lorentzian
 
 from helpers import missing_checks, report_from_json
@@ -74,7 +74,8 @@ def test_table_lists_every_check(report):
     table = report.table()
     for c in report.checks:
         assert c.name in table
-    assert "XFAIL" in table and "FAIL\n" not in table
+    statuses = [line.split()[-1] for line in table.splitlines()[1:]]
+    assert "XFAIL" in statuses and "FAIL" not in statuses
 
 
 def test_measure_helper_sets_pass_flag():
@@ -96,3 +97,25 @@ def test_reference_lorentzian_check_catches_a_scaled_density(monkeypatch):
     monkeypatch.setattr(pulse, "_lorentzian", lambda delta, gamma, out: np.multiply(
         lorentzian(delta, gamma, out), 1.0 + 1e-6, out=out))
     assert not check_reference_lorentzian()[0].passed
+
+
+def _failing(report):
+    return [c.name for c in report.checks if not c.passed and not c.expected_fail]
+
+
+def test_trk_sum_check_catches_a_scaled_sum(monkeypatch):
+    trk_sum = verify.trk_sum
+    monkeypatch.setattr(verify, "trk_sum",
+                        lambda model, state: trk_sum(model, state) * (1.0 + 1e-6))
+    assert _failing(run_all_checks()) == ["trk_sum_oscillator"]
+
+
+def test_pulse_spectrum_check_catches_a_scaled_result(monkeypatch):
+    pulse_spectrum = verify.pulse_spectrum
+
+    def scaled(*args):
+        spectrum = pulse_spectrum(*args)
+        return dataclasses.replace(spectrum, values=spectrum.values * (1.0 + 1e-6))
+
+    monkeypatch.setattr(verify, "pulse_spectrum", scaled)
+    assert _failing(run_all_checks()) == ["pulse_spectrum_assembly"]
