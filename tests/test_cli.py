@@ -386,6 +386,15 @@ class TestCutoffDomain:
             ["verify", f"--cutoff={value}", "--out-dir", str(tmp_path)], capsys)
         assert not (tmp_path / "verification_report.json").exists()
 
+    @pytest.mark.parametrize("value", ["5e-324", "1e300"])
+    def test_verify_flag_past_the_mode_grid(self, value, tmp_path, capsys):
+        # cutoff/10 underflows to 0, or a mode's square overflows.
+        self._assert_rejected(
+            ["verify", f"--cutoff={value}", "--out-dir", str(tmp_path)], capsys,
+            "error: cutoff must lie in [2.23e-307, 1.34e+154] for verify, whose "
+            "mode grid runs from cutoff/10 to cutoff and squares each mode\n")
+        assert not (tmp_path / "verification_report.json").exists()
+
     def test_lineshape_flag(self, tmp_path, capsys):
         self._assert_rejected(
             ["lineshape", "--gamma", "0.1", "--lamb-shift", "auto",

@@ -1,4 +1,7 @@
 import dataclasses
+import inspect
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from lineshape import (
     VerificationReport,
     run_all_checks,
 )
-from lineshape import pulse, verify
+from lineshape import _EXPORTS, pulse, spectra, verify
 from lineshape.verify import check_reference_lorentzian
 
 from helpers import missing_checks, report_from_json
@@ -108,6 +111,60 @@ def test_trk_sum_check_catches_a_scaled_sum(monkeypatch):
     monkeypatch.setattr(verify, "trk_sum",
                         lambda model, state: trk_sum(model, state) * (1.0 + 1e-6))
     assert _failing(run_all_checks()) == ["trk_sum_oscillator"]
+
+
+@pytest.mark.parametrize("helper", ["_pv", "_pv_symmetric", "_log_term"])
+def test_level_shift_check_catches_a_scaled_principal_value(monkeypatch, helper):
+    # The PV oracle agrees with the closed forms to rounding, so a relative
+    # error of 1e-13 in any piece of them fails the check.
+    original = getattr(spectra, helper)
+    monkeypatch.setattr(spectra, helper,
+                        lambda *args: original(*args) * (1.0 + 1e-13))
+    assert _failing(run_all_checks()) == ["level_shift_closed_forms"]
+
+
+def test_a_nan_residual_fails_its_check(monkeypatch):
+    # The builtin max drops a nan that is not its first argument.
+    trk_sum = verify.trk_sum
+    monkeypatch.setattr(verify, "trk_sum", lambda model, state: (
+        float("nan") if model.top == "e" else trk_sum(model, state)))
+    assert _failing(run_all_checks()) == ["trk_sum_oscillator"]
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["smallest", "largest"])
+def test_verify_runs_at_either_end_of_its_cutoff_range(end):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_all_checks(verify._CUTOFF_RANGE[end]).all_passed()
+
+
+# Public functions that run_all_checks does not call: CSV I/O and the
+# preset builder by design, and three that no check reaches yet.  The
+# second list may only shrink.
+NOT_NUMERICAL = {"read_spectrum_csv", "write_spectrum_csv", "lamb_hydrogen_preset"}
+NOT_REACHED_YET = {"gamma_offshell", "fluorescence_sweep", "lamb_rate_sweep"}
+
+
+def test_verify_reaches_every_public_numerical_function():
+    functions = {}
+    for module in ("atoms", "fluorescence", "pulse", "representations", "spectra"):
+        for name in _EXPORTS[module]:
+            value = getattr(sys.modules["lineshape"], name)
+            if inspect.isfunction(value):
+                functions[name] = value.__code__
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run_all_checks()
+    finally:
+        sys.setprofile(None)
+    unreached = {name for name, code in functions.items() if code not in reached}
+    assert unreached == NOT_NUMERICAL | NOT_REACHED_YET
 
 
 def test_pulse_spectrum_check_catches_a_scaled_result(monkeypatch):
