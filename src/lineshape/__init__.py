@@ -16,28 +16,27 @@ __version__ = "0.1.0"
 # Each public name, by the module that defines it.
 _EXPORTS = {
     "atoms": ("AtomModel", "Level", "build_oscillator", "build_two_level",
-              "trk_sum"),
+              "delta_offshell", "gamma_offshell", "gamma_onshell", "lamb_shift",
+              "total_shift", "trk_sum"),
+    "dynamics": ("PulseTrajectory", "integrate_dynamics"),
     "errors": ("ConfigurationError", "DomainError", "ScenarioError",
                "VerificationFailure"),
     "fluorescence": ("LambLineScenario", "SharpLineScenario",
                      "fluorescence_sweep", "lamb_hydrogen_preset",
                      "lamb_n_factor", "lamb_rate_sweep", "n_factor"),
-    "pulse": ("PulseConfig", "PulseTrajectory", "closed_form_amplitude",
-              "excited_amplitude_during_pulse", "integrate_dynamics",
-              "lorentzian_reference_spectrum", "pulse_spectrum"),
+    "pulse": ("PulseConfig", "closed_form_amplitude",
+              "excited_amplitude_during_pulse", "lorentzian_reference_spectrum",
+              "pulse_spectrum"),
     "representations": ("COULOMB", "POINCARE", "SYMMETRIC",
                         "GaugeRepresentation", "coupling_pair"),
-    "spectra": ("DEFAULT_CUTOFF", "LineshapeParams", "Spectrum",
-                "delta_offshell", "gamma_offshell", "gamma_onshell",
-                "lamb_shift", "lineshape_S", "numerator", "read_spectrum_csv",
-                "total_shift", "write_spectrum_csv"),
+    "spectra": ("DEFAULT_CUTOFF", "LineshapeParams", "Spectrum", "lineshape_S",
+                "numerator", "read_spectrum_csv", "write_spectrum_csv"),
     "verify": ("REQUIRED_CHECKS", "CheckResult", "VerificationReport",
                "run_all_checks"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"_ode", "cli", "plotting", "quadrature",
-                                     "scenario"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "plotting", "quadrature", "scenario"}
 
 __all__ = sorted(_MODULE_OF)
 

@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 parse error, 3 domain/configuration error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -47,7 +48,6 @@ from .scenario import (
 from .spectra import (
     LineshapeParams,
     _write_text,
-    lamb_shift,
     lineshape_S,
     read_spectrum_csv,
     write_spectrum_csv,
@@ -223,7 +223,7 @@ def _run_lineshape(scn: Scenario) -> list:
     _check_scalar(p["cutoff"], "cutoff")
     shift = p["lamb_shift"]
     if shift == "auto":
-        from .atoms import build_two_level
+        from .atoms import build_two_level, lamb_shift
 
         shift = lamb_shift(build_two_level(p["omega_eg"], 1.0), "e", p["cutoff"])
     spectra = []
@@ -255,12 +255,7 @@ def _run_lamb_line(scn: Scenario) -> list:
 
 
 def _run_pulse(scn: Scenario, out_dir: str, diagnostics: dict) -> list:
-    from .pulse import (
-        PulseConfig,
-        integrate_dynamics,
-        lorentzian_reference_spectrum,
-        pulse_spectrum,
-    )
+    from .pulse import PulseConfig, lorentzian_reference_spectrum, pulse_spectrum
 
     p = scn.params
     grid = scn.grid()
@@ -276,6 +271,8 @@ def _run_pulse(scn: Scenario, out_dir: str, diagnostics: dict) -> list:
     if p["include_reference"]:
         spectra.append(lorentzian_reference_spectrum(omega_0, gamma, grid))
     if p["trajectory"]:
+        from .dynamics import integrate_dynamics
+
         traj = integrate_dynamics(
             config, scn.representations[0], omega_0, gamma, rwa=p["rwa"],
         )
@@ -342,8 +339,19 @@ def main(argv=None) -> int:
         return VERIFY_ERROR
 
 
-def entry() -> None:  # console-script wrapper
-    sys.exit(main())
+def entry() -> None:
+    """The console script and ``python -m lineshape.cli``: run :func:`main`,
+    then exit with its code.
+
+    The heap is frozen once ``main`` has returned, so interpreter
+    finalization skips the cyclic collection of every object the run left,
+    most of them numpy's; stdio is still flushed, atexit handlers still run
+    and the exit code is the same.  ``main`` itself never
+    freezes: tests and in-process callers run it many times in one process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Deterministic principal-value quadrature.
 
-An oracle, not a route: the level shifts of ``lineshape.spectra`` are
+An oracle, not a route: the level shifts of ``lineshape.atoms`` are
 closed forms.  The ``level_shift_closed_forms`` check of
 ``lineshape.verify`` (which imports this module only when it runs), the
 tests and the benchmark integrate PV int_lo^hi g(t)/(pole - t) dt, g
@@ -22,7 +22,19 @@ import numpy as np
 
 __all__ = ["pv_quad"]
 
-_X, _W = np.polynomial.legendre.leggauss(20)
+# ``np.polynomial.legendre.leggauss(20)`` bit for bit, without importing
+# numpy.polynomial: its ten positive nodes and weights as shortest decimals,
+# mirrored (the rule is exactly symmetric in doubles).
+_X_POS = np.array([0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+                   0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+                   0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+                   0.993128599185095])
+_W_POS = np.array([0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+                   0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+                   0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+                   0.017614007139150893])
+_X = np.concatenate((-_X_POS[::-1], _X_POS))
+_W = np.concatenate((_W_POS[::-1], _W_POS))
 
 
 def _regular(g, pole: float, a: float, b: float, t, w) -> float:

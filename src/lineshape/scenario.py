@@ -326,5 +326,11 @@ def parse_scenario(text: str, given: dict | None = None) -> Scenario:
 
 
 def load_scenario(path, given: dict | None = None) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_scenario(handle.read(), given)
+    """The scenario file at ``path``, UTF-8 with an optional leading BOM,
+    with the ``given`` keys laid over it (see :func:`parse_scenario`)."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise ScenarioError(f"{path}: not a UTF-8 text file") from None
+    return parse_scenario(text, given)

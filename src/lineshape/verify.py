@@ -19,16 +19,23 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__ as _version
-from .atoms import build_oscillator, build_two_level, trk_sum
+from .atoms import (
+    build_oscillator,
+    build_two_level,
+    delta_offshell,
+    gamma_onshell,
+    lamb_shift,
+    total_shift,
+    trk_sum,
+)
+from .dynamics import _expm1_over, integrate_dynamics
 from .errors import DomainError, _check_scalar
 from .fluorescence import lamb_n_factor, n_factor
 from .pulse import (
     PulseConfig,
     _drive,
-    _expm1_over,
     closed_form_amplitude,
     excited_amplitude_during_pulse,
-    integrate_dynamics,
     lorentzian_reference_spectrum,
     pulse_spectrum,
 )
@@ -39,15 +46,7 @@ from .representations import (
     GaugeRepresentation,
     coupling_pair,
 )
-from .spectra import (
-    LineshapeParams,
-    delta_offshell,
-    gamma_onshell,
-    lamb_shift,
-    lineshape_S,
-    numerator,
-    total_shift,
-)
+from .spectra import LineshapeParams, lineshape_S, numerator
 
 __all__ = [
     "CheckResult",

@@ -31,18 +31,26 @@ from lineshape.spectra import _BLOCK
 SRC_DIR = str(Path(lineshape.__path__[0]).parent)
 
 
-def run_python(code: str, *args: str) -> str:
-    """Last line a fresh interpreter prints running ``code``."""
+def _child(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``argv``, the package on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC_DIR, *filter(None, [env.get("PYTHONPATH")])]
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def run_python(code: str, *args: str) -> str:
+    """Last line a fresh interpreter prints running ``code``."""
+    proc = _child("-c", code, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh ``python -m lineshape.cli`` run: the console script's path."""
+    return _child("-m", "lineshape.cli", *argv)
 
 
 def charged_oscillator(omega, mass, n_levels, charge) -> AtomModel:
@@ -111,7 +119,7 @@ def assert_blocks_are_seamless(call, grid):
 
 def full_rhs(drive, delta, weights):
     """y' = f(t, y) for y = (b_g, b_e, y_1, ..., y_N), the system that
-    ``lineshape._ode._dop853`` steps with the same ``drive``, detunings and
+    ``lineshape.dynamics._dop853`` steps with the same ``drive``, detunings and
     weights (None: no back-reaction), one full vector per call: the
     reference that ``solve_ivp`` integrates."""
     delta = np.asarray(delta, dtype=float)

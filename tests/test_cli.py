@@ -1,20 +1,23 @@
+import gc
 import hashlib
 import json
 import os
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import lineshape
+from lineshape import cli
 from lineshape.cli import _flag, build_parser, main
 from lineshape.plotting import PlotStyle, emit_gnuplot, emit_svg
 from lineshape.spectra import read_spectrum_csv, write_spectrum_csv
 from lineshape.errors import ConfigurationError
 from lineshape.scenario import PARAMS
 
-from helpers import mp_lamb_shift
+from helpers import mp_lamb_shift, run_cli
 
 PRESET_DIR = Path(lineshape.__path__[0]) / "presets"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -27,6 +30,15 @@ def preset_mode(path: Path) -> str:
         if line.startswith("mode:"):
             return line.split(":", 1)[1].strip()
     raise AssertionError(f"{path} has no mode")
+
+
+@pytest.fixture(autouse=True)
+def no_test_freezes_the_heap():
+    # entry() freezes the heap before exit; nothing here may leave the
+    # test process frozen.
+    before = gc.get_freeze_count()
+    yield
+    assert gc.get_freeze_count() == before
 
 
 def run_preset(path: Path, out_dir: Path) -> list[Path]:
@@ -148,6 +160,31 @@ class TestExitCodes:
 
     def test_missing_required_flag_is_2(self, tmp_path):
         assert main(["lineshape", "--out-dir", str(tmp_path)]) == 2
+
+    def test_scenario_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        scn = tmp_path / "latin1.scn"
+        scn.write_bytes("# caf\u00e9\nmode: lineshape\n\nlineshape:\n"
+                        "  gamma: 0.1\n".encode("latin-1"))
+        assert main(["lineshape", str(scn), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {scn}: not a UTF-8 text file\n"
+
+    def test_scenario_with_a_byte_order_mark_is_read(self, tmp_path):
+        text = (PRESET_DIR / "lineshape_gauge_family.scn").read_bytes()
+        outputs = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            scn = tmp_path / f"{name}.scn"
+            scn.write_bytes(data)
+            assert main(["lineshape", str(scn), "--out-dir", str(tmp_path / name)]) == 0
+            outputs.append([p.read_bytes() for p in sorted((tmp_path / name).glob("*.csv"))])
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    def test_csv_that_is_not_utf8_for_plot_is_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"omega_k,S,representation,gamma,omega_eg,lamb_shift,cutoff\n"
+                        b"1.0,0.5,\xff,0.1,1,0,1000\n2.0,0.5,\xff,0.1,1,0,1000\n")
+        assert main(["plot", str(bad), "--out", str(tmp_path / "p.svg")]) == 3
+        assert capsys.readouterr().err == f"error: {bad}: not a UTF-8 text file\n"
+        assert not (tmp_path / "p.svg").exists()
 
     def test_inline_lamb_line_needs_grid(self, tmp_path, capsys):
         # Only the preset brings its own grid.
@@ -703,3 +740,54 @@ class TestPlotting:
                         np.linspace(0.5, 1.5, 73))
         doc = emit_svg([a, b], PlotStyle())
         assert doc.count("<polyline") == 2
+
+
+class TestConsoleEntry:
+    """``entry()``, the path of the console script and of ``python -m
+    lineshape.cli``: it freezes the heap once ``main`` has returned, then
+    exits with ``main``'s code."""
+
+    def patch(self, monkeypatch, main_):
+        events = []
+        monkeypatch.setattr(cli, "gc", SimpleNamespace(
+            freeze=lambda: events.append("freeze")))
+        monkeypatch.setattr(cli, "main", lambda: main_(events))
+        return events
+
+    @pytest.mark.parametrize("code", [0, 2, 3, 4])
+    def test_freezes_after_main_and_exits_with_its_code(self, code, monkeypatch):
+        events = self.patch(monkeypatch, lambda events: events.append("main") or code)
+        with pytest.raises(SystemExit) as exited:
+            cli.entry()
+        assert exited.value.code == code
+        assert events == ["main", "freeze"]
+
+    def test_an_exception_from_main_propagates_and_nothing_is_frozen(self, monkeypatch):
+        def broken(events):
+            raise RuntimeError("broken main")
+
+        events = self.patch(monkeypatch, broken)
+        with pytest.raises(RuntimeError, match="broken main"):
+            cli.entry()
+        assert events == []
+
+    def test_main_in_process_freezes_nothing(self, tmp_path):
+        before = gc.get_freeze_count()
+        run_preset(PRESETS[0], tmp_path)
+        assert main(["verify", "--out-dir", str(tmp_path / "verify")]) == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("mode", ["lineshape", "fluorescence", "lamb-line",
+                                      "pulse", "verify"])
+    def test_a_python_m_run_exits_0_with_an_empty_stderr(self, mode, tmp_path):
+        argv = [mode] + [str(path) for path in PRESETS if preset_mode(path) == mode][:1]
+        proc = run_cli(*argv, "--out-dir", str(tmp_path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert any(tmp_path.iterdir())
+
+    def test_a_bad_flag_exits_2_with_one_error_line(self):
+        proc = run_cli("lineshape", "--no-such-flag")
+        assert proc.returncode == 2
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert errors == ["lineshape: error: unrecognized arguments: "
+                          "--no-such-flag"]

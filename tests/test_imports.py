@@ -110,6 +110,15 @@ def test_a_verify_run_loads_every_module_but_plotting(tmp_path):
         every - {"plotting"})
 
 
+def test_a_verify_run_leaves_numpy_polynomial_unloaded(tmp_path):
+    # The PV oracle's Gauss-Legendre rule is written out: importing
+    # numpy.polynomial would add its six basis modules to the verify child.
+    code = ("import sys; from lineshape.cli import main; "
+            f"code = main(['verify', '--out-dir', {str(tmp_path)!r}]); "
+            "print(code, 'numpy.polynomial' in sys.modules)")
+    assert run_python(code) == "0 False"
+
+
 def test_atoms_and_the_ode_load_only_when_a_run_needs_them(tmp_path):
     # Neither run asks for a plot, so plotting stays out too.
     base = ["cli", "errors", "representations", "scenario", "spectra"]
@@ -118,7 +127,7 @@ def test_atoms_and_the_ode_load_only_when_a_run_needs_them(tmp_path):
     assert loaded_modules([auto]) == sorted(base + ["atoms"])
     scn = write_trajectory_scenario(tmp_path)
     trajectory = ["pulse", str(scn), "--out-dir", str(tmp_path)]
-    assert loaded_modules([trajectory]) == sorted(base + ["_ode", "pulse"])
+    assert loaded_modules([trajectory]) == sorted(base + ["dynamics", "pulse"])
 
 
 def test_importing_the_package_and_cli_leaves_scipy_out():
@@ -175,7 +184,7 @@ def test_spectra_runs_leave_the_ode_module_unloaded(tmp_path):
     code = ("import sys; from lineshape.cli import main; "
             f"main(['lineshape', {str(presets_of('lineshape')[0])!r}, "
             f"'--out-dir', {str(tmp_path)!r}]); "
-            "print('lineshape._ode' in sys.modules)")
+            "print('lineshape.dynamics' in sys.modules)")
     assert run_python(code) == "False"
 
 
@@ -208,7 +217,7 @@ def test_level_shifts_leave_the_quadrature_unloaded():
     code = """
 import sys
 from lineshape import POINCARE, build_two_level
-from lineshape.spectra import delta_offshell, lamb_shift, total_shift
+from lineshape.atoms import delta_offshell, lamb_shift, total_shift
 atom = build_two_level(1.0, 1.0)
 lamb_shift(atom, "e", 1e3)
 total_shift(atom, "e", POINCARE, 1e3)

@@ -20,14 +20,10 @@ from lineshape import (
     lorentzian_reference_spectrum,
     pulse_spectrum,
 )
-from lineshape import _ode, pulse
+from lineshape import dynamics
 from lineshape.cli import main
-from lineshape.pulse import (
-    _drive,
-    _kernel_parts,
-    _mode_weights,
-    _zero_locus_on_grid,
-)
+from lineshape.dynamics import _mode_weights
+from lineshape.pulse import _drive, _kernel_parts, _zero_locus_on_grid
 from lineshape.representations import coupling_pair
 from lineshape.spectra import _BLOCK, _scratch, numerator
 from lineshape.verify import _resonant_amplitude, check_ode_oracle
@@ -359,7 +355,7 @@ class TestDynamicsDomain:
         def no_stepping(*args):
             raise AssertionError("the integrator ran")
 
-        monkeypatch.setattr(_ode, "_dop853", no_stepping)
+        monkeypatch.setattr(dynamics, "_dop853", no_stepping)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=match):
@@ -380,7 +376,7 @@ class TestDynamicsDomain:
     def test_rejects_scalars_that_are_not_real(self, name, value, monkeypatch):
         scalars = {"omega_0": OMEGA0, "gamma": GAMMA, name: value}
         message = f"^{name} must be a real number"
-        monkeypatch.setattr(_ode, "_dop853", None)  # never reached
+        monkeypatch.setattr(dynamics, "_dop853", None)  # never reached
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message):
@@ -641,7 +637,7 @@ class TestStepperStops:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError, match=match):
-                _ode._dop853(drive, (), None, t0, t1, self.Y0,
+                dynamics._dop853(drive, (), None, t0, t1, self.Y0,
                              np.linspace(t0, t1, 11), rtol, atol)
         return drive
 
@@ -678,19 +674,19 @@ class TestStepperStops:
         assert drive.calls < 2000
 
     def test_step_count_is_capped(self, monkeypatch):
-        monkeypatch.setattr(_ode, "_MAX_STEPS", 20)
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 20)
         drive = self._fails(lambda t: 1.0, "after 20 steps", t1=100.0)
         assert drive.calls == 2 + 20  # one attempt per step: none rejected
 
     def test_integrate_dynamics_raises_on_unmet_tolerance(self, monkeypatch):
-        monkeypatch.setattr(pulse, "_RTOL", 1e-300)
-        monkeypatch.setattr(pulse, "_ATOL", 1e-300)
+        monkeypatch.setattr(dynamics, "_RTOL", 1e-300)
+        monkeypatch.setattr(dynamics, "_ATOL", 1e-300)
         with pytest.raises(ConfigurationError):
             integrate_dynamics(RESONANT, SYMMETRIC, OMEGA0, GAMMA)
 
 
 def _assert_matches_solve_ivp(args, result):
-    """``_ode._dop853(*args)`` gave ``result``: scipy's DOP853 on the full
+    """``dynamics._dop853(*args)`` gave ``result``: scipy's DOP853 on the full
     right-hand side takes the same nfev and gives the same atom samples and
     modes at t1 (when the last sample is t1), to 1e-10.  Returns the step
     counts."""
@@ -718,7 +714,7 @@ class TestScipyCrossCheck:
         coefficients = pytest.importorskip(
             "scipy.integrate._ivp.dop853_coefficients")
         for name in ("A", "B", "C", "D", "E3", "E5"):
-            ours, theirs = getattr(_ode, name), getattr(coefficients, name)
+            ours, theirs = getattr(dynamics, name), getattr(coefficients, name)
             assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
             assert ours.tobytes() == theirs.tobytes(), name
 
@@ -731,7 +727,7 @@ class TestScipyCrossCheck:
         args = (drive, np.array([-2.0, 0.5, 3.0]), np.array([0.3, 0.1, 0.2]),
                 0.0, 1.0, np.array([1.0, 0.0, 0.1, 0.0, -0.2j]),
                 np.linspace(0.0, 1.0, 41), 1e-9, 1e-12)
-        stats = _assert_matches_solve_ivp(args, _ode._dop853(*args))
+        stats = _assert_matches_solve_ivp(args, dynamics._dop853(*args))
         assert stats["rejected_steps"] >= 1
 
     # A burst in the drive and three modes that feed back; the steps are
@@ -752,13 +748,13 @@ class TestScipyCrossCheck:
                          "ends_only": 2}[placement]
         args[6] = {"inside_one_step": np.linspace(ends[5], ends[6], 9)[1:-1],
                    "on_step_ends": ends, "ends_only": ends[[0, -1]]}[placement]
-        result = _ode._dop853(*args)
+        result = dynamics._dop853(*args)
         stats = _assert_matches_solve_ivp(args, result)
         attempts = stats["accepted_steps"] + stats["rejected_steps"]
         assert stats["nfev"] == 2 + 12 * attempts + 3 * sampled_steps
         # The samples do not steer the steps: the modes at t1 keep every bit.
         args[6] = np.array([1.0])
-        assert result[1].tobytes() == _ode._dop853(*args)[1].tobytes()
+        assert result[1].tobytes() == dynamics._dop853(*args)[1].tobytes()
 
     # nfev of the benchmark's three integrations, pinned.
     NFEV = {"check_ode_oracle": 677, "solvers_plain_81": 167, "81_modes": 182}
@@ -768,13 +764,13 @@ class TestScipyCrossCheck:
         *sorted(BACK_REACTION_CASES), "decreasing_240_modes",
     ])
     def test_matches_solve_ivp(self, case, monkeypatch):
-        calls, dop853 = [], _ode._dop853
+        calls, dop853 = [], dynamics._dop853
 
         def recorded(*args):
             calls.append((args, dop853(*args)))
             return calls[-1][1]
 
-        monkeypatch.setattr(_ode, "_dop853", recorded)
+        monkeypatch.setattr(dynamics, "_dop853", recorded)
         plain_81 = np.linspace(0.5, 1.5, 81)
         if case == "check_ode_oracle":
             check_ode_oracle()
@@ -801,9 +797,9 @@ class TestScipyCrossCheck:
         x = np.concatenate((np.linspace(-1e3, 1e3, 400_001),
                             rng.uniform(-1e3, 1e3, 100_000),
                             np.pi * np.arange(-318, 319) / 2))
-        err = np.abs(_ode._phasor(x) - np.exp(1j * x))
+        err = np.abs(dynamics._phasor(x) - np.exp(1j * x))
         assert err.max() <= 2.0 * np.finfo(float).eps
-        assert _ode._phasor(np.zeros((3, 2))).tobytes() == np.ones((3, 2), complex).tobytes()
+        assert dynamics._phasor(np.zeros((3, 2))).tobytes() == np.ones((3, 2), complex).tobytes()
 
 
 class TestPulseSpectrum:

@@ -6,11 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from lineshape import quadrature
 from lineshape.quadrature import pv_quad
 
 from helpers import mp_pv
 
 REL = 1e-13
+
+
+def test_the_rule_is_numpys_leggauss_bit_for_bit():
+    # Written out as literals so that no run imports numpy.polynomial.
+    x, w = np.polynomial.legendre.leggauss(20)
+    assert quadrature._X.tobytes() == x.tobytes()
+    assert quadrature._W.tobytes() == w.tobytes()
 
 
 def pv_linear(x, lo, hi):

@@ -12,7 +12,7 @@ from lineshape import (
     VerificationReport,
     run_all_checks,
 )
-from lineshape import _EXPORTS, pulse, spectra, verify
+from lineshape import _EXPORTS, atoms, pulse, verify
 from lineshape.verify import check_reference_lorentzian
 
 from helpers import missing_checks, report_from_json
@@ -117,8 +117,8 @@ def test_trk_sum_check_catches_a_scaled_sum(monkeypatch):
 def test_level_shift_check_catches_a_scaled_principal_value(monkeypatch, helper):
     # The PV oracle agrees with the closed forms to rounding, so a relative
     # error of 1e-13 in any piece of them fails the check.
-    original = getattr(spectra, helper)
-    monkeypatch.setattr(spectra, helper,
+    original = getattr(atoms, helper)
+    monkeypatch.setattr(atoms, helper,
                         lambda *args: original(*args) * (1.0 + 1e-13))
     assert _failing(run_all_checks()) == ["level_shift_closed_forms"]
 
@@ -147,7 +147,8 @@ NOT_REACHED_YET = {"gamma_offshell", "fluorescence_sweep", "lamb_rate_sweep"}
 
 def test_verify_reaches_every_public_numerical_function():
     functions = {}
-    for module in ("atoms", "fluorescence", "pulse", "representations", "spectra"):
+    for module in ("atoms", "dynamics", "fluorescence", "pulse", "representations",
+                   "spectra"):
         for name in _EXPORTS[module]:
             value = getattr(sys.modules["lineshape"], name)
             if inspect.isfunction(value):
