@@ -16,17 +16,19 @@ and 7th-order dense output (Hairer, Norsett & Wanner, *Solving ODEs I*,
 Sec. II.4-II.6); error norm (RMS over all 2 + N components), step control
 and first step are scipy's ``solve_ivp(method="DOP853")`` on the full
 right-hand side, so the steps, ``nfev`` and samples are the same.  A step
-takes the drive and the phasors e^{-i delta_k t_s} at all 16 stage times in
-one call each; the mode stages are those phasors times the stage's b_e, so
-each mode sum is one small matrix product, and only the atom's two
-components run through the stages in turn.  Dense output is evaluated
-once per integration: a step that covers samples runs the atom's dense
-stages 13-15 and keeps its start, h, atom state and 16 atom stages, and
-after the last step one vectorised pass evaluates every sample.  The
-tableau (C, A with B = A[12] and dense stages 13-15, E5/E3, D) is copied from
-scipy/integrate/_ivp/dop853_coefficients.py (SciPy, BSD-3-Clause, Copyright
-(c) 2001-2002 Enthought, Inc. 2003, SciPy Developers) as the shortest
-decimals of the same doubles.
+takes the drive at all 16 stage times and the phasors e^{-i delta_k t_s} at
+the 13 it steps with (all 16 with back-reaction, whose Gram matrix takes
+the dense stages too) in one call each; the mode stages are those phasors
+times the stage's b_e, so each mode sum is one small matrix product, and
+only the atom's two components run through the stages in turn.  Dense
+output is evaluated once per integration: a step that covers samples runs
+the atom's dense stages 13-15 and keeps its start, h, atom state and 16
+atom stages, and after the last step one vectorised pass evaluates every
+sample.  Without back-reaction a stage skips the pull (x - 0j is x, bit
+for bit).  The tableau (C, A with B = A[12] and dense stages 13-15, E5/E3,
+D) is copied from scipy/integrate/_ivp/dop853_coefficients.py (SciPy,
+BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
+Developers) as the shortest decimals of the same doubles.
 
 With the field retained, the t >= 0 phase is a discrete level coupled to a
 discretised continuum with the drive off: a linear system with constant
@@ -110,9 +112,17 @@ _MAX_STEPS = 100_000  # the NMAX default of Hairer's DOP853 code
 # increment and its E5 and E3 estimates; and those taking all 16 to the dense
 # coefficients c_i (the increment, h f minus it, twice it minus h (f + f_new),
 # then D): y(t + x h) = y + h sum_i c_i x (1 - x) x ... (i + 1 factors).
-_ROWS = [[(j, float(a)) for j, a in enumerate(A[s, :s]) if a] for s in range(16)]
-_STEP_ROWS = np.array([A[12, :13], E5, E3])
+# _ROWS and _STEP_ROWS are stored complex with the same bits: CPython already
+# multiplies a float by a complex as a complex with zero imaginary part, so
+# this only skips the failed float dispatch per term and the cast per product.
+_ROWS = [[(j, complex(a)) for j, a in enumerate(A[s, :s]) if a] for s in range(16)]
+_STEP_ROWS = np.array([A[12, :13], E5, E3], complex)
 _DENSE = np.array([A[12], np.eye(16)[0] - A[12], 2 * A[12] - np.eye(16)[[0, 12]].sum(0), *D])
+# The 82 nonzero a_sj as (s, j) row by row, and each stage's (k, j) with k
+# the place of a_sj there: the modes' feed h a_sj G_sj is formed only there.
+_NONZERO = np.nonzero(np.tril(A, -1))
+_FEED = [[(k, j) for k, (r, j) in enumerate(zip(*(i.tolist() for i in _NONZERO)))
+          if r == s] for s in range(16)]
 
 
 def _phasor(theta) -> np.ndarray:
@@ -157,9 +167,9 @@ def _dop853(drive, delta, weights, t0: float, t1: float, y0: np.ndarray,
         return np.array([-1j * d.conjugate() * y[1], -1j * d * y[0] - pull,
                          *(phase * y[1])])
 
-    t, y = t0, y0
+    t, y, size_y = t0, y0, np.abs(y0)
     f = derivative(t, y)
-    scale = atol + np.abs(y) * rtol
+    scale = atol + size_y * rtol
     d0, d1 = (np.linalg.norm(v / scale) / n ** 0.5 for v in (y, f))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
     d2 = np.linalg.norm((derivative(t + h0, y + h0 * f) - f) / scale) / n ** 0.5 / h0
@@ -169,6 +179,7 @@ def _dop853(drive, delta, weights, t0: float, t1: float, y0: np.ndarray,
     stats = {"nfev": 2, "accepted_steps": 0, "rejected_steps": 0}
     f, sample = f[:2].tolist(), 0
     K = np.empty((13, n), complex)  # stages 0-12 of every component
+    phased = 13 if weights is None else 16
     dense, dense_k = [], []  # per sampled step: (t, h, b_g, b_e, samples), stages
 
     def fail(reason):
@@ -176,16 +187,17 @@ def _dop853(drive, delta, weights, t0: float, t1: float, y0: np.ndarray,
 
     def stages(first, last):  # the atom's; appends to k_g, k_e and b_e
         for s in range(first, last):
-            row, sum_g, sum_e, pull = _ROWS[s], 0j, 0j, 0j
+            row, sum_g, sum_e = _ROWS[s], 0j, 0j
             for j, a in row:
                 sum_g += a * k_g[j]
                 sum_e += a * k_e[j]
-            if weights is not None:  # the modes' pull, see the step below
-                feed_s = feed[s]
-                pull = v[s] + sum([feed_s[j] * b_e[j] for j, _ in row])
-            g_s, e_s, d = y_g + h * sum_g, y_e + h * sum_e, drives[s]
-            k_g.append(-1j * d.conjugate() * e_s)
-            k_e.append(-1j * d * g_s - pull)
+            g_s, e_s = y_g + h * sum_g, y_e + h * sum_e
+            k_g.append(-1j * conj_drives[s] * e_s)
+            if weights is None:
+                k_e.append(-1j * drives[s] * g_s)
+            else:  # the modes' pull, see the step below
+                pull = v[s] + sum([feed[k] * b_e[j] for k, j in _FEED[s]])
+                k_e.append(-1j * drives[s] * g_s - pull)
             b_e.append(e_s)
         return g_s, e_s
 
@@ -202,13 +214,16 @@ def _dop853(drive, delta, weights, t0: float, t1: float, y0: np.ndarray,
             h = h_abs = t_new - t
             times = t + C * h
             times[12] = t_new
-            drives = drive(times).tolist()
-            phase = _phasor(np.multiply.outer(times, minus_delta))
+            drives = drive(times)
+            drives, conj_drives = drives.tolist(), np.conj(drives).tolist()
+            # Stages 13-15 take the phasors only through the Gram matrix.
+            phase = _phasor(np.multiply.outer(times[:phased], minus_delta))
             if weights is not None:
                 # The modes pull on stage s by v_s + sum_j (h A G)_sj b_e,j; G and v
                 # from one matrix product (numpy's matrix-vector BLAS runs threaded).
                 gram = (phase.conj() * weights) @ np.column_stack((phase.T, y[2:]))
-                v, feed = gram[:, 16].tolist(), (h * A * gram[:, :16]).tolist()
+                v = gram[:, 16].tolist()
+                feed = (h * A[_NONZERO] * gram[_NONZERO]).tolist()
             k_g, k_e, b_e = [f[0]], [f[1]], [y_e]
             atom_new = stages(1, 13)
             stats["nfev"] += 12
@@ -217,7 +232,8 @@ def _dop853(drive, delta, weights, t0: float, t1: float, y0: np.ndarray,
             rows = _STEP_ROWS @ K
             y_new = y + h * rows[0]
             y_new[0], y_new[1] = atom_new  # the stage 12 f_new is taken at
-            size = np.maximum(np.abs(y), np.abs(y_new))
+            size_new = np.abs(y_new)
+            size = np.maximum(size_y, size_new)
             scale = atol + size * rtol
             ratio = (rows[1:] / scale).view(float)
             err5, err3 = ratio[0] @ ratio[0], ratio[1] @ ratio[1]
@@ -245,7 +261,7 @@ def _dop853(drive, delta, weights, t0: float, t1: float, y0: np.ndarray,
             dense.append((t, h, y_g, y_e, end - sample))
             dense_k += k_g, k_e
             sample = end
-        t, y, f = t_new, y_new, (k_g[12], k_e[12])
+        t, y, f, size_y = t_new, y_new, (k_g[12], k_e[12]), size_new
     raise fail(f"no end after {_MAX_STEPS} steps")
 
 
@@ -335,17 +351,18 @@ def _secular_roots(delta: np.ndarray, weights: np.ndarray):
     order = np.argsort(delta)
     d = delta[order]
 
-    def secular(pole, s):
-        inverse = 1.0 / ((delta[pole, None] - delta) + s[:, None])
+    def secular(pole, gap, s):  # gap = delta[pole, None] - delta
+        inverse = 1.0 / (gap + s[:, None])
         ratio = weights * inverse
         value = delta[pole] + s - ratio.sum(axis=1)
         return value, 1.0 + (ratio * inverse).sum(axis=1)
 
     # Which half of each gap holds its root decides the nearer pole.
     half = 0.5 * np.diff(d)
-    left = secular(order[:-1], half)[0] >= 0.0
+    left = secular(order[:-1], delta[order[:-1], None] - delta, half)[0] >= 0.0
     pole = np.concatenate(([order[0]], np.where(left, order[:-1], order[1:]),
                            [order[-1]]))
+    gap = delta[pole, None] - delta
     reach = math.sqrt(weights.sum())
     lo = np.concatenate(([-(abs(d[0]) + reach)], np.where(left, 0.0, -half),
                          [0.0]))
@@ -353,13 +370,13 @@ def _secular_roots(delta: np.ndarray, weights: np.ndarray):
                          [abs(d[-1]) + reach]))
     s = 0.5 * (lo + hi)
     for _ in range(100):
-        value, slope = secular(pole, s)
+        value, slope = secular(pole, gap, s)
         step = s * value / (value + slope * s)
         # The model converges superlinearly: after a step this small the
         # remaining error is far below rounding.
         if np.all(np.abs(step) <= 1e-9 * np.abs(s)):
             s = s - step
-            return delta[pole] + s, (delta[pole, None] - delta) + s[:, None]
+            return delta[pole] + s, gap + s[:, None]
         below = value < 0.0
         lo = np.where(below, s, lo)
         hi = np.where(below, hi, s)

@@ -5,7 +5,9 @@ a bad value raises DomainError and is never coerced.  A scalar must be a
 real number (not a bool, string, array or None), finite and, by its rule,
 positive, non-negative or in [0, 1].  An array must have a real dtype (not
 bool, string, complex or object) and finite elements of either sign or,
-by its rule, positive or non-negative ones.
+by its rule, positive or non-negative ones.  A Python float, the common
+argument, goes straight to its rule: no ABC check, array round trip or
+reduction, and the same outcome and message as any other real.
 """
 
 import numbers
@@ -54,7 +56,8 @@ def _fail(name: str, rule: str) -> DomainError:
 
 def _check_scalar(value, name: str, rule: str = "positive") -> None:
     """Reject a scalar ``name`` that is not a real number obeying ``rule``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if type(value) is not float and (  # a float skips the ABC check
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     if not _RULES[rule](value):
         raise _fail(name, rule)
@@ -72,7 +75,10 @@ def _as_real(value, name: str) -> np.ndarray:
 def _check_real(value, name: str, rule: str = "finite") -> np.ndarray:
     """``value`` as a float array whose elements obey ``rule`` (by default
     finite, of either sign), decided by whole-array min and max, which
-    build no boolean temporary."""
+    build no boolean temporary.  A Python float is its own min and max."""
+    if type(value) is float:
+        _check_scalar(value, name, rule)
+        return np.asarray(value)
     arr = _as_real(value, name)
     if arr.size and not (_RULES[rule](arr.min()) and _RULES[rule](arr.max())):
         raise _fail(name, rule)

@@ -13,12 +13,17 @@ to one end and a singularity of g just past the other (4 a w^3/(w + a)^2
 at w = -a); each node's distance to the pole is taken from its own end,
 so none loses digits.  The default 1200 nodes per piece reach rounding
 error, 600 show the convergence, and the result is reproducible bit for
-bit.
+bit.  The node count must be an int of at least 80; each count's node
+table is built once (the last eight counts are kept) and is read-only.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+from .errors import DomainError
 
 __all__ = ["pv_quad"]
 
@@ -44,16 +49,27 @@ def _regular(g, pole: float, a: float, b: float, t, w) -> float:
     return (b - a) * np.dot(w, y[:len(t)] + y[len(t):])
 
 
-def pv_quad(g, pole: float, lo: float, hi: float, n: int = 1200) -> float:
-    """Principal value of int_lo^hi g(t)/(pole - t) dt, g smooth, with n
-    nodes per piece (n // 40 panels toward each end).  Works whether or not
-    the pole lies inside (lo, hi)."""
-    if hi <= lo:
-        return 0.0
-    # Offsets t in (0, 1/2) from either end, as fractions of the span.
-    edges = np.concatenate(([0.0], np.geomspace(1e-14, 0.5, max(n // 40, 2))))
+@functools.lru_cache(maxsize=8)
+def _nodes(n: int):
+    """Offsets t in (0, 1/2) from either end, as fractions of the span, and
+    their weights: n // 40 panels, as read-only arrays built once per n."""
+    edges = np.concatenate(([0.0], np.geomspace(1e-14, 0.5, n // 40)))
     mid, width = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     t, w = (mid[:, None] + width[:, None] * _X).ravel(), (width[:, None] * _W).ravel()
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def pv_quad(g, pole: float, lo: float, hi: float, n: int = 1200) -> float:
+    """Principal value of int_lo^hi g(t)/(pole - t) dt, g smooth, with n
+    nodes per piece: n // 40 panels of 20 toward each end, so n must be an
+    int of at least 80.  Works whether or not the pole lies inside
+    (lo, hi)."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 80:
+        raise DomainError(f"n must be an int of at least 80, got {n!r}")
+    if hi <= lo:
+        return 0.0
+    t, w = _nodes(n)
     if not lo < pole < hi:
         return float(_regular(g, pole, lo, hi, t, w))
     half = min(pole - lo, hi - pole)

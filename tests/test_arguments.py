@@ -9,10 +9,12 @@ then raise DomainError (ConfigurationError for an oscillator's level
 count) with numpy warnings raised as errors, never a numpy traceback, a
 silent NaN or a silent coercion, and before it allocates 1 MiB.  A
 second table holds cutoffs that were once rejected and that the
-closed-form shifts now evaluate.
+closed-form shifts now evaluate.  A pool of floats checks that a Python
+float, which takes a fast path, is judged as np.float64 is.
 """
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -37,6 +39,7 @@ from lineshape import (
     closed_form_amplitude,
     coupling_pair,
     delta_offshell,
+    errors,
     excited_amplitude_during_pulse,
     fluorescence_sweep,
     gamma_offshell,
@@ -226,6 +229,36 @@ def test_int_arguments_give_what_their_floats_give():
         got, want = (lineshape_S(LineshapeParams(POINCARE, 1.0, gamma), [1.0, 2.0])
                      for gamma in (10**300, 1e300))
         assert got.values.tobytes() == want.values.tobytes()
+
+
+# Every float class the rules tell apart, and its negation.
+FLOAT_POOL = [sign * v for v in (0.0, 5e-324, 2.2e-308, 1.0, 1e308,
+                                 sys.float_info.max, math.inf, math.nan)
+              for sign in (1.0, -1.0)]
+
+
+def _outcome(check, value, rule):
+    try:
+        return "accepted", check(value, "x", rule)
+    except DomainError as exc:
+        return "rejected", str(exc)
+
+
+@pytest.mark.parametrize("rule", sorted(errors._RULES))
+@pytest.mark.parametrize("check", [errors._check_scalar, errors._check_real],
+                         ids=["scalar", "real"])
+def test_a_python_float_is_checked_as_numpy_float64_is(check, rule):
+    # A Python float takes the fast path; np.float64, a float subclass,
+    # takes the general one.  Same verdict, message and array bits.
+    for value in FLOAT_POOL:
+        (fast, got), (general, want) = (_outcome(check, v, rule)
+                                        for v in (value, np.float64(value)))
+        assert fast == general, value
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got == want
 
 
 # Cutoffs once rejected, past 1e8 times the smallest transition frequency

@@ -718,6 +718,36 @@ class TestScipyCrossCheck:
             assert ours.dtype == theirs.dtype and ours.shape == theirs.shape
             assert ours.tobytes() == theirs.tobytes(), name
 
+    def test_complex_tables_keep_the_tableau_doubles(self):
+        # Stored complex for the stage products, with the doubles of A, E5
+        # and E3 as real parts and +0.0 as imaginary parts.
+        for s, row in enumerate(dynamics._ROWS):
+            nonzero = [(j, a) for j, a in enumerate(dynamics.A[s, :s].tolist()) if a]
+            assert [j for j, _ in row] == [j for j, _ in nonzero]
+            for (_, a), (_, want) in zip(row, nonzero):
+                assert (a.real.hex(), a.imag.hex()) == (want.hex(), "0x0.0p+0")
+        rows = dynamics._STEP_ROWS
+        want = np.array([dynamics.A[12, :13], dynamics.E5, dynamics.E3])
+        assert rows.real.tobytes() == want.tobytes()
+        assert rows.imag.tobytes() == np.zeros_like(want).tobytes()
+        # CPython multiplies a float by a complex as that complex product.
+        rng = np.random.default_rng(3)
+        for a, z in zip(rng.normal(size=200).tolist(),
+                        (rng.normal(size=200) + 1j * rng.normal(size=200)).tolist()):
+            assert repr(a * z) == repr(complex(a) * z)  # bit for bit
+
+    def test_feed_at_the_nonzero_entries_is_the_full_product(self):
+        rng = np.random.default_rng(4)
+        gram = rng.normal(size=(16, 17)) + 1j * rng.normal(size=(16, 17))
+        h, nonzero = 0.0123, dynamics._NONZERO
+        feed = (h * dynamics.A[nonzero] * gram[nonzero]).tolist()
+        full = (h * dynamics.A * gram[:, :16]).tolist()
+        assert len(feed) == 82
+        for s, pairs in enumerate(dynamics._FEED):
+            assert [j for _, j in pairs] == [j for j, _ in dynamics._ROWS[s]]
+            for k, j in pairs:
+                assert repr(feed[k]) == repr(full[s][j])
+
     def test_step_control_matches_solve_ivp_through_rejections(self):
         # A burst in the drive forces rejected steps, so the growth limit
         # after a rejection is exercised too; three modes feed back.

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lineshape import quadrature
+from lineshape import DomainError, quadrature
 from lineshape.quadrature import pv_quad
 
 from helpers import mp_pv
@@ -90,6 +90,36 @@ def test_pv_pole_far_below_a_long_interval():
 def test_empty_interval_is_zero():
     assert pv_quad(lambda t: t, 0.5, 2.0, 2.0) == 0.0
     assert pv_quad(lambda t: t, 0.5, 2.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("n", [79, 0, -5, True, 1200.0])
+def test_a_node_count_that_is_not_an_int_of_at_least_80_is_rejected(n):
+    # It was coerced (79, 0, -5 and True gave 80 nodes; 1200.0 ended in a
+    # TypeError), and 1200.0 would share the stored table of 1200.
+    before = quadrature._nodes.cache_info()
+    with pytest.raises(DomainError, match="n must be an int of at least 80"):
+        pv_quad(lambda t: t, 0.5, 0.0, 1.0, n)
+    assert quadrature._nodes.cache_info() == before
+
+
+def test_the_stored_node_tables_are_read_only():
+    for table in quadrature._nodes(1200):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [600, 1200, 4096, 16385])
+def test_a_stored_node_table_keeps_every_bit(n, monkeypatch):
+    # An interior pole nearer either end, and an exterior one.
+    cases = [(lambda t: t**3, 1.3, 0.0, 10.0), (lambda t: t**3, 8.7, 0.0, 10.0),
+             (lambda t: 4.0 * t**3 / (t + 1.0) ** 2, -0.7, 0.0, 1e3)]
+    quadrature._nodes.cache_clear()
+    first = [pv_quad(*case, n).hex() for case in cases]  # builds the table
+    stored = [pv_quad(*case, n).hex() for case in cases]
+    monkeypatch.setattr(quadrature, "_nodes", quadrature._nodes.__wrapped__)
+    fresh = [pv_quad(*case, n).hex() for case in cases]
+    assert first == stored == fresh
 
 
 # g, as (numpy, mpmath) functions; the last is the symmetric kind's
