@@ -2,7 +2,8 @@
 
 :func:`integrate_dynamics` integrates the coupled amplitude equations of
 the rectangular pi-pulse of :mod:`lineshape.pulse` and returns a
-:class:`PulseTrajectory`.  Only ``lineshape verify`` and pulse runs with
+:class:`PulseTrajectory` (samples, modes and stepper counts; the flags
+are the caller's own).  Only ``lineshape verify`` and pulse runs with
 ``trajectory: true`` call it, so no other run imports (or, without a
 bytecode cache, compiles) this module.  Through the pulse window it steps
 an atom under the drive D and N modes that it feeds (and, with
@@ -297,8 +298,6 @@ class PulseTrajectory:
     mode_grid: np.ndarray
     beta_pulse_end: np.ndarray
     beta_final: np.ndarray
-    rwa: bool
-    include_field_during_pulse: bool
     post_times: np.ndarray | None = None
     post_b_e: np.ndarray | None = None
     ode_stats: dict | None = None
@@ -512,6 +511,5 @@ def integrate_dynamics(
 
     return PulseTrajectory(
         times=t_eval, b_g=atom[0], b_e=atom[1], mode_grid=mode_grid,
-        beta_pulse_end=beta_end, beta_final=beta_final, rwa=rwa,
-        include_field_during_pulse=include_field_during_pulse,
-        post_times=post_times, post_b_e=post_b_e, ode_stats=ode_stats)
+        beta_pulse_end=beta_end, beta_final=beta_final, post_times=post_times,
+        post_b_e=post_b_e, ode_stats=ode_stats)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_real, _check_scalar
+from .errors import DomainError, _check_scalar
 from .representations import GaugeRepresentation, _check_rep, _mixing
-from .spectra import Spectrum, _numerator, _scratch, _sweep
+from .spectra import Spectrum, _numerator, _pointwise, _sweep
 
 __all__ = [
     "SharpLineScenario",
@@ -43,13 +43,9 @@ def n_factor(rep: GaugeRepresentation, omega_0, omega_eg: float):
     times the flux factor 1/x.  That is 1/x (Coulomb), x**3 (Poincare) and
     16 x**3 / (1 + x)**4 (symmetric).
     """
-    omega_0 = _check_real(omega_0, "omega_0", "positive")
     _check_scalar(omega_eg, "omega_eg")
-    x, out, tmp, _ = _scratch(omega_0.shape, 3)
-    with np.errstate(all="ignore"):  # an overflow raises below
-        _n_factor(rep, np.divide(omega_0, omega_eg, out=x), out, tmp)
-    _check_real(out, "n_factor", "finite")
-    return out if out.ndim else float(out)
+    return _pointwise(omega_0, "omega_0", "positive", 3, "n_factor", lambda w, s:
+                      _n_factor(rep, np.divide(w, omega_eg, out=s[0]), s[1], s[2]))
 
 
 def _n_factor(rep: GaugeRepresentation, x, out, tmp):
@@ -124,16 +120,14 @@ def lamb_n_factor(rep: GaugeRepresentation, omega_0, omega: float, omega_prime: 
     mixing factor of the driven transition: squared absorption coupling
     m_0**2 / x_0 times the flux factor 1/x_0.
     """
-    omega_0 = _check_real(omega_0, "omega_0", "positive")
     _check_scalar(omega, "omega")
     _check_scalar(omega_prime, "omega_prime")
-    if omega_0.size:
-        _check_emitted(omega, omega_prime, omega_0.max())
-    out, *scratch = _scratch(omega_0.shape, 4)
-    with np.errstate(all="ignore"):  # an overflow raises below
-        _lamb_n_factor(rep, omega_0, omega, omega_prime, out, scratch)
-    _check_real(out, "lamb_n_factor", "finite")
-    return out if out.ndim else float(out)
+
+    def kernel(w, scratch):
+        _check_emitted(omega, omega_prime, w.max(initial=0.0))  # w > 0, or empty
+        return _lamb_n_factor(rep, w, omega, omega_prime, scratch[0], scratch[1:])
+
+    return _pointwise(omega_0, "omega_0", "positive", 4, "lamb_n_factor", kernel)
 
 
 def _check_emitted(omega, omega_prime, omega_0_max) -> None:

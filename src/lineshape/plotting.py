@@ -36,23 +36,20 @@ class PlotStyle:
     log_scale: bool = False  # plot ln(S) instead of S
 
 
-def _curve_order(spectra: list[Spectrum]) -> list[Spectrum]:
-    """Fixed legend/draw order: named representations first, then by name."""
-    def key(spec: Spectrum):
-        name = str(spec.metadata.get("representation", ""))
-        return (_BASE_ORDER.get(name, len(_BASE_ORDER)), name)
-
-    return sorted(spectra, key=key)
-
-
 def _resampled(spectra: list[Spectrum]):
-    """The curves in their fixed order, on the first one's grid.  Both
-    formats need at least one curve, and two points on every curve."""
+    """The curves in their fixed legend and draw order (named representations
+    first, then by name), on the first one's grid.  Both formats need at
+    least one curve, and two points on every curve."""
     if not spectra:
         raise ConfigurationError("nothing to plot")
     if min(spec.grid.size for spec in spectra) < 2:
         raise ConfigurationError("a plot needs at least two points per curve")
-    spectra = _curve_order(spectra)
+
+    def key(spec: Spectrum):
+        name = str(spec.metadata.get("representation", ""))
+        return (_BASE_ORDER.get(name, len(_BASE_ORDER)), name)
+
+    spectra = sorted(spectra, key=key)
     base = spectra[0].grid
     curves = []
     for spec in spectra:
@@ -75,11 +72,11 @@ def _quoted(text: str) -> str:
     return "'" + text.replace("'", "''") + "'"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / target
+    raw = span / 6  # about six ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -125,17 +122,21 @@ def emit_svg(spectra: list[Spectrum], style: PlotStyle) -> str:
         f'height="{_CANVAS_H:.0f}" viewBox="0 0 {_CANVAS_W:.0f} {_CANVAS_H:.0f}">',
         f'<rect width="{_CANVAS_W:.0f}" height="{_CANVAS_H:.0f}" fill="white"/>',
     ]
+
+    # The two element writers take coordinates already formatted.
+    def text(x, y, size, body, anchor="middle", extra=""):
+        lead = f'text-anchor="{anchor}" ' if anchor else ""
+        parts.append(f'<text x="{x}" y="{y}" {lead}font-family="sans-serif" '
+                     f'font-size="{size}"{extra}>{_xml(body)}</text>')
+
+    def line(x1, y1, x2, y2, stroke="black", width=1):
+        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                     f'stroke="{stroke}" stroke-width="{width}"/>')
+
     if style.title:
-        parts.append(
-            f'<text x="{_CANVAS_W / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{_xml(style.title)}</text>'
-        )
+        text(f"{_CANVAS_W / 2:.1f}", 24, 16, style.title)
     if style.subtitle:
-        parts.append(
-            f'<text x="{_CANVAS_W / 2:.1f}" y="44" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" fill="#555">'
-            f'{_xml(style.subtitle)}</text>'
-        )
+        text(f"{_CANVAS_W / 2:.1f}", 44, 11, style.subtitle, extra=' fill="#555"')
 
     # Frame and ticks.
     x0, y0 = sx(x_lo), sy(y_lo)
@@ -145,36 +146,17 @@ def emit_svg(spectra: list[Spectrum], style: PlotStyle) -> str:
         f'height="{y0 - y1:.1f}" fill="none" stroke="black" stroke-width="1"/>'
     )
     for t in _nice_ticks(x_lo, x_hi):
-        px = sx(t)
-        parts.append(
-            f'<line x1="{px:.2f}" y1="{y0:.1f}" x2="{px:.2f}" '
-            f'y2="{y0 + 5:.1f}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px:.2f}" y="{y0 + 20:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{t:.6g}</text>'
-        )
+        px = f"{sx(t):.2f}"
+        line(px, f"{y0:.1f}", px, f"{y0 + 5:.1f}")
+        text(px, f"{y0 + 20:.1f}", 11, f"{t:.6g}")
     for t in _nice_ticks(y_lo, y_hi):
         py = sy(t)
-        parts.append(
-            f'<line x1="{x0 - 5:.1f}" y1="{py:.2f}" x2="{x0:.1f}" '
-            f'y2="{py:.2f}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x0 - 9:.1f}" y="{py + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{t:.6g}</text>'
-        )
-    parts.append(
-        f'<text x="{(x0 + x1) / 2:.1f}" y="{_CANVAS_H - 18:.1f}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="13">'
-        f'{_xml(style.xlabel)}</text>'
-    )
-    ylabel = f"ln({style.ylabel})" if style.log_scale else style.ylabel
-    parts.append(
-        f'<text x="22" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 22 {(y0 + y1) / 2:.1f})">{_xml(ylabel)}</text>'
-    )
+        line(f"{x0 - 5:.1f}", f"{py:.2f}", f"{x0:.1f}", f"{py:.2f}")
+        text(f"{x0 - 9:.1f}", f"{py + 4:.2f}", 11, f"{t:.6g}", "end")
+    text(f"{(x0 + x1) / 2:.1f}", f"{_CANVAS_H - 18:.1f}", 13, style.xlabel)
+    mid = f"{(y0 + y1) / 2:.1f}"
+    text(22, mid, 13, f"ln({style.ylabel})" if style.log_scale else style.ylabel,
+         extra=f' transform="rotate(-90 22 {mid})"')
 
     # Curves.
     xs = sx(grid)
@@ -193,14 +175,8 @@ def emit_svg(spectra: list[Spectrum], style: PlotStyle) -> str:
         for idx, (name, _) in enumerate(curves):
             color = _PALETTE[idx % len(_PALETTE)]
             yy = ly + 18.0 * idx
-            parts.append(
-                f'<line x1="{lx:.1f}" y1="{yy:.1f}" x2="{lx + 26:.1f}" '
-                f'y2="{yy:.1f}" stroke="{color}" stroke-width="2"/>'
-            )
-            parts.append(
-                f'<text x="{lx + 32:.1f}" y="{yy + 4:.1f}" '
-                f'font-family="sans-serif" font-size="12">{_xml(name)}</text>'
-            )
+            line(f"{lx:.1f}", f"{yy:.1f}", f"{lx + 26:.1f}", f"{yy:.1f}", color, 2)
+            text(f"{lx + 32:.1f}", f"{yy + 4:.1f}", 12, name, None)
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -26,7 +26,9 @@ The pulse-window kernel has removable zeros in its denominator.  They are
 factored out exactly (see ``closed_form_amplitude``), so one branch-free
 expression in real arithmetic, one vectorised tan per point, serves the
 whole line.  ``pulse_spectrum`` evaluates it through the blocked sweep of
-:mod:`lineshape.spectra`.
+:mod:`lineshape.spectra` and the two point functions through its frame,
+which raises DomainError on a non-finite result.  ``_drive`` rejects a
+drive whose phase mu pi/Omega overflows.
 
 The integrated dynamics, the ODE oracle behind ``lineshape verify`` and
 pulse ``trajectory: true``, live in :mod:`lineshape.dynamics`, which only
@@ -40,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_real, _check_scalar
+from .errors import DomainError, _check_scalar
 from .representations import GaugeRepresentation, coupling_pair
-from .spectra import Spectrum, _lorentzian, _numerator, _scratch, _sweep
+from .spectra import Spectrum, _lorentzian, _numerator, _pointwise, _sweep
 
 __all__ = [
     "PulseConfig",
@@ -87,11 +89,15 @@ class PulseConfig:
 def _drive(config: PulseConfig, rep: GaugeRepresentation, omega_0: float):
     """Drive constants: coupling u_l (u_minus at the carrier; 1 on
     resonance in every representation), laser detuning delta_l and the
-    generalised Rabi frequency mu = hypot(Omega u_l, delta_l)."""
+    generalised Rabi frequency mu = hypot(Omega u_l, delta_l), which bounds
+    the other two: a finite mu pi/Omega keeps every phase taken finite."""
     _check_scalar(omega_0, "omega_0")
     u_l = coupling_pair(rep, config.omega_l, omega_0).u_minus
     delta_l = omega_0 - config.omega_l
-    return u_l, delta_l, math.hypot(config.rabi * u_l, delta_l)
+    mu = math.hypot(config.rabi * u_l, delta_l)
+    if not math.isfinite(mu * float(config.duration)):  # float: no numpy warning
+        raise DomainError("drive phase mu*pi/rabi must be finite")
+    return u_l, delta_l, mu
 
 
 def excited_amplitude_during_pulse(t, config: PulseConfig,
@@ -101,18 +107,19 @@ def excited_amplitude_during_pulse(t, config: PulseConfig,
     b_e(t) = -i (Omega u_l / mu) exp(i delta_l (t - pi/Omega)/2)
              sin((mu/2)(t + pi/Omega)),   -pi/Omega <= t <= 0.
     """
-    t_arr = _check_real(t, "t")
-    T = config.duration
-    if t_arr.size and not (t_arr.min() >= -T - 1e-12 and t_arr.max() <= 1e-12):
-        raise DomainError("time outside the pulse window [-pi/Omega, 0]")
-    u_l, delta_l, mu = _drive(config, rep, omega_0)
-    out = (
-        -1j
-        * (config.rabi * u_l / mu)
-        * np.exp(1j * delta_l * (t_arr - T) / 2.0)
-        * np.sin(0.5 * mu * (t_arr + T))
-    )
-    return out if out.ndim else complex(out)
+    def kernel(t_arr, _):
+        T = config.duration
+        if t_arr.size and not (t_arr.min() >= -T - 1e-12 and t_arr.max() <= 1e-12):
+            raise DomainError("time outside the pulse window [-pi/Omega, 0]")
+        u_l, delta_l, mu = _drive(config, rep, omega_0)
+        return (
+            -1j
+            * (config.rabi * u_l / mu)
+            * np.exp(1j * delta_l * (t_arr - T) / 2.0)
+            * np.sin(0.5 * mu * (t_arr + T))
+        )
+
+    return _pointwise(t, "t", "finite", 0, "excited_amplitude_during_pulse", kernel)
 
 
 def _kernel_parts(P, theta: float, scratch):
@@ -207,14 +214,15 @@ def closed_form_amplitude(omega_k, config: PulseConfig,
     Scalar in, scalar out; arrays keep their shape.
     """
     _check_scalar(gamma, "gamma")
-    _check_scalar(omega_0, "omega_0")
-    omega_k = _check_real(omega_k, "omega_k")
     drive = _drive(config, rep, omega_0)
-    delta_k, *scratch = _scratch(omega_k.shape, 8)
-    re, im = _amplitude_parts(np.subtract(omega_0, omega_k, out=delta_k), config,
-                              drive, gamma, scratch)
-    out = re + 1j * im
-    return out if np.ndim(out) else complex(out)
+
+    def kernel(w, scratch):
+        delta_k, *rest = scratch
+        re, im = _amplitude_parts(np.subtract(omega_0, w, out=delta_k), config,
+                                  drive, gamma, rest)
+        return re + 1j * im
+
+    return _pointwise(omega_k, "omega_k", "finite", 8, "closed_form_amplitude", kernel)
 
 
 # -- spectra -----------------------------------------------------------------
@@ -231,7 +239,6 @@ def pulse_spectrum(config: PulseConfig, rep: GaugeRepresentation, omega_0: float
     emission lineshape :func:`~lineshape.spectra.lineshape_S`.
     """
     _check_scalar(gamma, "gamma")
-    _check_scalar(omega_0, "omega_0")
     drive = _drive(config, rep, omega_0)
 
     def kernel(w, out, scratch):

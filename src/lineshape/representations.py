@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _check_real, _check_scalar
+from .errors import _MAX, DomainError, _check_real, _check_scalar
 
 __all__ = [
     "GaugeRepresentation",
@@ -137,19 +137,23 @@ def coupling_pair(rep: GaugeRepresentation, omega_k, omega_0: float) -> Coupling
     _check_rep(rep)
     omega_k = _check_real(omega_k, "mode frequency", "positive")
     _check_scalar(omega_0, "transition frequency")
-    if rep.kind == "symmetric":
-        u_minus = 2.0 * np.sqrt(omega_0 * omega_k) / (omega_k + omega_0)
-        u_plus = np.zeros_like(u_minus)
-    else:
-        alpha = _constant_alpha(rep)
-        down = np.sqrt(omega_0 / omega_k)
-        up = np.sqrt(omega_k / omega_0)
-        # In place for arrays, two grid-sized temporaries fewer: same bits.
-        down *= 1.0 - alpha
-        up *= alpha
-        u_plus = down - up
-        u_minus = np.add(down, up, out=down) if down.ndim else down + up
-    if np.ndim(u_minus) == 0:
+    with np.errstate(all="ignore"):  # a coupling out of range raises below
+        if rep.kind == "symmetric":
+            u_minus = 2.0 * np.sqrt(omega_0 * omega_k) / (omega_k + omega_0)
+            u_plus = np.zeros_like(u_minus)
+        else:
+            alpha = _constant_alpha(rep)
+            down = np.sqrt(omega_0 / omega_k)
+            up = np.sqrt(omega_k / omega_0)
+            # In place for arrays, two grid-sized temporaries fewer: same bits.
+            down *= 1.0 - alpha
+            up *= alpha
+            u_plus = down - up
+            u_minus = np.add(down, up, out=down) if down.ndim else down + up
+    # u_minus = down + up >= 0, or nan; u_plus is finite wherever it is.
+    if not (u_minus.max(initial=0.0) if u_minus.ndim else u_minus) <= _MAX:
+        raise DomainError("couplings overflow: omega_k/omega_0 is out of range")
+    if not u_minus.ndim:
         return CouplingPair(float(u_plus), float(u_minus))
     return CouplingPair(u_plus, u_minus)
 

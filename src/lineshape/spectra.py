@@ -13,7 +13,8 @@ is checked while it is in cache.
 A kernel writes each block into the output with ufunc ``out=``, its
 intermediates into a scratch arena that each thread allocates once per
 sweep.  Its in-place helpers (``_numerator``, ...) are the only copy of
-each formula; the public point functions call them on fresh buffers.
+each formula; the public point functions call them on fresh buffers in
+one frame, ``_pointwise``, which raises DomainError on a non-finite result.
 No bit of any output depends on the block size or on the number of CPUs.
 """
 
@@ -64,13 +65,9 @@ def numerator(rep: GaugeRepresentation, omega_k, omega_eg: float):
     + alpha x the representation's mixing factor.  That is x (Coulomb),
     x**3 (Poincare) and 4 x**3 / (1 + x)**2 (symmetric).
     """
-    omega_k = _check_real(omega_k, "omega_k", "positive")
     _check_scalar(omega_eg, "omega_eg")
-    x, out, tmp, _ = _scratch(omega_k.shape, 3)
-    with np.errstate(all="ignore"):  # an overflow raises below
-        _numerator(rep, np.divide(omega_k, omega_eg, out=x), out, tmp)
-    _check_real(out, "numerator", "finite")
-    return out if out.ndim else float(out)
+    return _pointwise(omega_k, "omega_k", "positive", 3, "numerator", lambda w, s:
+                      _numerator(rep, np.divide(w, omega_eg, out=s[0]), s[1], s[2]))
 
 
 def _numerator(rep: GaugeRepresentation, x, out, tmp):
@@ -83,6 +80,18 @@ def _scratch(shape, floats: int) -> list:
     """``floats`` float64 buffers and a bool one, each of ``shape``: the
     scratch of the in-place helpers (``_numerator``, ...)."""
     return [*(np.empty(shape) for _ in range(floats)), np.empty(shape, bool)]
+
+
+def _pointwise(arg, name: str, rule: str, floats: int, result: str, kernel):
+    """A point function: ``kernel(arg, _scratch(arg.shape, floats))`` on
+    ``arg`` checked by ``rule``, numpy silenced, and its result (a Python
+    scalar for a 0-d ``arg``) checked finite, part by part if complex."""
+    arg = _check_real(arg, name, rule)
+    with np.errstate(all="ignore"):  # a result out of range raises below
+        out = kernel(arg, _scratch(arg.shape, floats))
+    for part in (out.real, out.imag) if out.dtype.kind == "c" else (out,):
+        _check_real(part if part.ndim else part.item(), result, "finite")
+    return out if out.ndim else out.item()
 
 
 # -- the spectrum ------------------------------------------------------------

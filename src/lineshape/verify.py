@@ -256,8 +256,6 @@ def _resonant_amplitude(omega_k, rabi: float, omega_0: float, gamma: float):
     Pulse term: 2 (Omega e^{i pi delta_k / Omega} - 2 i delta_k)
     / (Omega^2 - 4 delta_k^2), with exact handling of delta_k = +/- Omega/2.
     """
-    if gamma <= 0.0 or rabi <= 0.0:
-        raise DomainError("gamma and rabi must be positive")
     omega_k = np.asarray(omega_k, dtype=float)
     delta_k = omega_0 - omega_k
 
@@ -400,8 +398,10 @@ def check_total_shift_invariance(cutoffs=(100.0, 1000.0)) -> list[CheckResult]:
     osc = build_oscillator(1.0, 1.0, 5)
     two = build_two_level(1.0, 1.0)
     residual = 0.0
+    poles = [pole for _, pole, _ in _shift_terms(osc, "1", "coulomb")]
     for cutoff in cutoffs:
         modes = np.geomspace(1e-2, cutoff, 160)
+        modes = modes[~np.isin(modes, poles)]  # a node on a pole diverges
         c = _shift_integrand(osc, "1", "coulomb", modes)
         p = _shift_integrand(osc, "1", "poincare", modes)
         floor = 1e-3 * np.max(np.abs(p))
@@ -548,8 +548,8 @@ def check_table_consistency() -> list[CheckResult]:
     return out
 
 
-def check_ode_oracle(omega_0=1.0, rabi=1.0, gamma=0.1) -> list[CheckResult]:
-    rep = SYMMETRIC
+def check_ode_oracle() -> list[CheckResult]:
+    omega_0, rabi, gamma, rep = 1.0, 1.0, 0.1, SYMMETRIC
     config = PulseConfig(rabi=rabi, omega_l=omega_0)
     modes = omega_0 - np.linspace(-5.0 * rabi, 5.0 * rabi, 81)
     traj = integrate_dynamics(config, rep, omega_0, gamma, modes)
@@ -683,9 +683,10 @@ def check_ode_oracle(omega_0=1.0, rabi=1.0, gamma=0.1) -> list[CheckResult]:
     ]
 
 
-def check_reference_lorentzian(omega_0=1.0, gamma=0.125) -> list[CheckResult]:
+def check_reference_lorentzian() -> list[CheckResult]:
     # Binary fractions: omega_0 and omega_0 -/+ gamma/2 are the grid points
     # 448, 512 and 576 exactly, so their detunings carry no rounding.
+    omega_0, gamma = 1.0, 0.125
     grid = np.linspace(0.5, 1.5, 1025)
     values = lorentzian_reference_spectrum(omega_0, gamma, grid).values
     peak = 2.0 / (math.pi * gamma)

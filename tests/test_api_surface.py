@@ -68,8 +68,8 @@ PUBLIC_SIGNATURES = {
     "LineshapeParams": "(rep, omega_eg, gamma, lamb_shift=0.0)",
     "PulseConfig": "(rabi, omega_l)",
     "PulseTrajectory": "(times, b_g, b_e, mode_grid, beta_pulse_end, "
-                       "beta_final, rwa, include_field_during_pulse, "
-                       "post_times=None, post_b_e=None, ode_stats=None)",
+                       "beta_final, post_times=None, post_b_e=None, "
+                       "ode_stats=None)",
     "ScenarioError": "(message, line=None)",
     "SharpLineScenario": "(intensity, omega_0, omega_eg, gamma, dipole_proj, "
                          "rep)",

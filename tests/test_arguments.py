@@ -24,6 +24,7 @@ import pytest
 from lineshape import (
     COULOMB,
     POINCARE,
+    SYMMETRIC,
     AtomModel,
     ConfigurationError,
     DomainError,
@@ -154,6 +155,14 @@ ROWS = [
     (closed_form_amplitude,
      dict(omega_k=0.7, config=DRIVE, rep=COULOMB, omega_0=1.0, gamma=0.1),
      "omega_k", "0.7"),
+    # Finite arguments in range whose result is not finite.
+    (closed_form_amplitude,
+     dict(omega_k=0.7, config=DRIVE, rep=SYMMETRIC, omega_0=1.0, gamma=0.1),
+     "omega_k", -1e308),
+    (excited_amplitude_during_pulse,
+     dict(t=-3.0, config=DRIVE, rep=COULOMB, omega_0=1.0), "omega_0", 3e307),
+    (coupling_pair, dict(rep=COULOMB, omega_k=1e-300, omega_0=1.0), "omega_0", 1e10),
+    (coupling_pair, dict(rep=SYMMETRIC, omega_k=1e300, omega_0=1.0), "omega_0", 1e300),
     (excited_amplitude_during_pulse,
      dict(t=-1.0, config=DRIVE, rep=COULOMB, omega_0=1.0), "t", "-1"),
     (Spectrum, dict(grid=[1.0, 2.0], values=[1.0, 1.0]), "grid", ["1", "2"]),

@@ -433,6 +433,37 @@ class TestRabiDomain:
         assert np.all(np.isfinite(spec.values))
 
 
+class TestDrivePhaseDomain:
+    """A drive whose phase mu pi/Omega overflows, mu = hypot(Omega u_l,
+    delta_l), is rejected with DomainError, not a math domain error from
+    the sine of an infinite phase."""
+
+    MESSAGE = r"drive phase mu\*pi/rabi must be finite"
+
+    def test_cli_exits_3_with_one_line(self, tmp_path, capsys):
+        argv = ["pulse", "--rabi", "1", "--gamma", "0.1", "--omega-0", "1.7e308",
+                "--omega-l", "1", "--reps", "coulomb", "--out-dir", str(tmp_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: drive phase") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("call", [
+        lambda config: closed_form_amplitude(1.0, config, COULOMB, 1.7e308, GAMMA),
+        lambda config: pulse_spectrum(config, COULOMB, 1.7e308, GAMMA, [0.5, 1.5]),
+        lambda config: excited_amplitude_during_pulse(-1.0, config, COULOMB, 1.7e308),
+    ], ids=["closed_form_amplitude", "pulse_spectrum", "excited_amplitude_during_pulse"])
+    @pytest.mark.parametrize("rabi", [1.0, np.float64(1.0)], ids=["float", "float64"])
+    def test_library_rejects(self, call, rabi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=self.MESSAGE):
+                call(PulseConfig(rabi=rabi, omega_l=1.0))
+
+
 class TestDynamics:
     def test_trajectory_matches_closed_form_pointwise(self):
         for cfg, rep in ((RESONANT, SYMMETRIC),

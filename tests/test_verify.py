@@ -138,6 +138,15 @@ def test_verify_runs_at_either_end_of_its_cutoff_range(end):
         assert run_all_checks(verify._CUTOFF_RANGE[end]).all_passed()
 
 
+# Each puts a node of the oscillator's total-shift comparison exactly on
+# w = 1, the pole of its 1->0 term: the check leaves that node out.
+@pytest.mark.parametrize("cutoff", [1.0, 1e4, 1e5, 1e51, 1e104, 1e105])
+def test_verify_passes_with_a_mode_node_on_a_pole(cutoff):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_all_checks(cutoff).all_passed()
+
+
 # Public functions that run_all_checks does not call: CSV I/O and the
 # preset builder by design, and three that no check reaches yet.  The
 # second list may only shrink.
