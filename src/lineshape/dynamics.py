@@ -387,9 +387,13 @@ def _secular_roots(delta: np.ndarray, weights: np.ndarray):
 
 
 def _expm1_over(eps):
-    """(exp(i eps) - 1) / eps for real eps, stable through eps = 0."""
-    eps = np.asarray(eps, dtype=float)
-    return 1j * np.exp(0.5j * eps) * np.sinc(eps / (2.0 * math.pi))
+    """(exp(i eps) - 1) / eps = i e^{i eps/2} sin(eps/2)/(eps/2) for a real
+    array ``eps``, both factors from the one tan(eps/4) of :func:`_phasor`.
+    sin(x)/x rounds to 1 for |x| <= 1e-8, and is taken as 1 there."""
+    half = np.multiply(eps, 0.5)
+    phase = _phasor(half)
+    sinc = np.divide(phase.imag, half, out=np.ones_like(half), where=abs(half) > 1e-8)
+    return 1j * sinc * phase
 
 
 def _field_free_decay(b_e0: complex, beta0: np.ndarray, delta: np.ndarray,

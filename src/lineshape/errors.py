@@ -8,6 +8,10 @@ bool, string, complex or object) and finite elements of either sign or,
 by its rule, positive or non-negative ones.  A Python float, the common
 argument, goes straight to its rule: no ABC check, array round trip or
 reduction, and the same outcome and message as any other real.
+Numpy's error state has three owners, which silence it and check their
+results finite (see :mod:`lineshape.spectra`).  The rest of the package
+runs at numpy's defaults: it decides overflow from a checked range before
+any arithmetic (``coupling_pair``) or computes in Python floats.
 """
 
 import numbers
@@ -72,14 +76,21 @@ def _as_real(value, name: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def _check_real(value, name: str, rule: str = "finite") -> np.ndarray:
+def _check_range(value, name: str, rule: str = "finite"):
     """``value`` as a float array whose elements obey ``rule`` (by default
-    finite, of either sign), decided by whole-array min and max, which
-    build no boolean temporary.  A Python float is its own min and max."""
+    finite, of either sign), decided by its min and max, which build no
+    boolean temporary and are returned with it as Python floats (inf and
+    -inf if it is empty).  A Python float is its own min and max."""
     if type(value) is float:
         _check_scalar(value, name, rule)
-        return np.asarray(value)
+        return np.asarray(value), value, value
     arr = _as_real(value, name)
-    if arr.size and not (_RULES[rule](arr.min()) and _RULES[rule](arr.max())):
+    lo, hi = float(arr.min(initial=np.inf)), float(arr.max(initial=-np.inf))
+    if arr.size and not (_RULES[rule](lo) and _RULES[rule](hi)):
         raise _fail(name, rule)
-    return arr
+    return arr, lo, hi
+
+
+def _check_real(value, name: str, rule: str = "finite") -> np.ndarray:
+    """:func:`_check_range` without the range."""
+    return _check_range(value, name, rule)[0]

@@ -269,14 +269,12 @@ def _zero_locus_on_grid(config, drive, omega_0, grid) -> bool:
     the increasing ``grid`` (the removable-singularity locus crosses the
     requested frequencies), for the constants ``drive`` of :func:`_drive`.
     D = mu^2 - (2 delta_k - delta_l)^2 is concave in omega_k, so its least
-    value on the grid is at its first or its last point."""
-    if grid.size == 0:
-        return False
-    delta_k = omega_0 - np.array([grid[0], grid[-1]])
+    value on the grid is at its first or its last point.  D is formed in
+    Python floats, which overflow to +/-inf without a numpy warning."""
     u_l, delta_l, _ = drive
-    rabi_u = config.rabi * u_l  # squared by hand: ** raises on overflow
-    D = rabi_u * rabi_u + 4.0 * delta_k * (delta_l - delta_k)
-    return bool(np.any(D <= 0.0))
+    rabi_u = float(config.rabi) * u_l  # squared by hand: ** raises on overflow
+    delta_k = [float(omega_0) - w for w in (grid[[0, -1]].tolist() if grid.size else [])]
+    return any(rabi_u * rabi_u + 4.0 * d * (float(delta_l) - d) <= 0.0 for d in delta_k)
 
 
 def lorentzian_reference_spectrum(omega_0: float, gamma: float, grid) -> Spectrum:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import _MAX, DomainError, _check_real, _check_scalar
+from .errors import _MAX, DomainError, _check_range, _check_scalar
 
 __all__ = [
     "GaugeRepresentation",
@@ -122,9 +122,7 @@ def _constant_alpha(rep: GaugeRepresentation) -> float | None:
 
 
 def coupling_pair(rep: GaugeRepresentation, omega_k, omega_0: float) -> CouplingPair:
-    """Evaluate u_plus / u_minus for the given representation.
-
-    u_pm = (1 - alpha) sqrt(omega_0/omega_k) -/+ ... specifically
+    """Evaluate u_plus / u_minus for the given representation:
 
         u_plus  = (1 - alpha) sqrt(omega_0/omega_k) - alpha sqrt(omega_k/omega_0)
         u_minus = (1 - alpha) sqrt(omega_0/omega_k) + alpha sqrt(omega_k/omega_0)
@@ -133,26 +131,30 @@ def coupling_pair(rep: GaugeRepresentation, omega_k, omega_0: float) -> Coupling
     that branch returns exact zeros so downstream rotating-wave identities
     hold to the last bit, and u_minus in the simplified form
     2 sqrt(omega_0 omega_k) / (omega_k + omega_0).
+
+    Overflow raises DomainError and is decided from the input range first:
+    the pair overflows exactly where omega_0/omega_k or omega_k/omega_0
+    (omega_0 omega_k in the symmetric kind, whose sum cannot overflow while
+    it is finite) leaves the float range, so the least and greatest omega_k
+    decide the whole array.
     """
     _check_rep(rep)
-    omega_k = _check_real(omega_k, "mode frequency", "positive")
+    omega_k, lo, hi = _check_range(omega_k, "mode frequency", "positive")
     _check_scalar(omega_0, "transition frequency")
-    with np.errstate(all="ignore"):  # a coupling out of range raises below
-        if rep.kind == "symmetric":
-            u_minus = 2.0 * np.sqrt(omega_0 * omega_k) / (omega_k + omega_0)
-            u_plus = np.zeros_like(u_minus)
-        else:
-            alpha = _constant_alpha(rep)
-            down = np.sqrt(omega_0 / omega_k)
-            up = np.sqrt(omega_k / omega_0)
-            # In place for arrays, two grid-sized temporaries fewer: same bits.
-            down *= 1.0 - alpha
-            up *= alpha
-            u_plus = down - up
-            u_minus = np.add(down, up, out=down) if down.ndim else down + up
-    # u_minus = down + up >= 0, or nan; u_plus is finite wherever it is.
-    if not (u_minus.max(initial=0.0) if u_minus.ndim else u_minus) <= _MAX:
+    w0, alpha = float(omega_0), _constant_alpha(rep)  # floats: no numpy warning
+    if not (w0 * hi <= _MAX if alpha is None else w0 / lo <= _MAX and hi / w0 <= _MAX):
         raise DomainError("couplings overflow: omega_k/omega_0 is out of range")
+    if alpha is None:
+        u_minus = 2.0 * np.sqrt(omega_0 * omega_k) / (omega_k + omega_0)
+        u_plus = np.zeros_like(u_minus)
+    else:
+        down = np.sqrt(omega_0 / omega_k)
+        up = np.sqrt(omega_k / omega_0)
+        # In place for arrays, two grid-sized temporaries fewer: same bits.
+        down *= 1.0 - alpha
+        up *= alpha
+        u_plus = down - up
+        u_minus = np.add(down, up, out=down) if down.ndim else down + up
     if not u_minus.ndim:
         return CouplingPair(float(u_plus), float(u_minus))
     return CouplingPair(u_plus, u_minus)

@@ -15,6 +15,8 @@ intermediates into a scratch arena that each thread allocates once per
 sweep.  Its in-place helpers (``_numerator``, ...) are the only copy of
 each formula; the public point functions call them on fresh buffers in
 one frame, ``_pointwise``, which raises DomainError on a non-finite result.
+It, each sweep thread's ``fill`` and the stepper ``dynamics._dop853`` are
+the only code that sets numpy's error state (see :mod:`lineshape.errors`).
 No bit of any output depends on the block size or on the number of CPUs.
 """
 

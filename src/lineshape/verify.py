@@ -95,15 +95,8 @@ class CheckResult:
     def measure(cls, name, description, residual, tolerance, claim,
                 expected_fail=False) -> "CheckResult":
         residual = float(residual)
-        return cls(
-            name=name,
-            description=description,
-            residual=residual,
-            tolerance=float(tolerance),
-            passed=residual <= tolerance,
-            claim=claim,
-            expected_fail=expected_fail,
-        )
+        return cls(name, description, residual, float(tolerance),
+                   residual <= tolerance, claim, expected_fail)
 
 
 @dataclass
@@ -127,12 +120,8 @@ class VerificationReport:
     def table(self) -> str:
         lines = [f"{'check':40s} {'residual':>12s} {'tolerance':>12s}  status"]
         for c in self.checks:
-            status = "XFAIL" if (c.expected_fail and not c.passed) else (
-                "PASS" if c.passed else "FAIL"
-            )
-            lines.append(
-                f"{c.name:40s} {c.residual:12.3e} {c.tolerance:12.3e}  {status}"
-            )
+            status = "PASS" if c.passed else "XFAIL" if c.expected_fail else "FAIL"
+            lines.append(f"{c.name:40s} {c.residual:12.3e} {c.tolerance:12.3e}  {status}")
         return "\n".join(lines)
 
 
@@ -266,22 +255,19 @@ def _resonant_amplitude(omega_k, rabi: float, omega_0: float, gamma: float):
     near_p = np.abs(d_plus) < 0.25 * rabi
     near_m = np.logical_and(np.abs(d_minus) < 0.25 * rabi, ~near_p)
     direct = ~(near_p | near_m)
-    if np.any(near_p):
-        d = d_plus[near_p]
-        term[near_p] = -(
-            1j * math.pi * _expm1_over(math.pi * d / rabi) - 2j
-        ) / (2.0 * (rabi + d))
-    if np.any(near_m):
-        d = d_minus[near_m]
-        term[near_m] = (
-            -1j * math.pi * _expm1_over(math.pi * d / rabi) - 2j
-        ) / (2.0 * (rabi - d))
-    if np.any(direct):
-        d = delta_k[direct]
-        term[direct] = (
-            2.0 * (rabi * np.exp(1j * math.pi * d / rabi) - 2j * d)
-            / (rabi**2 - 4.0 * d**2)
-        )
+    d = d_plus[near_p]
+    term[near_p] = -(
+        1j * math.pi * _expm1_over(math.pi * d / rabi) - 2j
+    ) / (2.0 * (rabi + d))
+    d = d_minus[near_m]
+    term[near_m] = (
+        -1j * math.pi * _expm1_over(math.pi * d / rabi) - 2j
+    ) / (2.0 * (rabi - d))
+    d = delta_k[direct]
+    term[direct] = (
+        2.0 * (rabi * np.exp(1j * math.pi * d / rabi) - 2j * d)
+        / (rabi**2 - 4.0 * d**2)
+    )
     out = tail + (-1j) * term
     return out if out.ndim else complex(out)
 
@@ -302,21 +288,18 @@ def _reduced_kernel(P, theta: float):
     near_p = np.abs(d_plus) < 0.5 * theta
     near_m = np.logical_and(np.abs(d_minus) < 0.5 * theta, ~near_p)
     direct = ~(near_p | near_m)
-    if np.any(near_p):
-        eps = d_plus[near_p]
-        out[near_p] = -(
-            np.exp(1j * theta) * _expm1_over(eps) - sin_term
-        ) / (2.0 * theta + eps)
-    if np.any(near_m):
-        eps = d_minus[near_m]
-        out[near_m] = (
-            np.exp(-1j * theta) * _expm1_over(eps) - sin_term
-        ) / (2.0 * theta - eps)
-    if np.any(direct):
-        p = P[direct]
-        out[direct] = (
-            np.exp(1j * p) - math.cos(theta) - sin_term * p
-        ) / ((theta - p) * (theta + p))
+    eps = d_plus[near_p]
+    out[near_p] = -(
+        np.exp(1j * theta) * _expm1_over(eps) - sin_term
+    ) / (2.0 * theta + eps)
+    eps = d_minus[near_m]
+    out[near_m] = (
+        np.exp(-1j * theta) * _expm1_over(eps) - sin_term
+    ) / (2.0 * theta - eps)
+    p = P[direct]
+    out[direct] = (
+        np.exp(1j * p) - math.cos(theta) - sin_term * p
+    ) / ((theta - p) * (theta + p))
     return out
 
 

@@ -297,3 +297,19 @@ def test_large_cutoff_gives_the_closed_form(call, good, cutoff, oracle):
         got = call(**args)
     want = float(oracle(**args))
     assert abs(got - want) <= 1e-13 * abs(want)
+
+
+# Grids whose ends make D = (Omega u_l)^2 + 4 delta_k delta_kl overflow as a
+# float, for a drive whose delta_l is 3e307: to -inf past omega_0 (the
+# zero locus is crossed), to +inf below it (it is not).
+ZERO_LOCUS_GRIDS = [([3e307, 3.0000001e307], True),
+                    ([np.nextafter(3e307, 0.0), 3e307], False)]
+
+
+@pytest.mark.parametrize("grid, crossed", ZERO_LOCUS_GRIDS,
+                         ids=["crossed", "not_crossed"])
+def test_zero_locus_flag_overflows_without_a_warning(grid, crossed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = pulse_spectrum(PulseConfig(1.0, 1.0), COULOMB, 3e307, 0.1, grid)
+    assert spec.metadata.get("denominator_zero_on_grid", False) is crossed

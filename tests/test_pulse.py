@@ -862,6 +862,19 @@ class TestScipyCrossCheck:
         assert err.max() <= 2.0 * np.finfo(float).eps
         assert dynamics._phasor(np.zeros((3, 2))).tobytes() == np.ones((3, 2), complex).tobytes()
 
+    def test_expm1_over_against_40_digits(self):
+        # Through eps = 0, subnormal eps, the 1e-8 edge of the unit sinc and
+        # the multiples of 2 pi, where exp(i eps) - 1 nearly vanishes.
+        import mpmath
+
+        x = np.array([0.0, 5e-324, -1e-310, 1e-300, 1.99e-8, 2e-8, 2.01e-8, -2e-8,
+                      *(2.0 * np.pi * np.arange(-6, 7)), *np.linspace(-50.0, 50.0, 401)])
+        with mpmath.workdps(40):
+            want = np.array([complex(mpmath.expm1(1j * mpmath.mpf(v)) / v) if v else 1j
+                             for v in x.tolist()])
+        rel = np.abs(dynamics._expm1_over(x) - want) / np.abs(want)
+        assert rel.max() <= 4.0 * np.finfo(float).eps
+
 
 class TestPulseSpectrum:
     def test_laser_free_is_bitwise_the_lineshape(self):

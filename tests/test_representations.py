@@ -1,3 +1,6 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,49 @@ class TestCouplingPair:
             singles = [coupling_pair(rep, float(w), 1.0) for w in wk]
             assert list(batch.u_plus) == [s.u_plus for s in singles]
             assert list(batch.u_minus) == [s.u_minus for s in singles]
+
+
+# Frequencies from the least subnormal to the float maximum, where
+# omega_k/omega_0, its inverse or their product leaves the float range (or
+# lands on its edge: sys.float_info.max / 1.0).
+RANGE = [5e-324, 1e-300, 1e-154, 0.5, 1.0, 2.0, 1e154, 1e300, 1.7e308, sys.float_info.max]
+
+
+def reference_pair(rep, omega_k, omega_0):
+    """Whether coupling_pair accepts, and its bits, by evaluating the
+    formulas with numpy silenced and rejecting a u_minus that is not finite."""
+    omega_k = np.asarray(omega_k, dtype=float)
+    with np.errstate(all="ignore"):
+        if rep.kind == "symmetric":
+            u_minus = 2.0 * np.sqrt(omega_0 * omega_k) / (omega_k + omega_0)
+            u_plus = np.zeros_like(u_minus)
+        else:
+            alpha = _constant_alpha(rep)
+            down = np.sqrt(omega_0 / omega_k) * (1.0 - alpha)
+            up = np.sqrt(omega_k / omega_0) * alpha
+            u_plus, u_minus = down - up, down + up
+    return bool(np.max(u_minus, initial=0.0) <= sys.float_info.max), u_plus, u_minus
+
+
+@pytest.mark.parametrize("rep", ALL_REPS, ids=lambda r: r.name)
+def test_overflow_is_decided_from_the_input_range(rep):
+    # Each omega_k alone, and every run of neighbours in RANGE as an array:
+    # the least and greatest omega_k decide it.
+    n = len(RANGE)
+    inputs = [*RANGE, *(np.array(RANGE[i:j]) for i in range(n) for j in range(i + 1, n + 1))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for omega_0 in RANGE:
+            for omega_k in inputs:
+                accepted, u_plus, u_minus = reference_pair(rep, omega_k, omega_0)
+                if not accepted:
+                    with pytest.raises(DomainError, match="couplings overflow"):
+                        coupling_pair(rep, omega_k, omega_0)
+                    continue
+                got = coupling_pair(rep, omega_k, omega_0)
+                assert type(got.u_minus) is (float if np.ndim(omega_k) == 0 else np.ndarray)
+                assert np.asarray(got.u_plus).tobytes() == u_plus.tobytes()
+                assert np.asarray(got.u_minus).tobytes() == u_minus.tobytes()
 
 
 class TestMixing:
