@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .spectra import _CELL, Spectrum, _table
 
 __all__ = ["PlotStyle", "emit_svg", "emit_gnuplot"]
@@ -22,6 +22,7 @@ __all__ = ["PlotStyle", "emit_svg", "emit_gnuplot"]
 _CANVAS_W, _CANVAS_H = 880.0, 560.0
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 80.0, 30.0, 58.0, 64.0
 
+_FLOAT_MAX = float(np.finfo(float).max)
 _BASE_ORDER = {"coulomb": 0, "poincare": 1, "symmetric": 2, "lorentzian": 3}
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#7f7f7f",
             "#9467bd", "#8c564b", "#e377c2", "#17becf")
@@ -73,21 +74,20 @@ def _quoted(text: str) -> str:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    raw = span / 6  # about six ticks
-    mag = 10.0 ** math.floor(math.log10(raw))
+    """About six ticks 1, 2 or 5 powers of ten apart on [lo, hi], finite lo < hi."""
+    span = min(hi - lo, _FLOAT_MAX)  # hi - lo may overflow
+    raw = span / 6 or span  # about six ticks; a subnormal span may underflow
+    mag = 10.0 ** math.floor(math.log10(raw)) or raw
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
     first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * span:
+    ticks, t, last = [], first, None
+    limit = min(hi + 1e-12 * span, _FLOAT_MAX)  # t may overflow to inf past it
+    while t <= limit and t != last:  # a step below half an ulp of t stops it
         ticks.append(0.0 if abs(t) < 1e-15 * span else t)
-        t += step
+        last, t = t, t + step
     return ticks
 
 
@@ -102,11 +102,13 @@ def emit_svg(spectra: list[Spectrum], style: PlotStyle) -> str:
     x_lo, x_hi = float(grid[0]), float(grid[-1])
     all_values = np.concatenate([v for _, v in curves])
     y_lo, y_hi = float(np.min(all_values)), float(np.max(all_values))
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    if y_hi == y_lo:  # a unit span, or the value's own where 1 is below its ulp
+        y_hi = y_lo + (1.0 if abs(y_lo) < 2.0**53 else abs(y_lo))
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+        raise DomainError("the plot's axes span more than the float range")
 
     plot_w = _CANVAS_W - _MARGIN_L - _MARGIN_R
     plot_h = _CANVAS_H - _MARGIN_T - _MARGIN_B

@@ -133,22 +133,22 @@ def _kernel_parts(P, theta: float, scratch):
     Against 80 digits the relative error is at most 1e-14: 5.3e-15 at theta
     = 3.2, near pi, where sin(theta)/theta - s cos(phi) cancels."""
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    cos_h, k_im, q, h, sin_h, s, *_, nonzero = scratch
+    cos_h, k_im, q, half_h, tu, s, *_, nonzero = scratch
     np.absolute(P, out=q)
     np.sign(P, out=P)  # K(-P) = conj K(P); Im K(0) = 0
-    np.multiply(np.subtract(q, theta, out=h), 0.5, out=h)
-    t = np.tan(np.multiply(h, 0.5, out=sin_h), out=sin_h)
+    np.multiply(np.subtract(q, theta, out=half_h), 0.25, out=half_h)  # h/2
+    t = np.tan(half_h, out=tu)
     tt = np.multiply(t, t, out=cos_h)
     u = np.divide(1.0, np.add(tt, 1.0, out=s), out=s)
-    np.multiply(np.multiply(t, 2.0, out=sin_h), u, out=sin_h)
+    np.multiply(t, u, out=tu)  # sin(h)/2: the 2 goes into 2 cos/sin theta
     np.multiply(np.subtract(1.0, tt, out=cos_h), u, out=cos_h)
     s.fill(1.0)
-    np.divide(sin_h, h, out=s, where=np.not_equal(h, 0.0, out=nonzero))
+    np.divide(tu, half_h, out=s, where=np.not_equal(half_h, 0.0, out=nonzero))
     inv = np.divide(1.0, np.add(q, theta, out=q), out=q)  # 1/(theta + q)
-    np.subtract(np.multiply(cos_h, cos_t, out=k_im), np.multiply(sin_h, sin_t, out=h),
-                out=k_im)
-    np.multiply(cos_h, sin_t, out=h)
-    k_re = np.add(np.multiply(sin_h, cos_t, out=cos_h), h, out=cos_h)  # cos_h spent
+    np.subtract(np.multiply(cos_h, cos_t, out=k_im),
+                np.multiply(tu, 2.0 * sin_t, out=half_h), out=k_im)
+    np.multiply(cos_h, sin_t, out=half_h)
+    k_re = np.add(np.multiply(tu, 2.0 * cos_t, out=cos_h), half_h, out=cos_h)
     np.multiply(np.multiply(k_re, s, out=k_re), inv, out=k_re)
     np.subtract(sin_t / theta, np.multiply(k_im, s, out=k_im), out=k_im)
     np.multiply(np.multiply(k_im, inv, out=k_im), P, out=k_im)

@@ -1,9 +1,10 @@
 """Deterministic principal-value quadrature.
 
 An oracle, not a route: the level shifts of ``lineshape.atoms`` are
-closed forms.  The ``level_shift_closed_forms`` check of
-``lineshape.verify`` (which imports this module only when it runs), the
-tests and the benchmark integrate PV int_lo^hi g(t)/(pole - t) dt, g
+closed forms.  ``lineshape.verify`` (the one library module that imports
+this one) takes the 20-point rule alone for its quadrature oracle of the
+pulse amplitude.  Its ``level_shift_closed_forms`` check, the tests and
+the benchmark integrate PV int_lo^hi g(t)/(pole - t) dt, g
 smooth, as a symmetric window around the pole, on which the
 pair-cancelled integrand (g(pole - u) - g(pole + u))/u is smooth (it
 tends to -2 g'(pole) as u -> 0), plus a regular rest.  Each piece gets

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,26 +32,27 @@ from lineshape.spectra import _BLOCK
 SRC_DIR = str(Path(lineshape.__path__[0]).parent)
 
 
-def _child(*argv: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter run with ``argv``, the package on its path."""
+def _child(*argv: str, timeout: float = 300) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``argv``, the package on its path; past
+    ``timeout`` seconds it is killed and ``subprocess.TimeoutExpired`` raised."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC_DIR, *filter(None, [env.get("PYTHONPATH")])]
     )
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=env, timeout=timeout)
 
 
-def run_python(code: str, *args: str) -> str:
+def run_python(code: str, *args: str, timeout: float = 300) -> str:
     """Last line a fresh interpreter prints running ``code``."""
-    proc = _child("-c", code, *args)
+    proc = _child("-c", code, *args, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
 
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
+def run_cli(*argv: str, timeout: float = 300) -> subprocess.CompletedProcess:
     """A fresh ``python -m lineshape.cli`` run: the console script's path."""
-    return _child("-m", "lineshape.cli", *argv)
+    return _child("-m", "lineshape.cli", *argv, timeout=timeout)
 
 
 def charged_oscillator(omega, mass, n_levels, charge) -> AtomModel:
@@ -112,6 +114,30 @@ def assert_blocks_are_seamless(call, grid):
             continue
         joined = np.concatenate([getattr(p, column) for p in pieces])
         assert joined.tobytes() == getattr(whole, column).tobytes(), column
+
+
+def kernel_parts_reference(P, theta):
+    """``pulse._kernel_parts`` as it stood before it dropped two passes per
+    block: sin h = 2 t u formed whole and s = sin(h)/h, with h = (q - theta)/2
+    halved again for the tan.  Fresh buffers; ``P`` is left as it was."""
+    P = np.array(P, dtype=float)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    q = np.absolute(P)
+    sign = np.sign(P)
+    h = np.multiply(np.subtract(q, theta), 0.5)
+    t = np.tan(np.multiply(h, 0.5))
+    tt = np.multiply(t, t)
+    u = np.divide(1.0, np.add(tt, 1.0))
+    sin_h = np.multiply(np.multiply(t, 2.0), u)
+    cos_h = np.multiply(np.subtract(1.0, tt), u)
+    s = np.ones_like(P)
+    np.divide(sin_h, h, out=s, where=np.not_equal(h, 0.0))
+    inv = np.divide(1.0, np.add(q, theta))
+    k_im = np.subtract(np.multiply(cos_h, cos_t), np.multiply(sin_h, sin_t))
+    k_re = np.add(np.multiply(sin_h, cos_t), np.multiply(cos_h, sin_t))
+    k_re = np.multiply(np.multiply(k_re, s), inv)
+    k_im = np.subtract(sin_t / theta, np.multiply(k_im, s))
+    return k_re, np.multiply(np.multiply(k_im, inv), sign)
 
 
 # -- the pulse-window equations over all 2 + N components --------------------

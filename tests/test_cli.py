@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -17,7 +18,7 @@ from lineshape.spectra import read_spectrum_csv, write_spectrum_csv
 from lineshape.errors import ConfigurationError
 from lineshape.scenario import PARAMS
 
-from helpers import mp_lamb_shift, run_cli
+from helpers import mp_lamb_shift, run_cli, run_python
 
 PRESET_DIR = Path(lineshape.__path__[0]) / "presets"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -255,6 +256,38 @@ class TestExitCodes:
                      str(tmp_path / "p.out")]) == 3
         assert capsys.readouterr().err == (
             "error: a plot needs at least two points per curve\n")
+
+    # Two S rows each, in the schema's header: S values the reader accepts.
+    @pytest.mark.parametrize("s_lo, s_hi, code", [
+        ("1e20", "1e20", 0),        # a flat curve once had a zero span
+        ("0", "1.79e308", 3),       # its 5% pad overflows
+    ])
+    def test_plot_of_extreme_values_plots_or_exits_3(self, s_lo, s_hi, code,
+                                                     tmp_path, capsys):
+        csv = tmp_path / "extreme.csv"
+        csv.write_text("omega_k,S,representation,gamma,omega_eg,lamb_shift,cutoff\n"
+                       f"1.0,{s_lo},x,0.1,1,0,1000\n2.0,{s_hi},x,0.1,1,0,1000\n")
+        out = tmp_path / "p.svg"
+        assert main(["plot", str(csv), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: the plot's axes span more than the float range\n"
+            assert not out.exists()
+        else:
+            assert err == "" and out.read_text().startswith("<svg")
+
+    def test_axis_steps_below_half_an_ulp_end(self, tmp_path):
+        # t += step stopped moving t, and both runs hung; a child process
+        # with a timeout fails here instead.
+        csv = tmp_path / "near.csv"
+        csv.write_text("omega_k,S,representation,gamma,omega_eg,lamb_shift,cutoff\n"
+                       "1.0,1,x,0.1,1,0,1000\n2.0,1.0000000000000004,x,0.1,1,0,1000\n")
+        for argv in (["lineshape", "--gamma", "0.1", "--grid", "1,1.0000000000000002,2",
+                      "--reps", "coulomb", "--plot", "svg", "--out-dir", str(tmp_path)],
+                     ["plot", str(csv), "--out", str(tmp_path / "near.svg")]):
+            proc = run_cli(*argv, timeout=30)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert (tmp_path / "lineshape.svg").exists() and (tmp_path / "near.svg").exists()
 
     # Squares of huge inputs once raised OverflowError from Python's **.
     @pytest.mark.parametrize("argv", [
@@ -681,6 +714,19 @@ class TestPlotting:
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigurationError):
             emit_svg([], PlotStyle())
+
+    def test_ticks_end_for_finite_bounds(self):
+        # In a child with a timeout: some of these bounds hung the loop.
+        tiny, huge = 5e-324, 1.7976931348623157e308
+        bounds = [(1.0, 1.0000000000000002), (1e16, 1e16 + 2.0), (0.0, tiny),
+                  (-tiny, tiny), (1e-320, 2e-320), (-huge, huge), (0.0, huge),
+                  (1e308, huge), (-huge, -1e308)]
+        code = ("import json, sys; from lineshape.plotting import _nice_ticks; "
+                "print(json.dumps([_nice_ticks(lo, hi) for lo, hi in "
+                "json.loads(sys.argv[1])]))")
+        for ticks in json.loads(run_python(code, json.dumps(bounds), timeout=30)):
+            assert 0 < len(ticks) <= 12 and all(map(math.isfinite, ticks))
+            assert ticks == sorted(set(ticks))
 
     def test_gnuplot_emission(self):
         dat, script = emit_gnuplot(self._spectra(), PlotStyle(title="x"),

@@ -28,7 +28,8 @@ from lineshape.representations import coupling_pair
 from lineshape.spectra import _BLOCK, _scratch, numerator
 from lineshape.verify import _resonant_amplitude, check_ode_oracle
 
-from helpers import SWEEPS, assert_blocks_are_seamless, full_rhs
+from helpers import (SWEEPS, assert_blocks_are_seamless, full_rhs,
+                     kernel_parts_reference)
 
 OMEGA0 = 1.0
 GAMMA = 0.1
@@ -218,6 +219,19 @@ class TestBranchFreeKernel:
         re_m, im_m = kernel_parts(-P, theta)
         np.testing.assert_allclose(re_m, re_p, rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(im_m, -im_p, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("theta", [1e-3, 0.3, math.pi / 2, 2.2, 3.2, 40.0])
+    def test_kernel_keeps_the_bits_of_the_longer_formula(self, theta):
+        # sin h = 2 t u and s = sin(h)/h against t u and (t u)/(h/2): the
+        # powers of two scale exactly.  P = 0, +/- theta and 1e-12 off them.
+        rng = np.random.default_rng(3)
+        edges = theta * np.array([1.0, -1.0])
+        P = np.concatenate((rng.uniform(-3.0 * theta, 3.0 * theta, 20_000),
+                            rng.uniform(-1e4, 1e4, 1000), [0.0, -0.0], edges,
+                            edges + 1e-12, edges - 1e-12))
+        got, want = kernel_parts(P, theta), kernel_parts_reference(P, theta)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     def test_removable_points_are_exact(self):
         # Resonant pi-pulse: theta = pi/2 and P = pi delta_k, so omega_k =

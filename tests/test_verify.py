@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import sys
@@ -186,3 +187,34 @@ def test_pulse_spectrum_check_catches_a_scaled_result(monkeypatch):
 
     monkeypatch.setattr(verify, "pulse_spectrum", scaled)
     assert _failing(run_all_checks()) == ["pulse_spectrum_assembly"]
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12])
+def test_pulse_checks_catch_a_scaled_excited_amplitude(monkeypatch, eps):
+    # b_e enters the quadrature oracle and not the closed form it checks;
+    # pulse_ode_oracle, which allows 1e-6, alone let 1e-9 pass.
+    original = pulse.excited_amplitude_during_pulse
+    for module in (pulse, verify):
+        monkeypatch.setattr(module, "excited_amplitude_during_pulse",
+                            lambda *args: original(*args) * (1.0 + eps))
+    assert _failing(run_all_checks()) == ["pulse_detuned_kernel",
+                                          "pulse_spectrum_assembly"]
+
+
+def test_quadrature_oracle_calls_of_pulse_only_the_excited_amplitude():
+    # Through every verify function it calls, the oracle reaches no other
+    # name that pulse defines, so it cannot drift into the route it checks.
+    tree = ast.parse(inspect.getsource(verify))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    pulse_names = {name for name, value in vars(pulse).items()
+                   if getattr(value, "__module__", None) == pulse.__name__}
+    called, todo = set(), ["_quadrature_amplitude"]
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in defs and name not in called:
+                    todo.append(name)
+                called.add(name)
+    assert called & pulse_names == {"excited_amplitude_during_pulse"}
